@@ -7,19 +7,18 @@ semiclassical phase-plane view, and a deterministic sweep/report CLI.
 """
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    ScalingMap, WALL, acho_unit_box, box_grid,
-                    potential_value, scale_energy, scho_unit_box,
-                    state_from_physical, state_to_physical,
-                    to_dimensionless, unscale_energy)
-from .itp_solver import (ConvergenceError, DiffusionState, LadderError,
-                         PentaSystem, SolverConfig, StepSizeError,
-                         build_penta, energy_expectation, initial_guess,
-                         solve_spectrum, solve_state, stable_dtau, step)
+                    ScalingMap, WALL, acho_unit_box, box_grid, scale_energy,
+                    scho_unit_box, simpson_weights, state_from_physical,
+                    state_to_physical, to_dimensionless, unscale_energy)
+from .itp_solver import (ConvergenceError, LadderError, PentaSystem,
+                         SolverConfig, StepSizeError, build_penta,
+                         energy_expectation, initial_guess, solve_spectrum,
+                         solve_state, stable_dtau)
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          pib_measures, scho_eigenvalue, scho_wavefunction)
 from .variational import (BasisError, BasisSet, DEFAULT_ALPHA,
                           VariationalResult, build_basis, diagonalize,
-                          hamiltonian_matrix, simpson_weights, solve_acho)
+                          hamiltonian_matrix, solve_acho)
 from .spectral import (MomentumDensity, momentum_moments, parseval_defect,
                        to_momentum)
 from .infomeasures import (BOUND_SLACK, DensityProfile, FISHER_FLOOR,

@@ -99,6 +99,10 @@ class SweepSpec:
             raise DomainError("box half-length values must be positive")
         if self.mode in ("scho-eta", "acho-eta") and min(self.values) < 0:
             raise DomainError("well strength values must be non-negative")
+        if self.mode == "scho-eta" and "exact" in self.solvers \
+                and 0.0 in self.values:
+            raise DomainError("solver 'exact' cannot take scho-eta value 0: "
+                              "its native box half-length eta^(1/4) is 0")
         if self.grid_points < 8:
             raise DomainError("grid_points too small")
         if self.pad_factor < 1:
@@ -182,10 +186,9 @@ def _solve_with(spec: SweepSpec, value: float, solver: str):
             native = box_grid(-x_c, x_c, spec.grid_points)
             states = []
             for n in range(spec.n_hi + 1):
-                eps = exact_scho.scho_eigenvalue(n, x_c)
                 psi = exact_scho.scho_wavefunction(n, x_c, native)
                 vals = math.sqrt(x_c) * psi.values
-                states.append(Eigenpair(n=n, energy=x_c * x_c * eps,
+                states.append(Eigenpair(n=n, energy=x_c * x_c * psi.energy,
                                         values=vals, grid=unit_grid,
                                         provenance="exact"))
             return pot, states
@@ -768,7 +771,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,10 +19,10 @@ Numerical notes that the equations do not show:
 
 * Left matrix: I + (dtau/2) H is symmetric positive definite, so the banded
   no-pivot factorization is a Cholesky one (LAPACK pbtrf/pbtrs). Strict
-  diagonal dominance holds only for dtau < 12 m h^2 / hbar^2; that threshold
-  is recorded on the system rather than enforced, because dominance is
-  sufficient but not necessary here - positive pivots are the actual no-pivot
-  success condition, and their failure raises StepSizeError.
+  diagonal dominance holds only for dtau < 12 m h^2 / hbar^2, but it is
+  sufficient, not necessary: positive pivots are the actual no-pivot success
+  condition, so dominance is neither checked nor required, and a pivot
+  failure raises StepSizeError.
 
 * Step size: the half-implicit filter (1-x)/(1+x), x = dtau*lambda/2, damps
   the top of the discrete spectrum slower than the ground state once
@@ -47,7 +47,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from .model import ConfinedPotential, DomainError, Eigenpair, Grid
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                    canonical_sign)
 
 
 class StepSizeError(RuntimeError):
@@ -72,7 +73,6 @@ class SolverConfig:
     dtau: float = 1e-4
     energy_tol: float = 1e-12
     max_steps: int = 2_000_000
-    ortho_interval: int = 1
     # additions beyond the basic contract: fixed-point stopping and how often
     # the convergence tests run (energy itself is updated every step)
     psi_tol: float = 1e-12
@@ -82,20 +82,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dtau <= 0 or self.energy_tol <= 0 or self.psi_tol <= 0:
             raise DomainError("dtau and tolerances must be positive")
-        if self.max_steps < 1 or self.ortho_interval < 1 or self.check_interval < 1:
+        if self.max_steps < 1 or self.check_interval < 1:
             raise DomainError("step counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class DiffusionState:
-    """Wavefunction iterate on the full grid (walls included as exact zeros),
-    normalized so that h * sum(psi^2) = 1."""
-    values: np.ndarray = field(repr=False)
-    step_index: int = 0
-    energy_estimate: float = math.nan
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 def _hamiltonian_diagonals(pot: ConfinedPotential, grid: Grid,
@@ -131,33 +119,14 @@ class PentaSystem:
     ham_d0: np.ndarray = field(repr=False)
     ham_d1: np.ndarray = field(repr=False)
     ham_d2: np.ndarray = field(repr=False)
-    lhs_main: np.ndarray = field(repr=False)
-    lhs_off1: np.ndarray = field(repr=False)
-    lhs_off2: np.ndarray = field(repr=False)
     cholesky: np.ndarray = field(repr=False)
-    diagonally_dominant: bool = True
-    dominance_dtau_bound: float = math.inf
 
     def apply_hamiltonian(self, psi_interior: np.ndarray) -> np.ndarray:
         return _apply_tridiag5(self.ham_d0, self.ham_d1, self.ham_d2,
                                psi_interior)
 
-    def five_diagonals(self):
-        """The left-matrix bands, padded to full length: (lower2, lower1,
-        main, upper1, upper2). The matrix is symmetric so the wings mirror."""
-        n = len(self.lhs_main)
-        lo2 = np.concatenate(([0.0, 0.0], self.lhs_off2))
-        lo1 = np.concatenate(([0.0], self.lhs_off1))
-        up1 = np.concatenate((self.lhs_off1, [0.0]))
-        up2 = np.concatenate((self.lhs_off2, [0.0, 0.0]))
-        assert len(lo2) == len(up2) == n
-        return lo2, lo1, self.lhs_main, up1, up2
-
-    def right_side(self, psi_interior: np.ndarray) -> np.ndarray:
-        """[1 - (dtau/2) H] psi, the step's right-hand side."""
-        return psi_interior - 0.5 * self.dtau * self.apply_hamiltonian(psi_interior)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """[1 + (dtau/2) H]^-1 rhs through the banded Cholesky factor."""
         pbtrs, = get_lapack_funcs(('pbtrs',), (self.cholesky,))
         x, info = pbtrs(self.cholesky, rhs, lower=False)
         if info != 0:
@@ -172,34 +141,20 @@ def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
     d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass, hbar)
     a = 0.5 * dtau
     main = 1.0 + a * d0
-    off1 = a * d1
-    off2 = a * d2
     if main.min() <= 0:
         raise StepSizeError("left matrix lost positivity; reduce dtau")
 
-    # dominance bookkeeping (documented threshold, not a hard gate)
-    n = len(main)
-    row_off = np.zeros(n)
-    row_off[:-1] += np.abs(off1)
-    row_off[1:] += np.abs(off1)
-    row_off[:-2] += np.abs(off2)
-    row_off[2:] += np.abs(off2)
-    dominant = bool(np.all(main > row_off))
-    bound = 12.0 * mass * grid.h**2 / hbar**2
-
-    ab = np.zeros((3, n))
+    ab = np.zeros((3, len(main)))
     ab[2] = main
-    ab[1, 1:] = off1
-    ab[0, 2:] = off2
+    ab[1, 1:] = a * d1
+    ab[0, 2:] = a * d2
     try:
         cb = cholesky_banded(ab, lower=False)
     except np.linalg.LinAlgError as exc:
         raise StepSizeError("non-positive pivot in banded factorization; "
                             "reduce dtau") from exc
     return PentaSystem(grid=grid, dtau=dtau, ham_d0=d0, ham_d1=d1, ham_d2=d2,
-                       lhs_main=main, lhs_off1=off1, lhs_off2=off2,
-                       cholesky=cb, diagonally_dominant=dominant,
-                       dominance_dtau_bound=bound)
+                       cholesky=cb)
 
 
 def energy_expectation(values: np.ndarray, pot: ConfinedPotential, grid: Grid,
@@ -211,10 +166,9 @@ def energy_expectation(values: np.ndarray, pot: ConfinedPotential, grid: Grid,
     return float(psi @ w) / float(psi @ psi)
 
 
-def initial_guess(m: int, grid: Grid, pot: ConfinedPotential,
-                  mass: float = 1.0, hbar: float = 1.0) -> DiffusionState:
+def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     """Hermite-times-Gaussian trial profile centred on the well minimum,
-    zeroed at the walls and normalized."""
+    zeroed at the walls and normalized so that h * sum(psi^2) = 1."""
     if m < 0:
         raise DomainError("state index must be >= 0")
     y = grid.points - pot.d_m
@@ -223,27 +177,7 @@ def initial_guess(m: int, grid: Grid, pot: ConfinedPotential,
     vals[0] = 0.0
     vals[-1] = 0.0
     vals /= math.sqrt(grid.h * float(vals @ vals))
-    e0 = energy_expectation(vals, pot, grid, mass, hbar)
-    return DiffusionState(values=vals, step_index=0, energy_estimate=e0)
-
-
-def step(state: DiffusionState, system: PentaSystem,
-         lower_states: tuple[Eigenpair, ...] = ()) -> DiffusionState:
-    """One relaxation step: banded solve, Gram-Schmidt against the ladder,
-    renormalization, and a fresh energy estimate."""
-    h = system.grid.h
-    psi = state.values[1:-1]
-    y = system.solve(system.right_side(psi))
-    for low in lower_states:
-        li = low.values[1:-1]
-        y = y - (h * float(li @ y)) * li
-    y = y / math.sqrt(h * float(y @ y))
-    w = system.apply_hamiltonian(y)
-    e = h * float(y @ w)
-    full = np.zeros(len(state.values))
-    full[1:-1] = y
-    return DiffusionState(values=full, step_index=state.step_index + 1,
-                          energy_estimate=e)
+    return vals
 
 
 def stable_dtau(pot: ConfinedPotential, grid: Grid, n_max: int = 0,
@@ -266,11 +200,6 @@ def stable_dtau(pot: ConfinedPotential, grid: Grid, n_max: int = 0,
     return dt
 
 
-def _canonical_sign(psi: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(psi)))
-    return -psi if psi[k] < 0 else psi
-
-
 def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
                 config: SolverConfig | None = None,
                 lower_states: tuple[Eigenpair, ...] = (),
@@ -282,7 +211,7 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
     h = grid.h
     a = 0.5 * cfg.dtau
 
-    psi = initial_guess(n, grid, pot, mass, hbar).values[1:-1].copy()
+    psi = initial_guess(n, grid, pot)[1:-1]
     low = None
     if lower_states:
         low = np.array([ep.values[1:-1] for ep in lower_states])
@@ -305,7 +234,7 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
     for it in range(1, cfg.max_steps + 1):
         rhs = psi - a * w
         y = system.solve(rhs)
-        if low is not None and (it - 1) % cfg.ortho_interval == 0:
+        if low is not None:
             y -= low.T @ (low @ y) * h
         y /= math.sqrt(h * float(y @ y))
         psi = y
@@ -329,7 +258,7 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
                                "(last energy %.12g)" % (n, cfg.max_steps, e),
                                last_energy=e, values=psi)
 
-    psi = _canonical_sign(psi)
+    psi = canonical_sign(psi)
     full = np.zeros(grid.n_points)
     full[1:-1] = psi
     return Eigenpair(n=n, energy=e, values=full, grid=grid, provenance="itp")

@@ -1,4 +1,5 @@
-"""Shared problem definitions: grids, hard-wall confined potentials, scaling maps.
+"""Shared problem definitions: grids, hard-wall confined potentials, scaling
+maps, and the Simpson rule and sign convention every route uses.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -111,9 +112,20 @@ class ConfinedPotential:
         return 0.5 * self.k * (x - self.d_m) ** 2
 
 
-def potential_value(pot: ConfinedPotential, x):
-    """Well value strictly inside (b1, b2); WALL marker otherwise."""
-    return pot.value(x)
+def simpson_weights(n_points: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for `n_points` samples spaced `h` apart."""
+    if n_points < 3 or n_points % 2 == 0:
+        raise DomainError("composite Simpson needs an odd point count >= 3")
+    w = np.full(n_points, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
+
+
+def canonical_sign(psi: np.ndarray) -> np.ndarray:
+    """psi or -psi, whichever is positive at its largest-magnitude sample."""
+    k = int(np.argmax(np.abs(psi)))
+    return -psi if psi[k] < 0 else psi
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import ConfinedPotential, DomainError, Eigenpair, Grid
+from .model import DomainError, Eigenpair, Grid, simpson_weights
 
 
 def pib_energy_unit_box(q: int) -> float:
@@ -104,10 +104,7 @@ def pt_wavefunction(n: int, eta: float, grid: Grid,
 
     vals[0] = 0.0
     vals[-1] = 0.0
-    w = np.full(grid.n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= grid.h / 3.0
+    w = simpson_weights(grid.n_points, grid.h)
     vals = vals / math.sqrt(float(w @ (vals * vals)))
     return Eigenpair(n=n, energy=pt_energy(n, eta), values=vals, grid=grid,
                      provenance="pt")

@@ -2,10 +2,11 @@
 turning points, phase-plane area, orbit curves, and the quantum probability
 of sitting in the classically forbidden part of the box.
 
-The area integral uses the substitution x = x_t +- u^2 on any end whose
-turning point lies at or inside the wall, which removes the square-root edge
-of the integrand before composite Simpson is applied; ends strictly cut off
-by a wall keep a smooth integrand and need no treatment.
+The area integral measures x from the open well's turning points x_t with
+the substitution x = x_t +- u^2 on both halves, which turns the square-root
+edge of the integrand into a smooth one before composite Simpson is
+applied. An end cut off by a wall is treated the same way: it starts at
+u > 0, and its integrand stays smooth however close to the wall x_t lies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .model import ConfinedPotential, DomainError, Eigenpair
+from .model import ConfinedPotential, DomainError, Eigenpair, simpson_weights
 
 _SIMPSON_PANELS = 2000   # per half-segment of the area integral
 
@@ -51,10 +52,7 @@ def classical_region_lengths(pot: ConfinedPotential,
 
 
 def _simpson(f_vals: np.ndarray, h: float) -> float:
-    w = np.full(len(f_vals), 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return float(w @ f_vals) * h / 3.0
+    return float(simpson_weights(len(f_vals), h) @ f_vals)
 
 
 def phase_area(pot: ConfinedPotential, energy: float) -> float:
@@ -67,30 +65,21 @@ def phase_area(pot: ConfinedPotential, energy: float) -> float:
     if pot.k == 0.0:
         return (hi - lo) * math.sqrt(energy)
 
-    def f(x):
-        return np.sqrt(np.maximum(energy - 0.5 * pot.k * (x - pot.d_m) ** 2,
-                                  0.0))
+    r = math.sqrt(2.0 * energy / pot.k)
+    left, right = pot.d_m - r, pot.d_m + r   # turning points of the open well
+
+    def f(u):
+        # 2u * sqrt(energy - V) at depth u^2 inside either turning point
+        return 2.0 * u * u * np.sqrt(0.5 * pot.k
+                                     * np.maximum(2.0 * r - u * u, 0.0))
 
     mid = 0.5 * (lo + hi)
     n = 2 * _SIMPSON_PANELS + 1
     total = 0.0
-    # an edge needs the substitution exactly when it is a zero of the
-    # integrand, i.e. the analytic turning point sits at or inside the wall
-    r = math.sqrt(2.0 * energy / pot.k)
-    # left half
-    if pot.d_m - r >= pot.b1:   # true turning point: x = lo + u^2
-        u = np.linspace(0.0, math.sqrt(mid - lo), n)
-        total += _simpson(2.0 * u * f(lo + u * u), u[1] - u[0])
-    else:
-        x = np.linspace(lo, mid, n)
-        total += _simpson(f(x), x[1] - x[0])
-    # right half
-    if pot.d_m + r <= pot.b2:   # true turning point: x = hi - u^2
-        u = np.linspace(0.0, math.sqrt(hi - mid), n)
-        total += _simpson(2.0 * u * f(hi - u * u), u[1] - u[0])
-    else:
-        x = np.linspace(mid, hi, n)
-        total += _simpson(f(x), x[1] - x[0])
+    for near, far in ((lo - left, mid - left), (right - hi, right - mid)):
+        # step from the ends: u[1] - u[0] loses digits when u0 >> the step
+        u0, u1 = math.sqrt(near), math.sqrt(far)
+        total += _simpson(f(np.linspace(u0, u1, n)), (u1 - u0) / (n - 1))
     return total
 
 

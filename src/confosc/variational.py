@@ -9,8 +9,8 @@ i.e. Gaussian-envelope functions exp(-beta x^2 / 2) times a confluent
 hypergeometric factor, with the boundary condition enforced through the
 hypergeometric parameter. They form a complete orthogonal set on the box,
 decay like the target states do, and reduce to the exact answer when the well
-is centred and alpha matches it. The envelope width alpha is either fixed or
-tuned by a golden-section search on the lowest Rayleigh-Ritz eigenvalue.
+is centred and alpha matches it. The envelope width alpha is fixed; the
+default DEFAULT_ALPHA is the width of the unit well.
 
 Roots of the boundary equation are located by scanning in sqrt(eps), where
 consecutive same-parity levels are nearly equally spaced (the flat-box ladder
@@ -34,22 +34,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
-from .model import ConfinedPotential, DomainError, Eigenpair, Grid, box_grid
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid, box_grid,
+                    canonical_sign, simpson_weights)
 
 DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
 
 
 class BasisError(RuntimeError):
     """The trial set could not be built or lost its numerical guarantees."""
-
-
-def simpson_weights(n_points: int, h: float) -> np.ndarray:
-    if n_points < 3 or n_points % 2 == 0:
-        raise DomainError("composite Simpson needs an odd point count >= 3")
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
 
 
 @dataclass(frozen=True)
@@ -213,24 +205,6 @@ def diagonalize(h_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
-def _golden_minimum(fun, lo: float, hi: float, iterations: int) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return c if fc < fd else d
-
-
 @dataclass(frozen=True)
 class VariationalResult:
     alpha: float
@@ -245,34 +219,16 @@ class VariationalResult:
 
 def solve_acho(pot: ConfinedPotential, size: int = 50,
                grid: Grid | None = None, mass: float = 1.0, hbar: float = 1.0,
-               alpha: float | None = None, optimize_alpha: bool = True,
-               alpha_range: tuple[float, float] = (0.05, 2.0),
-               golden_iters: int = 40, n_states: int = 6) -> VariationalResult:
-    """Rayleigh-Ritz levels and states of a quadratic well in a hard box.
-
-    alpha given        -> use that envelope width;
-    optimize_alpha     -> golden-section on the lowest level (the default);
-    otherwise          -> the fixed unit-well width DEFAULT_ALPHA.
-    """
+               alpha: float = DEFAULT_ALPHA,
+               n_states: int = 6) -> VariationalResult:
+    """Rayleigh-Ritz levels and states of a quadratic well in a hard box,
+    in the trial set of envelope width `alpha`."""
     if grid is None:
         grid = box_grid(pot.b1, pot.b2, n_interior=3999)
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
 
-    def lowest(al: float) -> float:
-        basis = build_basis(al, size, grid)
-        return float(np.linalg.eigvalsh(
-            hamiltonian_matrix(basis, pot, mass, hbar))[0])
-
-    if alpha is not None:
-        if alpha <= 0:
-            raise DomainError("alpha must be positive")
-        best = alpha
-    elif optimize_alpha:
-        best = _golden_minimum(lowest, alpha_range[0], alpha_range[1],
-                               golden_iters)
-    else:
-        best = DEFAULT_ALPHA
-
-    basis = build_basis(best, size, grid)
+    basis = build_basis(alpha, size, grid)
     energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass, hbar))
 
     w = simpson_weights(grid.n_points, grid.h)
@@ -280,11 +236,9 @@ def solve_acho(pot: ConfinedPotential, size: int = 50,
     for j in range(min(n_states, size)):
         vals = vectors[:, j] @ basis.values
         vals /= math.sqrt(float(w @ (vals * vals)))
-        k = int(np.argmax(np.abs(vals)))
-        if vals[k] < 0:
-            vals = -vals
-        states.append(Eigenpair(n=j, energy=float(energies[j]), values=vals,
-                                grid=grid, provenance="variational"))
-    return VariationalResult(alpha=best, basis_size=size,
+        states.append(Eigenpair(n=j, energy=float(energies[j]),
+                                values=canonical_sign(vals), grid=grid,
+                                provenance="variational"))
+    return VariationalResult(alpha=alpha, basis_size=size,
                              energies=energies, states=tuple(states),
                              grid=grid)

@@ -117,7 +117,7 @@ def test_corrected_entropy_triples():
     for d_m in (5.0, 8.0, 10.0):
         pot, mass = acho_unit_box(1.0, d_m)
         res = solve_acho(pot, size=50, grid=grid, mass=mass,
-                         alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=3)
+                         alpha=DEFAULT_ALPHA, n_states=3)
         for n, state in enumerate(res.states):
             rep = full_report(state, to_momentum(state))
             s_x, s_p, s = VERIFIED_TRIPLES[(d_m, n)]

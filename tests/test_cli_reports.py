@@ -1,14 +1,20 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confosc
 from confosc.cli_reports import (ConfigError, CrossReport, ReportRow,
                                  SchemaError, SweepSpec, cross_check,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv,
                                  run_sweep)
+from confosc.exact_scho import scho_eigenvalue
 from confosc.model import DomainError
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
@@ -83,10 +89,21 @@ def test_parse_config_rejects(text, fragment):
     dict(mode="scho-xc", values=(1.0,), tol=0.0),
     dict(mode="scho-xc", values=(1.0,), dtau=-1e-4),
     dict(mode="scho-xc", values=(1.0,), cross_tol=0.0),
+    dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
         SweepSpec(**kw)
+
+
+def test_cli_rejects_exact_route_at_zero_strength(capsys):
+    # the exact route solves in a box of half-length eta^(1/4), empty at 0
+    rc = main(["solve", "--mode", "scho-eta", "--value", "0", "--solver",
+               "exact", "--format", "csv"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver 'exact'" in captured.err and "value 0" in captured.err
 
 
 # ------------------------------------------------------------ CSV round trip
@@ -182,6 +199,17 @@ def test_sweep_is_deterministic_and_worker_invariant():
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec, workers=3))
     with pytest.raises(DomainError):
         run_sweep(spec, workers=0)
+
+
+def test_exact_scho_eta_route_solves_each_level_once():
+    # the state carries its energy, so no second root search is needed
+    scho_eigenvalue.cache_clear()
+    spec = SweepSpec(mode="scho-eta", values=(3.0,), n_hi=2,
+                     solvers=("exact",), grid_points=400)
+    rows = run_sweep(spec)
+    assert [r.n for r in rows] == [0, 1, 2]
+    assert not any(r.error for r in rows)
+    assert scho_eigenvalue.cache_info().misses == 3
 
 
 def test_sweep_records_errors_and_continues():
@@ -311,6 +339,20 @@ def test_cli_table_nine(tmp_path):
     assert lines[0] == "eta,n,I_x,I_p,S_x,S_p,E_x,E_p"
     assert len(lines) == 1 + 3
     assert [ln.split(",")[0] for ln in lines[1:]] == ["5", "10", "20"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(confosc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "confosc", "table", "IX",
+                           "--grid-points", "600", "--format", "csv"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("eta,n,I_x,I_p,S_x,S_p,E_x,E_p\n")
 
 
 def test_cli_table_bad_id_exit_code(capsys):

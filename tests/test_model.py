@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from confosc.model import (WALL, ConfinedPotential, DomainError, Eigenpair,
-                           Grid, acho_unit_box, box_grid, potential_value,
+                           Grid, acho_unit_box, box_grid, canonical_sign,
                            scale_energy, scho_unit_box, state_from_physical,
                            state_to_physical, to_dimensionless,
                            unscale_energy)
@@ -39,11 +39,11 @@ def test_grid_rejects_tiny_and_inverted():
 
 def test_potential_value_and_walls():
     pot = ConfinedPotential(k=3.0, d_m=0.25, b1=-1.0, b2=1.0)
-    assert potential_value(pot, 0.25) == 0.0
-    assert math.isclose(potential_value(pot, 0.75), 0.5 * 3.0 * 0.5 ** 2)
-    assert potential_value(pot, 1.0) == WALL
-    assert potential_value(pot, -2.0) == WALL
-    arr = potential_value(pot, np.array([-1.0, 0.25, 2.0]))
+    assert pot.value(0.25) == 0.0
+    assert math.isclose(pot.value(0.75), 0.5 * 3.0 * 0.5 ** 2)
+    assert pot.value(1.0) == WALL
+    assert pot.value(-2.0) == WALL
+    arr = pot.value(np.array([-1.0, 0.25, 2.0]))
     assert arr[0] == WALL and arr[1] == 0.0 and arr[2] == WALL
 
 
@@ -73,6 +73,12 @@ def test_eigenpair_samples_are_read_only():
     with pytest.raises(ValueError):
         ep.values[0] = 1.0
     assert np.all(ep.density() == 0.0)
+
+
+def test_canonical_sign_makes_the_largest_sample_positive():
+    psi = np.array([0.0, 0.3, -0.9, 0.5, 0.0])
+    assert np.array_equal(canonical_sign(psi), -psi)
+    assert np.array_equal(canonical_sign(-psi), -psi)
 
 
 def test_reduced_builders():

@@ -8,11 +8,10 @@ from mpmath import mp
 
 import _oracles as O
 from confosc.itp_solver import SolverConfig, solve_state, stable_dtau
-from confosc.model import DomainError, box_grid, scho_unit_box
+from confosc.model import DomainError, box_grid, scho_unit_box, simpson_weights
 from confosc.perturbation import (pib_energy_unit_box, pib_state_values,
                                   pib_x2_element, pt_energy, pt_fisher_x,
                                   pt_onicescu_x0, pt_shift, pt_wavefunction)
-from confosc.variational import simpson_weights
 
 PI = math.pi
 

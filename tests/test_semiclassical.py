@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as O
@@ -52,6 +52,11 @@ def test_region_lengths():
 @given(k=st.floats(min_value=0.2, max_value=30.0),
        d_m=st.floats(min_value=-0.8, max_value=0.8),
        energy=st.floats(min_value=0.05, max_value=3.0))
+# turning point just beyond the wall at -1 (by 1.5e-4, 1e-6, 1e-8): the
+# integrand's square-root edge sits a hair outside the box
+@example(k=1.0, d_m=0.4140625, energy=1.0)
+@example(k=1.0, d_m=0.4, energy=0.5 * (1.4 + 1e-6) ** 2)
+@example(k=1.0, d_m=0.4, energy=0.5 * (1.4 + 1e-8) ** 2)
 def test_area_matches_closed_form(k, d_m, energy):
     pot = ConfinedPotential(k=k, d_m=d_m, b1=-1.0, b2=1.0)
     ref = O.phase_area_closed(k, d_m, -1.0, 1.0, energy)

@@ -6,10 +6,9 @@ from scipy.integrate import simpson
 
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import SolverConfig, solve_state, stable_dtau
-from confosc.model import DomainError, acho_unit_box, box_grid
+from confosc.model import DomainError, acho_unit_box, box_grid, simpson_weights
 from confosc.variational import (DEFAULT_ALPHA, BasisError, build_basis,
-                                 diagonalize, hamiltonian_matrix,
-                                 simpson_weights, solve_acho)
+                                 diagonalize, hamiltonian_matrix, solve_acho)
 
 # Offset-well level references (reduced units, eta = 1): (d_m, n) -> energy.
 OFFSET_REFS = {
@@ -85,7 +84,7 @@ def test_offset_well_reference_energies(key):
     d_m, n = key
     pot, mass = acho_unit_box(1.0, d_m)
     res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=6)
+                     alpha=DEFAULT_ALPHA, n_states=6)
     rel = abs(res.energies[n] - OFFSET_REFS[key]) / OFFSET_REFS[key]
     assert rel < 1e-8
 
@@ -94,7 +93,7 @@ def test_transposed_reference_entry_corrected_value():
     # companion to the acceptance gate: both solver routes give this number
     pot, mass = acho_unit_box(1.0, 5.0)
     res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=6)
+                     alpha=DEFAULT_ALPHA, n_states=6)
     assert abs(res.energies[3] - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
     grid = box_grid(-1.0, 1.0, 2000)
     cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=3, mass=mass))
@@ -109,7 +108,7 @@ def test_centred_well_agrees_with_scaled_exact_route():
     # d_m = 0 reduces to the centred problem in doubled units
     pot, mass = acho_unit_box(1.0, 0.0)
     res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=4)
+                     alpha=DEFAULT_ALPHA, n_states=4)
     for n in range(4):
         truth = 2.0 * scho_eigenvalue(n, 1.0)
         assert abs(res.energies[n] - truth) < 5e-9
@@ -121,9 +120,9 @@ def test_bigger_basis_never_raises_levels():
     pot, mass = acho_unit_box(1.0, 1.5)
     grid = unit_grid(2001)
     small = solve_acho(pot, size=30, grid=grid, mass=mass,
-                       alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=4)
+                       alpha=DEFAULT_ALPHA, n_states=4)
     large = solve_acho(pot, size=50, grid=grid, mass=mass,
-                       alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=4)
+                       alpha=DEFAULT_ALPHA, n_states=4)
     for e_small, e_large in zip(small.energies, large.energies):
         assert e_large <= e_small + 1e-10
 
@@ -132,29 +131,15 @@ def test_expansion_is_an_upper_bound():
     # variational bound, with slack for the quadrature/stencil discretization
     pot, mass = acho_unit_box(1.0, 0.0)
     res = solve_acho(pot, size=40, grid=unit_grid(2001), mass=mass,
-                     alpha=DEFAULT_ALPHA, optimize_alpha=False, n_states=1)
+                     alpha=DEFAULT_ALPHA, n_states=1)
     assert res.energies[0] >= 2.0 * scho_eigenvalue(0, 1.0) - 1e-8
-
-
-def test_alpha_optimizer_recovers_from_poor_width():
-    # with a deliberately small trial set the envelope width matters; the
-    # golden-section search must do at least as well as a mismatched width
-    pot, mass = acho_unit_box(1.0, 0.36)
-    grid = unit_grid(1001)
-    narrow = solve_acho(pot, size=12, grid=grid, mass=mass, alpha=1.2,
-                        optimize_alpha=False, n_states=1)
-    tuned = solve_acho(pot, size=12, grid=grid, mass=mass,
-                       optimize_alpha=True, golden_iters=25, n_states=1)
-    assert 0.05 <= tuned.alpha <= 2.0
-    assert tuned.energies[0] <= narrow.energies[0] + 1e-12
-    assert tuned.energies[0] >= OFFSET_REFS[(0.36, 0)] - 1e-8
 
 
 def test_result_states_are_normalized_eigenpairs():
     pot, mass = acho_unit_box(1.0, 2.0)
     grid = unit_grid(2001)
     res = solve_acho(pot, size=40, grid=grid, mass=mass, alpha=DEFAULT_ALPHA,
-                     optimize_alpha=False, n_states=3)
+                     n_states=3)
     x = grid.points
     for n, st in enumerate(res.states):
         assert st.n == n
@@ -167,4 +152,4 @@ def test_even_point_grid_is_rejected():
     pot, mass = acho_unit_box(1.0, 0.0)
     with pytest.raises((DomainError, BasisError)):
         solve_acho(pot, size=20, grid=box_grid(-1.0, 1.0, 1000), mass=mass,
-                   alpha=DEFAULT_ALPHA, optimize_alpha=False)
+                   alpha=DEFAULT_ALPHA)
