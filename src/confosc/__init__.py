@@ -6,10 +6,8 @@ position/momentum information measures with their rigorous bounds, a
 semiclassical phase-plane view, and a deterministic sweep/report CLI.
 """
 
-from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    ScalingMap, WALL, acho_unit_box, box_grid, scale_energy,
-                    scho_unit_box, simpson_weights, state_from_physical,
-                    state_to_physical, to_dimensionless, unscale_energy)
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid, WALL,
+                    acho_unit_box, box_grid, scho_unit_box, simpson_weights)
 from .itp_solver import (ConvergenceError, LadderError, PentaSystem,
                          SolverConfig, StepSizeError, build_penta,
                          energy_expectation, initial_guess, solve_spectrum,
@@ -28,8 +26,8 @@ from .perturbation import (pib_energy_unit_box, pib_state_values,
                            pib_x2_element, pt_energy, pt_fisher_x,
                            pt_onicescu_x0, pt_shift, pt_wavefunction)
 from .semiclassical import (PhaseOrbit, classical_region_lengths,
-                            phase_area, phase_orbit, tunneling_onset,
-                            tunneling_probability, turning_points)
+                            phase_area, phase_orbit, tunneling_probability,
+                            turning_points)
 from .cli_reports import (ConfigError, CrossReport, ReportRow, SchemaError,
                           SweepSpec, cross_check, emit_table, main,
                           parse_config, rows_from_csv, rows_to_csv,

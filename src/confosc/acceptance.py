@@ -150,7 +150,6 @@ def _dm_grid_states():
     for d_m in DM_GRID:
         pot, mass = acho_unit_box(1.0, d_m)
         res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     alpha=variational.DEFAULT_ALPHA,
                                      n_states=5)
         out.append((d_m, pot, res))
     return tuple(out)
@@ -171,40 +170,31 @@ def _eta_grid_states():
     return tuple(out)
 
 
+def _reports(states):
+    """(state, momentum density, information report) for each state."""
+    out = []
+    for st in states:
+        md = spectral.to_momentum(st)
+        out.append((st, md, infomeasures.full_report(st, md)))
+    return tuple(out)
+
+
 @lru_cache(maxsize=1)
 def _xc_grid_reports():
-    out = []
-    for x_c, states in _xc_grid_states():
-        reports = []
-        for st in states:
-            md = spectral.to_momentum(st)
-            reports.append((st, md, infomeasures.full_report(st, md)))
-        out.append((x_c, tuple(reports)))
-    return tuple(out)
+    return tuple((x_c, _reports(states))
+                 for x_c, states in _xc_grid_states())
 
 
 @lru_cache(maxsize=1)
 def _dm_grid_reports():
-    out = []
-    for d_m, pot, res in _dm_grid_states():
-        reports = []
-        for st in res.states:
-            md = spectral.to_momentum(st)
-            reports.append((st, md, infomeasures.full_report(st, md)))
-        out.append((d_m, pot, tuple(reports)))
-    return tuple(out)
+    return tuple((d_m, pot, _reports(res.states))
+                 for d_m, pot, res in _dm_grid_states())
 
 
 @lru_cache(maxsize=1)
 def _eta_grid_reports():
-    out = []
-    for eta, x_c, states in _eta_grid_states():
-        reports = []
-        for st in states:
-            md = spectral.to_momentum(st)
-            reports.append((st, md, infomeasures.full_report(st, md)))
-        out.append((eta, x_c, tuple(reports)))
-    return tuple(out)
+    return tuple((eta, x_c, _reports(states))
+                 for eta, x_c, states in _eta_grid_states())
 
 
 # ------------------------------------------------------------ the criteria
@@ -298,7 +288,6 @@ def criterion_3() -> CriterionResult:
     for d_m, refs in sorted(REF_OFFSET_ENERGIES.items()):
         pot, mass = acho_unit_box(1.0, d_m)
         res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     alpha=variational.DEFAULT_ALPHA,
                                      n_states=6)
         itp_grid = box_grid(-1.0, 1.0, 2000)
         cfg = SolverConfig(dtau=stable_dtau(pot, itp_grid, n_max=5,
@@ -333,7 +322,6 @@ def criterion_4() -> CriterionResult:
     for d_m, per_n in sorted(REF_OFFSET_ENTROPIES.items()):
         pot, mass = acho_unit_box(1.0, d_m)
         res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     alpha=variational.DEFAULT_ALPHA,
                                      n_states=3)
         for n in range(3):
             st = res.states[n]

@@ -31,12 +31,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import SolverConfig, solve_spectrum, stable_dtau
-from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    acho_unit_box, box_grid, scho_unit_box)
+from .model import (ConfinedPotential, DomainError, Eigenpair, acho_unit_box,
+                    box_grid, scho_unit_box)
+from .perturbation import pt_wavefunction
 
 
 class ConfigError(ValueError):
@@ -47,16 +46,6 @@ class SchemaError(ValueError):
     """Rows do not carry what the requested table layout needs."""
 
 
-_MODES = ("scho-eta", "scho-xc", "acho-dm", "acho-eta")
-_SOLVERS = ("itp", "exact", "variational", "pt")
-# solvers that only make sense for some modes: the closed-form routes need a
-# centred well, and the flat-box mixing route is tied to the unit-box sweep
-_SOLVER_MODES = {
-    "itp": set(_MODES),
-    "variational": set(_MODES),
-    "exact": {"scho-eta", "scho-xc"},
-    "pt": {"scho-eta"},
-}
 _CROSS_DEFAULTS = {
     frozenset(("itp", "exact")): 1e-6,
     frozenset(("itp", "variational")): 1e-8,
@@ -79,7 +68,7 @@ class SweepSpec:
     cross_tol: float | None = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in _PROBLEMS:
             raise DomainError("unknown mode '%s'" % self.mode)
         if not self.values:
             raise DomainError("empty value list")
@@ -90,9 +79,9 @@ class SweepSpec:
         if len(set(self.solvers)) != len(self.solvers):
             raise DomainError("duplicate solver")
         for s in self.solvers:
-            if s not in _SOLVERS:
+            if s not in _ROUTES:
                 raise DomainError("unknown solver '%s'" % s)
-            if self.mode not in _SOLVER_MODES[s]:
+            if self.mode not in _ROUTES[s][1]:
                 raise DomainError("solver '%s' not valid for mode '%s'"
                                   % (s, self.mode))
         if self.mode in ("scho-xc",) and min(self.values) <= 0:
@@ -156,8 +145,9 @@ def _odd_interior(n_interior: int) -> int:
     return n_interior if n_interior % 2 else n_interior + 1
 
 
-def _itp_states(pot: ConfinedPotential, grid: Grid, spec: SweepSpec,
+def _itp_states(spec: SweepSpec, pot: ConfinedPotential,
                 mass: float) -> list[Eigenpair]:
+    grid = box_grid(pot.b1, pot.b2, spec.grid_points)
     dtau = spec.dtau
     if dtau is None:
         dtau = stable_dtau(pot, grid, n_max=spec.n_hi, mass=mass)
@@ -165,63 +155,63 @@ def _itp_states(pot: ConfinedPotential, grid: Grid, spec: SweepSpec,
     return solve_spectrum(pot, grid, spec.n_hi, cfg, mass=mass)
 
 
-def _variational_states(pot: ConfinedPotential, spec: SweepSpec,
+def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
+                  mass: float) -> list[Eigenpair]:
+    """The centred well of strength k on [-b, b] (unit mass) is the
+    natural-unit well (k = 1) on [-x_c, x_c], x_c = b k^(1/4), stretched by
+    s = x_c / b: energies scale by s^2 and samples by sqrt(s). At k = 1,
+    s is exactly 1 and the states pass through unchanged."""
+    x_c = pot.b2 * pot.k ** 0.25
+    s = x_c / pot.b2
+    grid = box_grid(pot.b1, pot.b2, spec.grid_points)
+    native = box_grid(-x_c, x_c, spec.grid_points)
+    states = []
+    for n in range(spec.n_hi + 1):
+        psi = exact_scho.scho_wavefunction(n, x_c, native)
+        states.append(Eigenpair(n=n, energy=s * s * psi.energy,
+                                values=math.sqrt(s) * psi.values, grid=grid,
+                                provenance="exact"))
+    return states
+
+
+def _variational_states(spec: SweepSpec, pot: ConfinedPotential,
                         mass: float) -> list[Eigenpair]:
     grid = box_grid(pot.b1, pot.b2, _odd_interior(spec.grid_points))
     size = max(50, 2 * (spec.n_hi + 1) + 10)
     res = variational.solve_acho(pot, size=size, grid=grid, mass=mass,
-                                 alpha=variational.DEFAULT_ALPHA,
                                  n_states=spec.n_hi + 1)
     return list(res.states)
 
 
+def _pt_states(spec: SweepSpec, pot: ConfinedPotential,
+               mass: float) -> list[Eigenpair]:
+    grid = box_grid(pot.b1, pot.b2, _odd_interior(spec.grid_points))
+    return [pt_wavefunction(n, pot.k, grid) for n in range(spec.n_hi + 1)]
+
+
+# mode -> (spec, sweep value) -> (potential in report units, mass)
+_PROBLEMS = {
+    "scho-eta": lambda spec, value: scho_unit_box(value),
+    "scho-xc": lambda spec, value: (
+        ConfinedPotential(k=1.0, d_m=0.0, b1=-value, b2=value), 1.0),
+    "acho-dm": lambda spec, value: acho_unit_box(spec.eta, value),
+    "acho-eta": lambda spec, value: acho_unit_box(value, spec.d_m),
+}
+# solver -> (route (spec, pot, mass) -> states 0..n_hi, modes it serves): the
+# closed-form routes need a centred well, and the flat-box mixing route is
+# tied to the unit-box sweep
+_ROUTES = {
+    "itp": (_itp_states, frozenset(_PROBLEMS)),
+    "exact": (_exact_states, frozenset(("scho-eta", "scho-xc"))),
+    "variational": (_variational_states, frozenset(_PROBLEMS)),
+    "pt": (_pt_states, frozenset(("scho-eta",))),
+}
+
+
 def _solve_with(spec: SweepSpec, value: float, solver: str):
-    """-> (potential-in-report-units, list of states n_lo..n_hi)."""
-    if spec.mode == "scho-eta":
-        eta = value
-        pot, mass = scho_unit_box(eta)
-        unit_grid = box_grid(-1.0, 1.0, spec.grid_points)
-        if solver == "exact":
-            x_c = eta ** 0.25
-            native = box_grid(-x_c, x_c, spec.grid_points)
-            states = []
-            for n in range(spec.n_hi + 1):
-                psi = exact_scho.scho_wavefunction(n, x_c, native)
-                vals = math.sqrt(x_c) * psi.values
-                states.append(Eigenpair(n=n, energy=x_c * x_c * psi.energy,
-                                        values=vals, grid=unit_grid,
-                                        provenance="exact"))
-            return pot, states
-        if solver == "pt":
-            grid = box_grid(-1.0, 1.0, _odd_interior(spec.grid_points))
-            from .perturbation import pt_wavefunction
-            states = [pt_wavefunction(n, eta, grid)
-                      for n in range(spec.n_hi + 1)]
-            return pot, states
-        if solver == "itp":
-            return pot, _itp_states(pot, unit_grid, spec, mass)
-        return pot, _variational_states(pot, spec, mass)
-
-    if spec.mode == "scho-xc":
-        x_c = value
-        pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
-        grid = box_grid(-x_c, x_c, spec.grid_points)
-        if solver == "exact":
-            states = [exact_scho.scho_wavefunction(n, x_c, grid)
-                      for n in range(spec.n_hi + 1)]
-            return pot, states
-        if solver == "itp":
-            return pot, _itp_states(pot, grid, spec, 1.0)
-        return pot, _variational_states(pot, spec, 1.0)
-
-    if spec.mode == "acho-dm":
-        pot, mass = acho_unit_box(spec.eta, value)
-    else:                       # acho-eta
-        pot, mass = acho_unit_box(value, spec.d_m)
-    if solver == "itp":
-        grid = box_grid(-1.0, 1.0, spec.grid_points)
-        return pot, _itp_states(pot, grid, spec, mass)
-    return pot, _variational_states(pot, spec, mass)
+    """-> (potential in report units, mass, states 0..n_hi)."""
+    pot, mass = _PROBLEMS[spec.mode](spec, value)
+    return pot, mass, _ROUTES[solver][0](spec, pot, mass)
 
 
 def _measured_row(spec: SweepSpec, value: float, solver: str,
@@ -245,7 +235,7 @@ def _point_rows(spec: SweepSpec, value: float) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for solver in spec.solvers:
         try:
-            pot, states = _solve_with(spec, value, solver)
+            pot, _mass, states = _solve_with(spec, value, solver)
         except Exception as exc:      # recorded, sweep continues
             n_fail = getattr(exc, "state_index", spec.n_lo)
             rows.append(ReportRow(value=value, n=max(n_fail, 0),
@@ -395,7 +385,12 @@ def normalize_table_id(table_id: str) -> str:
     raise SchemaError("unknown table id '%s' (expected I..IX)" % table_id)
 
 
-def _pretty(header: list[str], cells: list[list[str]]) -> str:
+def _render(header: list[str], cells: list[list[str]], fmt: str) -> str:
+    """Header and cell rows as csv, tsv, or right-aligned pretty text."""
+    if fmt in ("csv", "tsv"):
+        sep = "," if fmt == "csv" else "\t"
+        return sep.join(header) + "\n" + \
+            "\n".join(sep.join(row) for row in cells) + "\n"
     widths = [len(h) for h in header]
     for row in cells:
         for j, c in enumerate(row):
@@ -405,6 +400,14 @@ def _pretty(header: list[str], cells: list[list[str]]) -> str:
     out = [line(header), line(["-" * w for w in widths])]
     out.extend(line(row) for row in cells)
     return "\n".join(out) + "\n"
+
+
+def _reformat(csv_text: str, fmt: str) -> str:
+    """CSV text (LF-ended lines, no quoted cells) in the requested format."""
+    if fmt == "csv":
+        return csv_text
+    lines = [ln.split(",") for ln in csv_text[:-1].split("\n")]
+    return _render(lines[0], lines[1:], fmt)
 
 
 def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
@@ -454,9 +457,7 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
                 row_cells.append(_fmt_cell(val))
             cells.append(row_cells)
 
-    csv_text = ",".join(header) + "\n" + \
-        "\n".join(",".join(row) for row in cells) + "\n"
-    return _pretty(header, cells), csv_text
+    return _render(header, cells, "pretty"), _render(header, cells, "csv")
 
 
 _CONFIG_KEYS = ("mode", "values", "states", "solver", "eta", "dm",
@@ -615,23 +616,14 @@ def _write_out(text: str, path: str | None):
             fh.write(text)
 
 
-def _rows_text(rows: list[ReportRow], fmt: str) -> str:
-    csv_text = rows_to_csv(rows)
-    if fmt == "csv":
-        return csv_text
-    if fmt == "tsv":
-        return csv_text.replace(",", "\t")
-    lines = [ln.split(",") for ln in csv_text.strip().split("\n")]
-    return _pretty(lines[0], lines[1:])
-
-
 def _cmd_solve(args) -> int:
     spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=args.n,
                      n_hi=args.n, solvers=(args.solver or "itp",),
                      eta=args.eta, d_m=args.dm)
     spec = _apply_overrides(spec, args)
     rows = run_sweep(spec, workers=1)
-    _write_out(_rows_text(rows, args.format or "pretty"), args.out)
+    _write_out(_reformat(rows_to_csv(rows), args.format or "pretty"),
+               args.out)
     return 1 if any(r.error for r in rows) else 0
 
 
@@ -643,7 +635,7 @@ def _cmd_sweep(args) -> int:
             text = fh.read()
     spec = _apply_overrides(parse_config(text), args)
     rows = run_sweep(spec, workers=args.workers)
-    _write_out(_rows_text(rows, args.format or "csv"), args.out)
+    _write_out(_reformat(rows_to_csv(rows), args.format or "csv"), args.out)
     if len(spec.solvers) == 2:
         rep = cross_check(rows, spec)
         tol_text = "none" if rep.tol is None else "%.3g" % rep.tol
@@ -662,12 +654,8 @@ def _cmd_table(args) -> int:
     rows = run_sweep(spec, workers=args.workers)
     text, csv_text = emit_table(rows, tid)
     fmt = args.format or "pretty"
-    if fmt == "csv":
-        _write_out(csv_text, args.out)
-    elif fmt == "tsv":
-        _write_out(csv_text.replace(",", "\t"), args.out)
-    else:
-        _write_out(text, args.out)
+    _write_out(text if fmt == "pretty" else _reformat(csv_text, fmt),
+               args.out)
     return 0
 
 
@@ -679,18 +667,17 @@ def _cmd_phase(args) -> int:
                                else "variational"),),
                      eta=args.eta, d_m=args.dm)
     spec = _apply_overrides(spec, args)
+    pot, mass, states = _solve_with(spec, args.value, spec.solvers[0])
     if args.orbit is not None:
-        pot, states = _solve_with(spec, args.value, spec.solvers[0])
         match = [s for s in states if s.n == args.orbit]
         if not match:
             sys.stderr.write("state %d not solved\n" % args.orbit)
             return 1
-        orbit = semiclassical.phase_orbit(pot, match[0].energy)
+        orbit = semiclassical.phase_orbit(pot, match[0].energy, mass=mass)
         lines = ["x,p"] + ["%.10g,%.10g" % (xi, pi)
                            for xi, pi in zip(orbit.x, orbit.p)]
         _write_out("\n".join(lines) + "\n", args.out)
         return 0
-    pot, states = _solve_with(spec, args.value, spec.solvers[0])
     header = ["n", "energy", "A_n", "T_n", "L_cl", "L_gap"]
     cells = []
     for st in states:
@@ -700,14 +687,7 @@ def _cmd_phase(args) -> int:
                        semiclassical.phase_area(pot, st.energy),
                        semiclassical.tunneling_probability(st, pot),
                        lengths[0], lengths[1])])
-    fmt = args.format or "pretty"
-    if fmt in ("csv", "tsv"):
-        sep = "," if fmt == "csv" else "\t"
-        text = sep.join(header) + "\n" + \
-            "\n".join(sep.join(row) for row in cells) + "\n"
-    else:
-        text = _pretty(header, cells)
-    _write_out(text, args.out)
+    _write_out(_render(header, cells, args.format or "pretty"), args.out)
     return 0
 
 
@@ -729,7 +709,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a single sweep point")
-    p_solve.add_argument("--mode", required=True, choices=_MODES)
+    p_solve.add_argument("--mode", required=True, choices=tuple(_PROBLEMS))
     p_solve.add_argument("--value", type=float, required=True)
     p_solve.add_argument("--n", type=int, default=0)
     p_solve.add_argument("--eta", type=float, default=1.0)
@@ -746,7 +726,7 @@ def main(argv=None) -> int:
     _add_common_flags(p_table)
 
     p_phase = sub.add_parser("phase", help="orbit/area/tunneling data")
-    p_phase.add_argument("--mode", default="scho-xc", choices=_MODES)
+    p_phase.add_argument("--mode", default="scho-xc", choices=tuple(_PROBLEMS))
     p_phase.add_argument("--value", type=float, required=True)
     p_phase.add_argument("--n-max", type=int, default=4)
     p_phase.add_argument("--eta", type=float, default=1.0)

@@ -23,6 +23,7 @@ from .model import DomainError, Eigenpair, Grid
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
 _Z_LIMIT = 50.0
+_ROOT_TOL = 1e-12   # bisection width; one value, so one cache key per level
 
 
 class RootSearchError(RuntimeError):
@@ -104,12 +105,12 @@ def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def scho_eigenvalue(n: int, x_c: float, tol: float = 1e-12) -> float:
+def scho_eigenvalue(n: int, x_c: float) -> float:
     """Energy of state n of the centred well in a box of half-length x_c.
 
     Located as the appropriate zero (in energy) of the wall value: for even n
     the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
-    of the odd branch. Scan step 0.1, then plain bisection down to `tol`.
+    of the odd branch. Scan step 0.1, then plain bisection down to 1e-12.
     """
     if x_c <= 0:
         raise DomainError("x_c must be positive")
@@ -150,17 +151,16 @@ def scho_eigenvalue(n: int, x_c: float, tol: float = 1e-12) -> float:
         raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
                               "n=%d, x_c=%g" % (want, ceiling, n, x_c))
     f = lambda e: float(_boundary_values(even, e, z_edge))
-    return _bisect_root(f, lo_bracket[0], lo_bracket[1], tol)
+    return _bisect_root(f, lo_bracket[0], lo_bracket[1], _ROOT_TOL)
 
 
-def scho_wavefunction(n: int, x_c: float, grid: Grid,
-                      tol: float = 1e-12) -> Eigenpair:
+def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:
     """Normalized grid samples of state n on a grid spanning [-x_c, x_c]."""
     if not (math.isclose(grid.x_min, -x_c, abs_tol=1e-12)
             and math.isclose(grid.x_max, x_c, abs_tol=1e-12)):
         raise DomainError("grid [%g, %g] must span [-%g, %g]"
                           % (grid.x_min, grid.x_max, x_c, x_c))
-    eps = scho_eigenvalue(n, x_c, tol)
+    eps = scho_eigenvalue(n, x_c)
     x = grid.points
     z = x * x
     if n % 2 == 0:

@@ -30,12 +30,13 @@ Numerical notes that the equations do not show:
   wrong end. `stable_dtau` picks a step below that bound from the Gershgorin
   estimate of lambda_max and a flat-box ceiling for the target level.
 
-* Stopping: besides the energy plateau (delta below energy_tol at three
-  consecutive checks), a wavefunction fixed-point plateau (max|psi - psi_prev|
-  below psi_tol * max|psi| at three consecutive checks) also ends the run.
-  On fine grids the energy delta bottoms out at ~1e-16 * lambda_max, which can
-  sit above a tight energy_tol forever; the fixed-point test is immune to
-  that noise floor and stops at machine-level contamination.
+* Stopping: every 200 steps the run checks two plateaus, the energy (delta
+  below energy_tol) and the wavefunction fixed point (max|psi - psi_prev|
+  below 1e-12 * max|psi|). Either one holding at three consecutive checks
+  ends the run; the interval, the 1e-12 and the three are module constants.
+  On fine grids the energy delta bottoms out at ~1e-16 * lambda_max, which
+  can sit above a tight energy_tol forever; the fixed-point test is immune
+  to that noise floor and stops at machine-level contamination.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     canonical_sign)
+
+
+_CHECK_INTERVAL = 200   # steps between convergence checks
+_PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
+_CONSECUTIVE = 3        # plateau checks in a row that end a run
 
 
 class StepSizeError(RuntimeError):
@@ -73,23 +79,17 @@ class SolverConfig:
     dtau: float = 1e-4
     energy_tol: float = 1e-12
     max_steps: int = 2_000_000
-    # additions beyond the basic contract: fixed-point stopping and how often
-    # the convergence tests run (energy itself is updated every step)
-    psi_tol: float = 1e-12
-    check_interval: int = 200
-    consecutive: int = 3
 
     def __post_init__(self):
-        if self.dtau <= 0 or self.energy_tol <= 0 or self.psi_tol <= 0:
-            raise DomainError("dtau and tolerances must be positive")
-        if self.max_steps < 1 or self.check_interval < 1:
-            raise DomainError("step counts must be >= 1")
+        if self.dtau <= 0 or self.energy_tol <= 0:
+            raise DomainError("dtau and energy_tol must be positive")
+        if self.max_steps < 1:
+            raise DomainError("max_steps must be >= 1")
 
 
-def _hamiltonian_diagonals(pot: ConfinedPotential, grid: Grid,
-                           mass: float, hbar: float):
+def _hamiltonian_diagonals(pot: ConfinedPotential, grid: Grid, mass: float):
     h = grid.h
-    kin = hbar * hbar / (2.0 * mass)
+    kin = 1.0 / (2.0 * mass)
     v = pot.interior_values(grid)
     d0 = kin * 2.5 / h**2 + v
     c2 = kin / (12.0 * h**2)
@@ -135,10 +135,10 @@ class PentaSystem:
 
 
 def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
-                mass: float = 1.0, hbar: float = 1.0) -> PentaSystem:
+                mass: float = 1.0) -> PentaSystem:
     if dtau <= 0:
         raise DomainError("dtau must be positive")
-    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass, hbar)
+    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass)
     a = 0.5 * dtau
     main = 1.0 + a * d0
     if main.min() <= 0:
@@ -158,9 +158,9 @@ def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
 
 
 def energy_expectation(values: np.ndarray, pot: ConfinedPotential, grid: Grid,
-                       mass: float = 1.0, hbar: float = 1.0) -> float:
+                       mass: float = 1.0) -> float:
     """<psi|H|psi> / <psi|psi> with the same stencil the propagator uses."""
-    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass, hbar)
+    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass)
     psi = values[1:-1]
     w = _apply_tridiag5(d0, d1, d2, psi)
     return float(psi @ w) / float(psi @ psi)
@@ -181,33 +181,29 @@ def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
 
 
 def stable_dtau(pot: ConfinedPotential, grid: Grid, n_max: int = 0,
-                mass: float = 1.0, hbar: float = 1.0, margin: float = 0.7,
-                cap: float | None = None) -> float:
+                mass: float = 1.0) -> float:
     """A step size below the top-vs-bottom relaxation race bound.
 
     lambda_max from the Gershgorin estimate of the discrete operator,
     an upper bound for the target level from the flat-box spectrum plus the
-    in-box well maximum; dtau = margin * 2 / sqrt(eps_hi * lambda_max)."""
-    kin = hbar * hbar / (2.0 * mass)
+    in-box well maximum; dtau = 0.7 * 2 / sqrt(eps_hi * lambda_max)."""
+    kin = 1.0 / (2.0 * mass)
     h = grid.h
     vmax = float(np.max(pot.interior_values(grid)))
     lam_max = (16.0 / 3.0) * kin / h**2 + vmax
     box_len = pot.b2 - pot.b1
     eps_hi = (n_max + 1) ** 2 * math.pi ** 2 * kin / box_len ** 2 + vmax
-    dt = margin * 2.0 / math.sqrt(eps_hi * lam_max)
-    if cap is not None:
-        dt = min(dt, cap)
-    return dt
+    return 0.7 * 2.0 / math.sqrt(eps_hi * lam_max)
 
 
 def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
                 config: SolverConfig | None = None,
                 lower_states: tuple[Eigenpair, ...] = (),
-                mass: float = 1.0, hbar: float = 1.0) -> Eigenpair:
+                mass: float = 1.0) -> Eigenpair:
     """Relax to state n, keeping the iterate orthogonal to `lower_states`
     (which must be the converged states 0..n-1 on the same grid)."""
     cfg = config or SolverConfig()
-    system = build_penta(pot, grid, dtau=cfg.dtau, mass=mass, hbar=hbar)
+    system = build_penta(pot, grid, dtau=cfg.dtau, mass=mass)
     h = grid.h
     a = 0.5 * cfg.dtau
 
@@ -241,13 +237,13 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
         w = system.apply_hamiltonian(psi)
         e = h * float(psi @ w)
         steps_done = it
-        if it % cfg.check_interval == 0:
+        if it % _CHECK_INTERVAL == 0:
             if e_ref is not None:
                 hits_e = hits_e + 1 if abs(e - e_ref) < cfg.energy_tol else 0
                 dpsi = float(np.max(np.abs(psi - psi_ref)))
                 scale = float(np.max(np.abs(psi)))
-                hits_psi = hits_psi + 1 if dpsi < cfg.psi_tol * scale else 0
-                if hits_e >= cfg.consecutive or hits_psi >= cfg.consecutive:
+                hits_psi = hits_psi + 1 if dpsi < _PSI_TOL * scale else 0
+                if hits_e >= _CONSECUTIVE or hits_psi >= _CONSECUTIVE:
                     converged = True
                     break
             e_ref = e
@@ -266,7 +262,7 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
 
 def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
                    config: SolverConfig | None = None,
-                   mass: float = 1.0, hbar: float = 1.0) -> list[Eigenpair]:
+                   mass: float = 1.0) -> list[Eigenpair]:
     """Relax the ladder 0..n_max bottom-up; raises LadderError naming the
     failing index, and validates ordering plus mutual orthonormality."""
     if n_max < 0:
@@ -274,7 +270,7 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
     states: list[Eigenpair] = []
     for n in range(n_max + 1):
         try:
-            ep = solve_state(pot, grid, n, config, tuple(states), mass, hbar)
+            ep = solve_state(pot, grid, n, config, tuple(states), mass)
         except (StepSizeError, ConvergenceError) as exc:
             raise LadderError("ladder failed at state %d: %s" % (n, exc),
                               state_index=n) from exc

@@ -1,11 +1,13 @@
-"""Shared problem definitions: grids, hard-wall confined potentials, scaling
-maps, and the Simpson rule and sign convention every route uses.
+"""Shared problem definitions: grids, hard-wall confined potentials, the two
+reduced problem builders, and the Simpson rule and sign convention every
+route uses.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
 so they can be shared freely between worker threads.
 
-Units are atomic-like: hbar = m = 1 unless a solver is told otherwise.
+Units are atomic-like: hbar = 1, and m = 1 except where a reduced problem
+builder below returns another mass.
 """
 
 from __future__ import annotations
@@ -83,18 +85,6 @@ class ConfinedPotential:
         if self.k < 0:
             raise DomainError("force constant must be >= 0")
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.d_m == 0.0 and self.b1 == -self.b2
-
-    @property
-    def x_c(self) -> float:
-        """Half box length; only meaningful for the symmetric case."""
-        if not self.is_symmetric:
-            raise DomainError("x_c is defined only for a centred well in a "
-                              "symmetric box")
-        return self.b2
-
     def value(self, x):
         """Potential at x (scalar or array); WALL at or beyond the walls."""
         x = np.asarray(x, dtype=float)
@@ -126,48 +116,6 @@ def canonical_sign(psi: np.ndarray) -> np.ndarray:
     """psi or -psi, whichever is positive at its largest-magnitude sample."""
     k = int(np.argmax(np.abs(psi)))
     return -psi if psi[k] < 0 else psi
-
-
-@dataclass(frozen=True)
-class ScalingMap:
-    """Similarity map between the physical problem (force constant k, box
-    half-length x_c, mass m, action hbar) and its one-parameter reduced form
-    on the unit box, labelled by eta = m*k*x_c**4 / hbar**2."""
-
-    eta: float
-    length_scale: float   # x_c
-    energy_scale: float   # hbar**2 / (m * x_c**2)
-
-
-def to_dimensionless(k: float, x_c: float, m: float = 1.0,
-                     hbar: float = 1.0) -> ScalingMap:
-    if min(k, x_c, m, hbar) <= 0:
-        raise DomainError("all scaling inputs must be positive")
-    eta = m * k * x_c ** 4 / hbar ** 2
-    return ScalingMap(eta=eta, length_scale=x_c,
-                      energy_scale=hbar ** 2 / (m * x_c ** 2))
-
-
-def scale_energy(smap: ScalingMap, eps_dimensionless: float) -> float:
-    """Reduced energy -> physical energy."""
-    return eps_dimensionless * smap.energy_scale
-
-
-def unscale_energy(smap: ScalingMap, eps_physical: float) -> float:
-    """Physical energy -> reduced energy."""
-    return eps_physical / smap.energy_scale
-
-
-def state_to_physical(smap: ScalingMap, x_reduced, psi_reduced):
-    """Map reduced-coordinate samples (x', psi') to physical (x, psi).
-    x = x_c * x', psi(x) = psi'(x') / sqrt(x_c) keeps the normalization."""
-    lam = smap.length_scale
-    return np.asarray(x_reduced) * lam, np.asarray(psi_reduced) / math.sqrt(lam)
-
-
-def state_from_physical(smap: ScalingMap, x_physical, psi_physical):
-    lam = smap.length_scale
-    return np.asarray(x_physical) / lam, np.asarray(psi_physical) * math.sqrt(lam)
 
 
 @dataclass(frozen=True)

@@ -98,21 +98,9 @@ def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:
     return float(simpson(masked, dx=grid.h))
 
 
-def tunneling_onset(params: np.ndarray, probabilities: np.ndarray,
-                    threshold: float = 1e-6):
-    """First sweep value whose forbidden-region probability exceeds the
-    threshold, or None."""
-    params = np.asarray(params, dtype=float)
-    probabilities = np.asarray(probabilities, dtype=float)
-    if params.shape != probabilities.shape:
-        raise DomainError("sweep values and probabilities must align")
-    idx = np.nonzero(probabilities > threshold)[0]
-    return float(params[idx[0]]) if len(idx) else None
-
-
 @dataclass(frozen=True)
 class PhaseOrbit:
-    """Closed constant-energy curve in the (x, p) plane (unit mass). Wall
+    """Closed constant-energy curve in the (x, p) plane. Wall
     cut-offs appear as vertical segments; interior turning points pinch the
     curve to p = 0."""
     x: np.ndarray = field(repr=False)

@@ -9,8 +9,8 @@ i.e. Gaussian-envelope functions exp(-beta x^2 / 2) times a confluent
 hypergeometric factor, with the boundary condition enforced through the
 hypergeometric parameter. They form a complete orthogonal set on the box,
 decay like the target states do, and reduce to the exact answer when the well
-is centred and alpha matches it. The envelope width alpha is fixed; the
-default DEFAULT_ALPHA is the width of the unit well.
+is centred and alpha matches it. The envelope width alpha is fixed at
+DEFAULT_ALPHA, the width of the unit well.
 
 Roots of the boundary equation are located by scanning in sqrt(eps), where
 consecutive same-parity levels are nearly equally spaced (the flat-box ladder
@@ -48,8 +48,6 @@ class BasisError(RuntimeError):
 class BasisSet:
     """Orthonormal trial functions sampled on a grid, ordered by the energy
     they carry in the auxiliary centred problem."""
-    alpha: float
-    size: int
     grid: Grid
     values: np.ndarray = field(repr=False)         # (size, n_points)
     aux_energies: tuple[float, ...] = ()
@@ -99,10 +97,9 @@ def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
 
 
 @lru_cache(maxsize=16)
-def build_basis(alpha: float, size: int, grid: Grid) -> BasisSet:
-    """Orthonormal Gaussian-envelope trial set on a symmetric box."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+def build_basis(size: int, grid: Grid) -> BasisSet:
+    """Orthonormal Gaussian-envelope trial set of width DEFAULT_ALPHA on a
+    symmetric box."""
     if size < 1:
         raise DomainError("size must be >= 1")
     if grid.n_points % 2 == 0:
@@ -111,7 +108,7 @@ def build_basis(alpha: float, size: int, grid: Grid) -> BasisSet:
     if not math.isclose(grid.x_min, -edge, rel_tol=0, abs_tol=1e-12):
         raise BasisError("trial set needs a symmetric box")
 
-    beta = 2.0 * math.sqrt(2.0) * alpha
+    beta = 2.0 * math.sqrt(2.0) * DEFAULT_ALPHA
     z_edge = beta * edge * edge
     # sqrt-energy scan step: flat-box spacing is pi/(2*edge); stay well under
     # the worst-case compression from the in-box quadratic term
@@ -148,7 +145,7 @@ def build_basis(alpha: float, size: int, grid: Grid) -> BasisSet:
                              "orthogonalization" % j)
         rows[j] /= nrm
 
-    return BasisSet(alpha=alpha, size=size, grid=grid, values=rows,
+    return BasisSet(grid=grid, values=rows,
                     aux_energies=tuple(eps for eps, _ in levels))
 
 
@@ -169,12 +166,12 @@ def _second_derivative(rows: np.ndarray, h: float) -> np.ndarray:
 
 
 def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
-                       mass: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+                       mass: float = 1.0) -> np.ndarray:
     """Matrix of the well Hamiltonian in the trial set (Simpson quadrature),
     symmetrized after checking that the raw asymmetry is at round-off scale."""
     grid = basis.grid
     v = pot.interior_values(grid)
-    kin = hbar * hbar / (2.0 * mass)
+    kin = 1.0 / (2.0 * mass)
     rows = basis.values
     h_rows = -kin * _second_derivative(rows, grid.h)
     h_rows[:, 1:-1] += v * rows[:, 1:-1]
@@ -207,29 +204,23 @@ def diagonalize(h_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class VariationalResult:
-    alpha: float
-    basis_size: int
     energies: np.ndarray = field(repr=False)       # all Rayleigh-Ritz levels
     states: tuple[Eigenpair, ...] = ()
-    grid: Grid | None = None
 
     def __post_init__(self):
         self.energies.setflags(write=False)
 
 
 def solve_acho(pot: ConfinedPotential, size: int = 50,
-               grid: Grid | None = None, mass: float = 1.0, hbar: float = 1.0,
-               alpha: float = DEFAULT_ALPHA,
+               grid: Grid | None = None, mass: float = 1.0,
                n_states: int = 6) -> VariationalResult:
     """Rayleigh-Ritz levels and states of a quadratic well in a hard box,
-    in the trial set of envelope width `alpha`."""
+    in the trial set of envelope width DEFAULT_ALPHA."""
     if grid is None:
         grid = box_grid(pot.b1, pot.b2, n_interior=3999)
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
 
-    basis = build_basis(alpha, size, grid)
-    energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass, hbar))
+    basis = build_basis(size, grid)
+    energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass))
 
     w = simpson_weights(grid.n_points, grid.h)
     states = []
@@ -239,6 +230,4 @@ def solve_acho(pot: ConfinedPotential, size: int = 50,
         states.append(Eigenpair(n=j, energy=float(energies[j]),
                                 values=canonical_sign(vals), grid=grid,
                                 provenance="variational"))
-    return VariationalResult(alpha=alpha, basis_size=size,
-                             energies=energies, states=tuple(states),
-                             grid=grid)
+    return VariationalResult(energies=energies, states=tuple(states))

@@ -14,16 +14,15 @@ values against the solvers.
 
 import math
 
-import numpy as np
 import pytest
 
 import _oracles as O
 from confosc import acceptance
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import DensityProfile, full_report, shannon
-from confosc.model import ConfinedPotential, acho_unit_box, box_grid
+from confosc.model import acho_unit_box, box_grid
 from confosc.spectral import to_momentum
-from confosc.variational import DEFAULT_ALPHA, solve_acho
+from confosc.variational import solve_acho
 
 DOCUMENTED_RED = set()
 
@@ -116,8 +115,7 @@ def test_corrected_entropy_triples():
     grid = box_grid(-1.0, 1.0, 4001)
     for d_m in (5.0, 8.0, 10.0):
         pot, mass = acho_unit_box(1.0, d_m)
-        res = solve_acho(pot, size=50, grid=grid, mass=mass,
-                         alpha=DEFAULT_ALPHA, n_states=3)
+        res = solve_acho(pot, size=50, grid=grid, mass=mass, n_states=3)
         for n, state in enumerate(res.states):
             rep = full_report(state, to_momentum(state))
             s_x, s_p, s = VERIFIED_TRIPLES[(d_m, n)]

@@ -5,15 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import _oracles as O
 import confosc
-from confosc.cli_reports import (ConfigError, CrossReport, ReportRow,
-                                 SchemaError, SweepSpec, cross_check,
-                                 emit_table, main, normalize_table_id,
-                                 parse_config, rows_from_csv, rows_to_csv,
-                                 run_sweep)
+from confosc.cli_reports import (ConfigError, ReportRow, SchemaError,
+                                 SweepSpec, cross_check, emit_table, main,
+                                 normalize_table_id, parse_config,
+                                 rows_from_csv, rows_to_csv, run_sweep)
 from confosc.exact_scho import scho_eigenvalue
 from confosc.model import DomainError
 
@@ -382,3 +381,18 @@ def test_cli_phase_report_and_orbit(tmp_path):
     rc = main(["phase", "--value", "2.0", "--n-max", "1", "--orbit", "5",
                "--out", str(loop)])
     assert rc == 1
+
+
+def test_cli_offset_orbit_uses_the_route_mass(tmp_path):
+    # the loop encloses 2 sqrt(2m) A_n; the offset-well modes solve at m = 1/2
+    report = tmp_path / "phase.csv"
+    assert main(["phase", "--mode", "acho-dm", "--value", "0.5", "--n-max",
+                 "0", "--format", "csv", "--out", str(report)]) == 0
+    a0 = float(report.read_text().split("\n")[1].split(",")[2])
+    loop = tmp_path / "loop.csv"
+    assert main(["phase", "--mode", "acho-dm", "--value", "0.5", "--orbit",
+                 "0", "--out", str(loop)]) == 0
+    pts = [ln.split(",") for ln in loop.read_text().strip().split("\n")[1:]]
+    area = O.shoelace([float(x) for x, _ in pts], [float(p) for _, p in pts])
+    target = 2.0 * math.sqrt(2.0 * 0.5) * a0
+    assert abs(area - target) < 1e-4 * target

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -172,6 +171,14 @@ def test_wavefunction_centre_positive_convention(xc2_exact):
     for state in xc2_exact:
         vals = state.values
         assert vals[len(vals) // 2] > 0
+
+
+def test_wavefunction_and_eigenvalue_share_one_cache_entry():
+    # the state's root search is the one a later eigenvalue call reuses
+    scho_eigenvalue.cache_clear()
+    scho_wavefunction(1, 1.7, box_grid(-1.7, 1.7, 300))
+    scho_eigenvalue(1, 1.7)
+    assert scho_eigenvalue.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

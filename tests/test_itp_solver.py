@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-import _oracles as O
-from confosc.exact_scho import scho_eigenvalue, scho_wavefunction
+from confosc.exact_scho import scho_wavefunction
 from confosc.itp_solver import (ConvergenceError, LadderError, SolverConfig,
                                 build_penta, energy_expectation,
                                 initial_guess, solve_spectrum, solve_state,

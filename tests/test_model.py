@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from confosc.model import (WALL, ConfinedPotential, DomainError, Eigenpair,
                            Grid, acho_unit_box, box_grid, canonical_sign,
-                           scale_energy, scho_unit_box, state_from_physical,
-                           state_to_physical, to_dimensionless,
-                           unscale_energy)
+                           scho_unit_box)
 
 
 def test_grid_endpoints_sit_on_walls():
@@ -52,9 +49,6 @@ def test_potential_constructor_guards():
         ConfinedPotential(k=-1.0)
     with pytest.raises(DomainError):
         ConfinedPotential(b1=1.0, b2=-1.0)
-    with pytest.raises(DomainError):
-        _ = ConfinedPotential(d_m=0.5).x_c   # offset well has no x_c
-    assert ConfinedPotential(b1=-3.0, b2=3.0).x_c == 3.0
 
 
 def test_interior_values_requires_spanning_grid():
@@ -90,33 +84,3 @@ def test_reduced_builders():
         scho_unit_box(-0.1)
     with pytest.raises(DomainError):
         acho_unit_box(-0.1, 0.0)
-
-
-@given(k=st.floats(0.01, 50.0), x_c=st.floats(0.1, 8.0),
-       m=st.floats(0.2, 5.0))
-def test_scaling_map_roundtrip(k, x_c, m):
-    smap = to_dimensionless(k, x_c, m=m)
-    assert math.isclose(smap.eta, m * k * x_c ** 4)
-    eps = 3.7
-    assert math.isclose(unscale_energy(smap, scale_energy(smap, eps)), eps,
-                        rel_tol=1e-14)
-
-
-@given(x_c=st.floats(0.2, 6.0))
-def test_state_scaling_preserves_norm(x_c):
-    # normalized reduced-state samples keep unit norm through the map
-    smap = to_dimensionless(1.0, x_c)
-    xr = np.linspace(-1.0, 1.0, 801)
-    psi = np.cos(0.5 * math.pi * xr)     # unit L2 norm on [-1, 1]
-    xp, psip = state_to_physical(smap, xr, psi)
-    norm = np.trapezoid(psip ** 2, xp)
-    assert math.isclose(norm, 1.0, abs_tol=1e-6)
-    xr2, psir2 = state_from_physical(smap, xp, psip)
-    assert np.allclose(xr2, xr, atol=1e-14)
-    assert np.allclose(psir2, psi, atol=1e-12)
-
-
-def test_to_dimensionless_rejects_nonpositive():
-    for bad in ((0.0, 1.0), (1.0, -2.0)):
-        with pytest.raises(DomainError):
-            to_dimensionless(*bad)

@@ -9,8 +9,8 @@ import _oracles as O
 from confosc.exact_scho import scho_eigenvalue, scho_wavefunction
 from confosc.model import ConfinedPotential, DomainError, box_grid
 from confosc.semiclassical import (classical_region_lengths, phase_area,
-                                   phase_orbit, tunneling_onset,
-                                   tunneling_probability, turning_points)
+                                   phase_orbit, tunneling_probability,
+                                   turning_points)
 
 PI = math.pi
 
@@ -159,12 +159,3 @@ def test_flat_box_has_no_forbidden_region():
                       provenance="exact")
     flat = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)
     assert tunneling_probability(state, flat) == 0.0
-
-
-def test_onset_helper():
-    params = np.array([1.0, 2.0, 3.0, 4.0])
-    probs = np.array([0.0, 1e-9, 1e-3, 0.1])
-    assert tunneling_onset(params, probs, threshold=1e-6) == 3.0
-    assert tunneling_onset(params, np.zeros(4)) is None
-    with pytest.raises(DomainError):
-        tunneling_onset(params, probs[:3])

@@ -36,7 +36,7 @@ def test_default_alpha_value():
 def test_auxiliary_levels_match_quantization_roots():
     # at alpha = sqrt(1/8) the auxiliary envelope problem on [-1, 1] is the
     # centred well in doubled units: eps_aux(n) = 2 * eps_native(n, x_c = 1)
-    basis = build_basis(DEFAULT_ALPHA, 12, unit_grid())
+    basis = build_basis(12, unit_grid())
     for n in range(8):
         assert math.isclose(basis.aux_energies[n],
                             2.0 * scho_eigenvalue(n, 1.0), abs_tol=1e-8)
@@ -44,7 +44,7 @@ def test_auxiliary_levels_match_quantization_roots():
 
 def test_basis_gram_identity():
     grid = unit_grid()
-    basis = build_basis(DEFAULT_ALPHA, 10, grid)
+    basis = build_basis(10, grid)
     w = simpson_weights(grid.n_points, grid.h)
     gram = np.einsum("ip,p,jp->ij", basis.values, w, basis.values)
     assert np.max(np.abs(gram - np.eye(10))) < 1e-9
@@ -52,7 +52,7 @@ def test_basis_gram_identity():
 
 def test_basis_cache_returns_same_object():
     g = unit_grid(501)
-    assert build_basis(DEFAULT_ALPHA, 8, g) is build_basis(DEFAULT_ALPHA, 8, g)
+    assert build_basis(8, g) is build_basis(8, g)
 
 
 def test_simpson_weights_need_odd_count():
@@ -66,7 +66,7 @@ def test_simpson_weights_need_odd_count():
 
 def test_hamiltonian_matrix_is_symmetric():
     pot, mass = acho_unit_box(1.0, 0.5)
-    basis = build_basis(DEFAULT_ALPHA, 14, unit_grid())
+    basis = build_basis(14, unit_grid())
     h = hamiltonian_matrix(basis, pot, mass=mass)
     assert np.array_equal(h, h.T)
 
@@ -83,8 +83,7 @@ def test_diagonalize_orders_eigenvalues():
 def test_offset_well_reference_energies(key):
     d_m, n = key
     pot, mass = acho_unit_box(1.0, d_m)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, n_states=6)
+    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
     rel = abs(res.energies[n] - OFFSET_REFS[key]) / OFFSET_REFS[key]
     assert rel < 1e-8
 
@@ -92,8 +91,7 @@ def test_offset_well_reference_energies(key):
 def test_transposed_reference_entry_corrected_value():
     # companion to the acceptance gate: both solver routes give this number
     pot, mass = acho_unit_box(1.0, 5.0)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, n_states=6)
+    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
     assert abs(res.energies[3] - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
     grid = box_grid(-1.0, 1.0, 2000)
     cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=3, mass=mass))
@@ -107,8 +105,7 @@ def test_transposed_reference_entry_corrected_value():
 def test_centred_well_agrees_with_scaled_exact_route():
     # d_m = 0 reduces to the centred problem in doubled units
     pot, mass = acho_unit_box(1.0, 0.0)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass,
-                     alpha=DEFAULT_ALPHA, n_states=4)
+    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=4)
     for n in range(4):
         truth = 2.0 * scho_eigenvalue(n, 1.0)
         assert abs(res.energies[n] - truth) < 5e-9
@@ -119,10 +116,8 @@ def test_bigger_basis_never_raises_levels():
     # 50-term one, so each level can only come down (Cauchy interlacing)
     pot, mass = acho_unit_box(1.0, 1.5)
     grid = unit_grid(2001)
-    small = solve_acho(pot, size=30, grid=grid, mass=mass,
-                       alpha=DEFAULT_ALPHA, n_states=4)
-    large = solve_acho(pot, size=50, grid=grid, mass=mass,
-                       alpha=DEFAULT_ALPHA, n_states=4)
+    small = solve_acho(pot, size=30, grid=grid, mass=mass, n_states=4)
+    large = solve_acho(pot, size=50, grid=grid, mass=mass, n_states=4)
     for e_small, e_large in zip(small.energies, large.energies):
         assert e_large <= e_small + 1e-10
 
@@ -130,15 +125,14 @@ def test_bigger_basis_never_raises_levels():
 def test_expansion_is_an_upper_bound():
     # variational bound, with slack for the quadrature/stencil discretization
     pot, mass = acho_unit_box(1.0, 0.0)
-    res = solve_acho(pot, size=40, grid=unit_grid(2001), mass=mass,
-                     alpha=DEFAULT_ALPHA, n_states=1)
+    res = solve_acho(pot, size=40, grid=unit_grid(2001), mass=mass, n_states=1)
     assert res.energies[0] >= 2.0 * scho_eigenvalue(0, 1.0) - 1e-8
 
 
 def test_result_states_are_normalized_eigenpairs():
     pot, mass = acho_unit_box(1.0, 2.0)
     grid = unit_grid(2001)
-    res = solve_acho(pot, size=40, grid=grid, mass=mass, alpha=DEFAULT_ALPHA,
+    res = solve_acho(pot, size=40, grid=grid, mass=mass,
                      n_states=3)
     x = grid.points
     for n, st in enumerate(res.states):
@@ -151,5 +145,4 @@ def test_result_states_are_normalized_eigenpairs():
 def test_even_point_grid_is_rejected():
     pot, mass = acho_unit_box(1.0, 0.0)
     with pytest.raises((DomainError, BasisError)):
-        solve_acho(pot, size=20, grid=box_grid(-1.0, 1.0, 1000), mass=mass,
-                   alpha=DEFAULT_ALPHA)
+        solve_acho(pot, size=20, grid=box_grid(-1.0, 1.0, 1000), mass=mass)
