@@ -62,8 +62,8 @@ class SweepSpec:
     eta: float = 1.0          # well strength for the offset-sweep mode
     d_m: float = 1.0          # offset for the acho-eta mode
     grid_points: int = 2000   # interior points
-    dtau: float | None = None  # None -> automatic stable step
-    tol: float = 1e-12
+    dtau: float | None = None  # itp only; None -> automatic stable step
+    tol: float | None = None   # itp only; None -> SolverConfig's energy_tol
     pad_factor: int = 16
     cross_tol: float | None = None
 
@@ -96,10 +96,13 @@ class SweepSpec:
             raise DomainError("grid_points too small")
         if self.pad_factor < 1:
             raise DomainError("pad_factor must be >= 1")
-        if self.tol <= 0:
+        if self.tol is not None and self.tol <= 0:
             raise DomainError("tol must be positive")
         if self.dtau is not None and self.dtau <= 0:
             raise DomainError("dtau must be positive")
+        for name in ("dtau", "tol"):
+            if getattr(self, name) is not None and "itp" not in self.solvers:
+                raise DomainError("%s applies only to the itp solver" % name)
         if self.cross_tol is not None and self.cross_tol <= 0:
             raise DomainError("cross_tol must be positive")
 
@@ -151,7 +154,8 @@ def _itp_states(spec: SweepSpec, pot: ConfinedPotential,
     dtau = spec.dtau
     if dtau is None:
         dtau = stable_dtau(pot, grid, n_max=spec.n_hi, mass=mass)
-    cfg = SolverConfig(dtau=dtau, energy_tol=spec.tol)
+    tol = SolverConfig.energy_tol if spec.tol is None else spec.tol
+    cfg = SolverConfig(dtau=dtau, energy_tol=tol)
     return solve_spectrum(pot, grid, spec.n_hi, cfg, mass=mass)
 
 
@@ -424,6 +428,10 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
             by_key[(r.value, r.n, r.solver)] = r
     values = sorted({r.value for r in rows})
     ns = sorted({r.n for r in rows if not r.error})
+    if not ns:
+        first = next((r.error for r in rows if r.error), "no rows")
+        raise SchemaError("table %s has no solved rows; first error: %s"
+                          % (tid, first))
 
     if tid in _TABLE_PAIRED:
         value_label, columns = _TABLE_PAIRED[tid]
@@ -577,9 +585,9 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid-points", type=int, default=None,
                    help="interior grid points")
     p.add_argument("--dtau", type=float, default=None,
-                   help="relaxation step (default: automatic)")
+                   help="relaxation step, itp only (default: automatic)")
     p.add_argument("--tol", type=float, default=None,
-                   help="energy plateau tolerance")
+                   help="energy plateau tolerance, itp only")
     p.add_argument("--pad-factor", type=int, default=None,
                    help="FFT zero-padding factor")
     p.add_argument("--solver", type=str, default=None,
@@ -674,9 +682,10 @@ def _cmd_phase(args) -> int:
             sys.stderr.write("state %d not solved\n" % args.orbit)
             return 1
         orbit = semiclassical.phase_orbit(pot, match[0].energy, mass=mass)
-        lines = ["x,p"] + ["%.10g,%.10g" % (xi, pi)
-                           for xi, pi in zip(orbit.x, orbit.p)]
-        _write_out("\n".join(lines) + "\n", args.out)
+        cells = [[_fmt_cell(xi), _fmt_cell(pi)]
+                 for xi, pi in zip(orbit.x, orbit.p)]
+        _write_out(_render(["x", "p"], cells, args.format or "csv"),
+                   args.out)
         return 0
     header = ["n", "energy", "A_n", "T_n", "L_cl", "L_gap"]
     cells = []

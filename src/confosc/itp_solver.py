@@ -4,18 +4,13 @@ One half-implicit step solves
 
     [1 + (dtau/2) H] psi' = [1 - (dtau/2) H] psi
 
-with H the five-point kinetic stencil plus the diagonal well, restricted to
-the interior points (hard walls = Dirichlet zeros). Excited states are kept
-orthogonal to the converged ladder below them by per-step Gram-Schmidt.
+with H the shared discrete Hamiltonian `model.hamiltonian_bands` (the
+five-point kinetic stencil plus the diagonal well on the interior points,
+hard walls = Dirichlet zeros; its wall closure is described there). Excited
+states are kept orthogonal to the converged ladder below them by per-step
+Gram-Schmidt.
 
 Numerical notes that the equations do not show:
-
-* Wall closure: the five-point stencil at the first/last interior row needs a
-  point beyond the wall. We use the odd reflection psi(wall - h) =
-  -psi(first interior) - exact through third order for a function with
-  psi(wall) = 0 and psi''(wall) = 0 - which keeps the scheme's O(h^4)
-  eigenvalue accuracy and only modifies the main diagonal. Truncating the
-  ghost to zero instead costs O(h) in the eigenvalue.
 
 * Left matrix: I + (dtau/2) H is symmetric positive definite, so the banded
   no-pivot factorization is a Cholesky one (LAPACK pbtrf/pbtrs). Strict
@@ -28,7 +23,7 @@ Numerical notes that the equations do not show:
   the top of the discrete spectrum slower than the ground state once
   dtau^2 * eps_0 * lambda_max > 4, and the iteration then relaxes to the
   wrong end. `stable_dtau` picks a step below that bound from the Gershgorin
-  estimate of lambda_max and a flat-box ceiling for the target level.
+  bound on lambda_max and a flat-box ceiling for the target level.
 
 * Stopping: every 200 steps the run checks two plateaus, the energy (delta
   below energy_tol) and the wavefunction fixed point (max|psi - psi_prev|
@@ -49,7 +44,8 @@ from numpy.polynomial.hermite import hermval
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    canonical_sign)
+                    apply_bands, canonical_sign, gershgorin_bound,
+                    hamiltonian_bands)
 
 
 _CHECK_INTERVAL = 200   # steps between convergence checks
@@ -87,43 +83,16 @@ class SolverConfig:
             raise DomainError("max_steps must be >= 1")
 
 
-def _hamiltonian_diagonals(pot: ConfinedPotential, grid: Grid, mass: float):
-    h = grid.h
-    kin = 1.0 / (2.0 * mass)
-    v = pot.interior_values(grid)
-    d0 = kin * 2.5 / h**2 + v
-    c2 = kin / (12.0 * h**2)
-    d0 = d0.copy()
-    d0[0] -= c2          # odd-reflection wall closure (see module notes)
-    d0[-1] -= c2
-    n = grid.n_interior
-    d1 = np.full(n - 1, -kin * (4.0 / 3.0) / h**2)
-    d2 = np.full(n - 2, c2)
-    return d0, d1, d2
-
-
-def _apply_tridiag5(d0, d1, d2, psi):
-    out = d0 * psi
-    out[:-1] += d1 * psi[1:]
-    out[1:] += d1 * psi[:-1]
-    out[:-2] += d2 * psi[2:]
-    out[2:] += d2 * psi[:-2]
-    return out
-
-
 @dataclass(frozen=True)
 class PentaSystem:
     """Factored half-implicit step operator plus the matching Hamiltonian."""
     grid: Grid
     dtau: float
-    ham_d0: np.ndarray = field(repr=False)
-    ham_d1: np.ndarray = field(repr=False)
-    ham_d2: np.ndarray = field(repr=False)
+    bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
 
     def apply_hamiltonian(self, psi_interior: np.ndarray) -> np.ndarray:
-        return _apply_tridiag5(self.ham_d0, self.ham_d1, self.ham_d2,
-                               psi_interior)
+        return apply_bands(self.bands, psi_interior)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[1 + (dtau/2) H]^-1 rhs through the banded Cholesky factor."""
@@ -138,32 +107,17 @@ def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
                 mass: float = 1.0) -> PentaSystem:
     if dtau <= 0:
         raise DomainError("dtau must be positive")
-    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass)
-    a = 0.5 * dtau
-    main = 1.0 + a * d0
-    if main.min() <= 0:
+    bands = hamiltonian_bands(pot, grid, mass)
+    ab = (0.5 * dtau) * bands
+    ab[2] += 1.0
+    if ab[2].min() <= 0:
         raise StepSizeError("left matrix lost positivity; reduce dtau")
-
-    ab = np.zeros((3, len(main)))
-    ab[2] = main
-    ab[1, 1:] = a * d1
-    ab[0, 2:] = a * d2
     try:
         cb = cholesky_banded(ab, lower=False)
     except np.linalg.LinAlgError as exc:
         raise StepSizeError("non-positive pivot in banded factorization; "
                             "reduce dtau") from exc
-    return PentaSystem(grid=grid, dtau=dtau, ham_d0=d0, ham_d1=d1, ham_d2=d2,
-                       cholesky=cb)
-
-
-def energy_expectation(values: np.ndarray, pot: ConfinedPotential, grid: Grid,
-                       mass: float = 1.0) -> float:
-    """<psi|H|psi> / <psi|psi> with the same stencil the propagator uses."""
-    d0, d1, d2 = _hamiltonian_diagonals(pot, grid, mass)
-    psi = values[1:-1]
-    w = _apply_tridiag5(d0, d1, d2, psi)
-    return float(psi @ w) / float(psi @ psi)
+    return PentaSystem(grid=grid, dtau=dtau, bands=bands, cholesky=cb)
 
 
 def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
@@ -184,13 +138,12 @@ def stable_dtau(pot: ConfinedPotential, grid: Grid, n_max: int = 0,
                 mass: float = 1.0) -> float:
     """A step size below the top-vs-bottom relaxation race bound.
 
-    lambda_max from the Gershgorin estimate of the discrete operator,
-    an upper bound for the target level from the flat-box spectrum plus the
-    in-box well maximum; dtau = 0.7 * 2 / sqrt(eps_hi * lambda_max)."""
+    lambda_max from `model.gershgorin_bound`, an upper bound for the target
+    level from the flat-box spectrum plus the in-box well maximum;
+    dtau = 0.7 * 2 / sqrt(eps_hi * lambda_max)."""
     kin = 1.0 / (2.0 * mass)
-    h = grid.h
     vmax = float(np.max(pot.interior_values(grid)))
-    lam_max = (16.0 / 3.0) * kin / h**2 + vmax
+    lam_max = gershgorin_bound(pot, grid, mass)
     box_len = pot.b2 - pot.b1
     eps_hi = (n_max + 1) ** 2 * math.pi ** 2 * kin / box_len ** 2 + vmax
     return 0.7 * 2.0 / math.sqrt(eps_hi * lam_max)

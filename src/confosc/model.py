@@ -1,6 +1,6 @@
 """Shared problem definitions: grids, hard-wall confined potentials, the two
-reduced problem builders, and the Simpson rule and sign convention every
-route uses.
+reduced problem builders, and the discrete Hamiltonian, Simpson rule and sign
+convention every route uses.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -110,6 +110,56 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
+
+
+def hamiltonian_bands(pot: ConfinedPotential, grid: Grid,
+                      mass: float = 1.0) -> np.ndarray:
+    """The discrete Hamiltonian -(1/2m) d2/dx2 + V on the interior points, as
+    the three upper bands of a symmetric pentadiagonal matrix in LAPACK
+    banded storage: row 2 is the main diagonal, row 1 from column 1 the first
+    and row 0 from column 2 the second super-diagonal (rows 0 and 1 start
+    with zeros).
+
+    The kinetic part is the five-point stencil. At the first and last
+    interior rows it needs a point beyond the wall; the odd reflection
+    psi(wall - h) = -psi(first interior) is exact through third order for a
+    function with psi(wall) = 0 and psi''(wall) = 0, so it keeps the O(h^4)
+    eigenvalue accuracy and only lowers the two wall-adjacent diagonal
+    entries by one ghost coefficient (the -30 + 1 = -29 wall row). Truncating
+    the ghost to zero instead costs O(h) in the eigenvalue.
+    """
+    h = grid.h
+    kin = 1.0 / (2.0 * mass)
+    c2 = kin / (12.0 * h**2)
+    bands = np.zeros((3, grid.n_interior))
+    bands[2] = kin * 2.5 / h**2 + pot.interior_values(grid)
+    bands[2, 0] -= c2
+    bands[2, -1] -= c2
+    bands[1, 1:] = -kin * (4.0 / 3.0) / h**2
+    bands[0, 2:] = c2
+    return bands
+
+
+def apply_bands(bands: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The `hamiltonian_bands` matrix times `psi` along its last axis, so
+    `psi` is one interior state or a block of them, one per row."""
+    d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
+    out = d0 * psi
+    out[..., :-1] += d1 * psi[..., 1:]
+    out[..., 1:] += d1 * psi[..., :-1]
+    out[..., :-2] += d2 * psi[..., 2:]
+    out[..., 2:] += d2 * psi[..., :-2]
+    return out
+
+
+def gershgorin_bound(pot: ConfinedPotential, grid: Grid,
+                     mass: float = 1.0) -> float:
+    """Gershgorin upper bound on the largest eigenvalue of the
+    `hamiltonian_bands` matrix: the stencil's absolute row sum, 16/3 in units
+    of kin/h^2, plus the largest well value."""
+    kin = 1.0 / (2.0 * mass)
+    vmax = float(np.max(pot.interior_values(grid)))
+    return (16.0 / 3.0) * kin / grid.h**2 + vmax
 
 
 def canonical_sign(psi: np.ndarray) -> np.ndarray:

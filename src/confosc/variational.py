@@ -17,11 +17,12 @@ consecutive same-parity levels are nearly equally spaced (the flat-box ladder
 gives exactly pi/(2b) spacing, and the quadratic term only compresses it
 mildly), so a fixed scan step cannot skip a level.
 
-The discrete Hamiltonian applies the five-point second derivative; at the two
-rows next to a wall the point beyond the wall is odd-reflected, which is
-fourth-order exact for any function with u(wall) = 0 and u''(wall) = 0 (the
-boundary equation forces the latter). All quadrature is composite Simpson,
-which requires an odd number of grid points.
+The Hamiltonian matrix applies the shared discrete Hamiltonian
+`model.hamiltonian_bands`, the operator the relaxation route propagates with,
+to the interior samples of the trial rows; its odd-reflection wall closure is
+fourth-order exact here because every trial function has u(wall) = 0 and
+u''(wall) = 0 (the boundary equation forces the latter). All quadrature is
+composite Simpson, which requires an odd number of grid points.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
-from .model import (ConfinedPotential, DomainError, Eigenpair, Grid, box_grid,
-                    canonical_sign, simpson_weights)
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                    apply_bands, box_grid, canonical_sign, hamiltonian_bands,
+                    simpson_weights)
 
 DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
 
@@ -149,35 +151,14 @@ def build_basis(size: int, grid: Grid) -> BasisSet:
                     aux_energies=tuple(eps for eps, _ in levels))
 
 
-def _second_derivative(rows: np.ndarray, h: float) -> np.ndarray:
-    """Five-point second derivative of wall-vanishing rows; the two rows next
-    to a wall use the odd-reflected ghost point (still fourth order here)."""
-    n = rows.shape[1]
-    out = np.zeros_like(rows)
-    c = 1.0 / (12.0 * h * h)
-    out[:, 2:-2] = c * (-rows[:, :-4] + 16.0 * rows[:, 1:-3]
-                        - 30.0 * rows[:, 2:-2] + 16.0 * rows[:, 3:-1]
-                        - rows[:, 4:])
-    out[:, 1] = c * (16.0 * rows[:, 0] - 29.0 * rows[:, 1]
-                     + 16.0 * rows[:, 2] - rows[:, 3])
-    out[:, n - 2] = c * (16.0 * rows[:, n - 1] - 29.0 * rows[:, n - 2]
-                         + 16.0 * rows[:, n - 3] - rows[:, n - 4])
-    return out
-
-
 def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
                        mass: float = 1.0) -> np.ndarray:
     """Matrix of the well Hamiltonian in the trial set (Simpson quadrature),
     symmetrized after checking that the raw asymmetry is at round-off scale."""
     grid = basis.grid
-    v = pot.interior_values(grid)
-    kin = 1.0 / (2.0 * mass)
-    rows = basis.values
-    h_rows = -kin * _second_derivative(rows, grid.h)
-    h_rows[:, 1:-1] += v * rows[:, 1:-1]
-    h_rows[:, 0] = 0.0
-    h_rows[:, -1] = 0.0
-    w = simpson_weights(grid.n_points, grid.h)
+    rows = basis.values[:, 1:-1]      # the wall samples are zero
+    h_rows = apply_bands(hamiltonian_bands(pot, grid, mass), rows)
+    w = simpson_weights(grid.n_points, grid.h)[1:-1]
     mat = (rows * w) @ h_rows.T
     asym = float(np.max(np.abs(mat - mat.T)))
     scale = max(1.0, float(np.max(np.abs(mat))))

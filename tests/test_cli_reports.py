@@ -26,7 +26,7 @@ FULL_CONFIG = """\
 mode = acho-dm
 values = 0.12, 2.04, 5
 states = 0:2
-solver = variational          # single route
+solver = itp                  # single route
 eta = 1.0
 grid_points = 900
 pad_factor = 8
@@ -39,7 +39,7 @@ def test_parse_config_reads_every_key():
     assert spec.mode == "acho-dm"
     assert spec.values == (0.12, 2.04, 5.0)
     assert (spec.n_lo, spec.n_hi) == (0, 2)
-    assert spec.solvers == ("variational",)
+    assert spec.solvers == ("itp",)
     assert spec.eta == 1.0
     assert spec.grid_points == 900
     assert spec.pad_factor == 8
@@ -89,6 +89,8 @@ def test_parse_config_rejects(text, fragment):
     dict(mode="scho-xc", values=(1.0,), dtau=-1e-4),
     dict(mode="scho-xc", values=(1.0,), cross_tol=0.0),
     dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
+    dict(mode="acho-dm", values=(1.0,), solvers=("variational",), tol=1e-10),
+    dict(mode="scho-eta", values=(0.1,), solvers=("pt", "exact"), dtau=1e-4),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
@@ -180,6 +182,18 @@ def test_paired_table_layout_and_missing_cells():
     bad = [_row("variational", 5.0, 0, s_x=math.nan)]
     with pytest.raises(SchemaError):
         emit_table(bad, "VIII")
+
+
+def test_table_with_no_solved_rows_is_an_error(monkeypatch, capsys):
+    failed = [ReportRow(value=v, n=0, solver="exact",
+                        error="RootSearchError: no bracket at %g" % v)
+              for v in (0.001, 0.01)]
+    with pytest.raises(SchemaError, match="no bracket at 0.001"):
+        emit_table(failed, "II")
+    monkeypatch.setattr("confosc.cli_reports.run_sweep",
+                        lambda spec, workers=1: failed)
+    assert main(["table", "II", "--format", "csv"]) == 2
+    assert "no bracket at 0.001" in capsys.readouterr().err
 
 
 def test_normalize_table_id():
@@ -381,6 +395,25 @@ def test_cli_phase_report_and_orbit(tmp_path):
     rc = main(["phase", "--value", "2.0", "--n-max", "1", "--orbit", "5",
                "--out", str(loop)])
     assert rc == 1
+
+
+def test_cli_orbit_honours_the_format(tmp_path):
+    csv_loop, tsv_loop = tmp_path / "loop.csv", tmp_path / "loop.tsv"
+    assert main(["phase", "--value", "2.0", "--orbit", "0",
+                 "--out", str(csv_loop)]) == 0
+    assert main(["phase", "--value", "2.0", "--orbit", "0", "--format", "tsv",
+                 "--out", str(tsv_loop)]) == 0
+    tsv = tsv_loop.read_text()
+    assert tsv.splitlines()[0] == "x\tp"
+    assert "," not in tsv
+    assert tsv.replace("\t", ",") == csv_loop.read_text()
+
+
+def test_cli_rejects_relaxation_settings_on_other_routes(capsys):
+    for flag in ("--tol", "--dtau"):
+        assert main(["solve", "--mode", "acho-dm", "--value", "1", "--solver",
+                     "variational", flag, "1e-3", "--format", "csv"]) == 2
+        assert "applies only to the itp solver" in capsys.readouterr().err
 
 
 def test_cli_offset_orbit_uses_the_route_mass(tmp_path):

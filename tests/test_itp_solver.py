@@ -6,14 +6,21 @@ from scipy.integrate import simpson
 
 from confosc.exact_scho import scho_wavefunction
 from confosc.itp_solver import (ConvergenceError, LadderError, SolverConfig,
-                                build_penta, energy_expectation,
-                                initial_guess, solve_spectrum, solve_state,
-                                stable_dtau)
+                                build_penta, initial_guess, solve_spectrum,
+                                solve_state, stable_dtau)
 from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
-                           box_grid, scho_unit_box)
+                           apply_bands, box_grid, hamiltonian_bands,
+                           scho_unit_box)
 
 EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho)
 ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
+
+
+def energy_expectation(values, pot, grid, mass=1.0):
+    """<psi|H|psi> / <psi|psi> on the shared discrete Hamiltonian."""
+    psi = values[1:-1]
+    w = apply_bands(hamiltonian_bands(pot, grid, mass), psi)
+    return float(psi @ w) / float(psi @ psi)
 
 
 def relax_step(system, values):
@@ -32,21 +39,26 @@ def test_free_particle_row_coefficients():
     pot = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)
     grid = box_grid(-1.0, 1.0, 64)
     dtau = 1e-3
-    sys_ = build_penta(pot, grid, dtau)
+    bands = hamiltonian_bands(pot, grid)
+    d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
     h2 = grid.h ** 2
     mid = slice(2, -2)
-    assert np.allclose(sys_.ham_d0[mid], 5.0 / (4.0 * h2), rtol=1e-14)
-    assert np.allclose(sys_.ham_d1, -2.0 / (3.0 * h2), rtol=1e-14)
-    assert np.allclose(sys_.ham_d2, 1.0 / (24.0 * h2), rtol=1e-14)
+    assert np.allclose(d0[mid], 5.0 / (4.0 * h2), rtol=1e-14)
+    assert np.allclose(d1, -2.0 / (3.0 * h2), rtol=1e-14)
+    assert np.allclose(d2, 1.0 / (24.0 * h2), rtol=1e-14)
+    assert not bands[1, 0] and not bands[0, :2].any()
+    # the relaxation route propagates with these bands
+    sys_ = build_penta(pot, grid, dtau)
+    assert np.array_equal(sys_.bands, bands)
     # the factor solves the left matrix I + (dtau/2) H
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
     x = sys_.solve(rhs)
     lhs = x + 0.5 * dtau * sys_.apply_hamiltonian(x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # hard-wall closure only touches the two wall-adjacent diagonal entries
-    assert math.isclose(sys_.ham_d0[0], 5.0 / (4.0 * h2) - 1.0 / (24.0 * h2),
+    assert math.isclose(d0[0], 5.0 / (4.0 * h2) - 1.0 / (24.0 * h2),
                         rel_tol=1e-14)
-    assert sys_.ham_d0[0] == sys_.ham_d0[-1]
+    assert d0[0] == d0[-1]
 
 
 def test_build_penta_rejects_bad_dtau():

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvals_banded
+
 from confosc.model import (WALL, ConfinedPotential, DomainError, Eigenpair,
-                           Grid, acho_unit_box, box_grid, canonical_sign,
-                           scho_unit_box)
+                           Grid, acho_unit_box, apply_bands, box_grid,
+                           canonical_sign, gershgorin_bound,
+                           hamiltonian_bands, scho_unit_box)
 
 
 def test_grid_endpoints_sit_on_walls():
@@ -84,3 +87,29 @@ def test_reduced_builders():
         scho_unit_box(-0.1)
     with pytest.raises(DomainError):
         acho_unit_box(-0.1, 0.0)
+
+
+def test_apply_bands_takes_one_state_or_a_block():
+    pot, mass = acho_unit_box(1.0, 0.5)
+    grid = box_grid(-1.0, 1.0, 40)
+    bands = hamiltonian_bands(pot, grid, mass)
+    n = grid.n_interior
+    dense = np.diag(bands[2])
+    for k in (1, 2):
+        off = np.diag(bands[2 - k, k:], k)
+        dense += off + off.T
+    block = np.random.default_rng(5).standard_normal((3, n))
+    out = apply_bands(bands, block)
+    for row, got in zip(block, out):
+        assert np.array_equal(apply_bands(bands, row), got)
+        assert np.allclose(got, dense @ row, rtol=0,
+                           atol=1e-12 * np.abs(dense).max())
+
+
+def test_gershgorin_bound_caps_the_spectrum():
+    pot, mass = acho_unit_box(2.0, 0.3)
+    grid = box_grid(-1.0, 1.0, 60)
+    lam = eigvals_banded(hamiltonian_bands(pot, grid, mass))
+    bound = gershgorin_bound(pot, grid, mass)
+    assert lam.max() <= bound
+    assert lam.max() > 0.9 * bound

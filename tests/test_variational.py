@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import simpson
 
 from confosc.exact_scho import scho_eigenvalue
-from confosc.itp_solver import SolverConfig, solve_state, stable_dtau
+from confosc.itp_solver import (SolverConfig, build_penta, solve_state,
+                                stable_dtau)
 from confosc.model import DomainError, acho_unit_box, box_grid, simpson_weights
 from confosc.variational import (DEFAULT_ALPHA, BasisError, build_basis,
                                  diagonalize, hamiltonian_matrix, solve_acho)
@@ -69,6 +70,20 @@ def test_hamiltonian_matrix_is_symmetric():
     basis = build_basis(14, unit_grid())
     h = hamiltonian_matrix(basis, pot, mass=mass)
     assert np.array_equal(h, h.T)
+
+
+def test_hamiltonian_matrix_uses_the_relaxation_operator():
+    # both routes see one discrete Hamiltonian: the matrix is the symmetrised
+    # Simpson matrix of the relaxation route's H applied to the trial rows
+    pot, mass = acho_unit_box(1.0, 0.36)
+    grid = unit_grid(1001)
+    basis = build_basis(14, grid)
+    rows = basis.values[:, 1:-1]
+    h_rows = build_penta(pot, grid, 1e-4, mass=mass).apply_hamiltonian(rows)
+    w = simpson_weights(grid.n_points, grid.h)[1:-1]
+    mat = (rows * w) @ h_rows.T
+    assert np.array_equal(hamiltonian_matrix(basis, pot, mass=mass),
+                          0.5 * (mat + mat.T))
 
 
 def test_diagonalize_orders_eigenvalues():
