@@ -2,6 +2,13 @@
 rigorous information bounds, semiclassical limits, trend properties,
 oracle equivalence, and output determinism.
 
+The gate measures every state through the sweep engine
+(`cli_reports.run_sweep`): criteria 1-4 run the sweeps of the report tables
+(`TABLE_SPECS`, at a finer grid where a criterion says so), and criteria 6,
+7, 8 and 10 share three cached bound-suite sweeps. So the gate checks the
+same routes, grids and measures that `confosc table` prints. A criterion
+that meets an error row fails and names the row.
+
 Reference numbers are frozen from the published tables this package
 reproduces. A few printed entries are wrong (cut below the stated
 tolerance, a dropped digit, an under-resolved entropy). Each of those holds
@@ -16,16 +23,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import exact_scho, infomeasures, semiclassical, spectral, variational
-from .cli_reports import SweepSpec, run_sweep, rows_to_csv
-from .itp_solver import SolverConfig, solve_spectrum, stable_dtau
-from .model import ConfinedPotential, DomainError, acho_unit_box, box_grid
+from . import exact_scho, infomeasures, spectral, variational
+from .cli_reports import (TABLE_SPECS, ReportRow, SweepSpec, _solve_with,
+                          rows_to_csv, run_sweep)
+from .model import DomainError
 from .perturbation import pt_energy, pt_fisher_x, pt_onicescu_x0
 
 
@@ -35,6 +42,7 @@ class CriterionResult:
     name: str
     passed: bool
     summary: str
+    seconds: float = 0.0   # wall time, set by run_all
 
 
 _NAMES = {
@@ -123,108 +131,65 @@ XC_GRID = tuple(0.25 * i for i in range(1, 25))       # 0.25 .. 6.0
 DM_GRID = tuple(0.5 * i for i in range(0, 21))        # 0.0 .. 10.0
 ETA_GRID = (0.001, 0.01, 0.1, 25.0, 50.0, 100.0)
 
-_FINE_INTERIOR = 4001   # interior points for the cached bound-suite states
+_FINE_INTERIOR = 4001   # interior points of the bound-suite sweeps
+
+# the bound suite: criteria 6, 7 and 8 read these sweeps, criterion 10 runs
+# them again
+_XC_SPEC = SweepSpec(mode="scho-xc", values=XC_GRID, n_hi=4,
+                     solvers=("exact",), grid_points=_FINE_INTERIOR)
+_DM_SPEC = SweepSpec(mode="acho-dm", values=DM_GRID, n_hi=4,
+                     solvers=("variational",), eta=1.0,
+                     grid_points=_FINE_INTERIOR)
+_ETA_SPEC = SweepSpec(mode="scho-eta", values=ETA_GRID, n_hi=4,
+                      solvers=("exact",), grid_points=_FINE_INTERIOR)
+_BOUND_SPECS = (_XC_SPEC, _DM_SPEC, _ETA_SPEC)
 
 
 # --------------------------------------------------------- shared solutions
 
-@lru_cache(maxsize=1)
-def _xc_grid_states():
-    """Exact natural-unit states (n = 0..4) for every box half-length on the
-    criterion-6 grid."""
-    out = []
-    for x_c in XC_GRID:
-        grid = box_grid(-x_c, x_c, _FINE_INTERIOR)
-        states = tuple(exact_scho.scho_wavefunction(n, x_c, grid)
-                       for n in range(5))
-        out.append((x_c, states))
-    return tuple(out)
+@lru_cache(maxsize=len(_BOUND_SPECS))
+def _bound_rows(spec: SweepSpec) -> tuple[ReportRow, ...]:
+    """The rows of one bound-suite sweep, solved once per process."""
+    return tuple(run_sweep(spec))
 
 
-@lru_cache(maxsize=1)
-def _dm_grid_states():
-    """Variational offset-well states (n = 0..4) on the criterion-6 offset
-    grid, at unit strength."""
-    grid = box_grid(-1.0, 1.0, _FINE_INTERIOR)
-    out = []
-    for d_m in DM_GRID:
-        pot, mass = acho_unit_box(1.0, d_m)
-        res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     n_states=5)
-        out.append((d_m, pot, res))
-    return tuple(out)
+class _ErrorRow(Exception):
+    """A sweep that a criterion reads holds an error row."""
 
 
-@lru_cache(maxsize=1)
-def _eta_grid_states():
-    """Exact states on the strength grid. Solved in natural units at the
-    equivalent box half-length; the criterion-6 bounds are invariant under
-    the rescaling so no frame change is needed."""
-    out = []
-    for eta in ETA_GRID:
-        x_c = eta ** 0.25
-        grid = box_grid(-x_c, x_c, _FINE_INTERIOR)
-        states = tuple(exact_scho.scho_wavefunction(n, x_c, grid)
-                       for n in range(5))
-        out.append((eta, x_c, states))
-    return tuple(out)
-
-
-def _reports(states):
-    """(state, momentum density, information report) for each state."""
-    out = []
-    for st in states:
-        md = spectral.to_momentum(st)
-        out.append((st, md, infomeasures.full_report(st, md)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1)
-def _xc_grid_reports():
-    return tuple((x_c, _reports(states))
-                 for x_c, states in _xc_grid_states())
-
-
-@lru_cache(maxsize=1)
-def _dm_grid_reports():
-    return tuple((d_m, pot, _reports(res.states))
-                 for d_m, pot, res in _dm_grid_states())
-
-
-@lru_cache(maxsize=1)
-def _eta_grid_reports():
-    return tuple((eta, x_c, _reports(states))
-                 for eta, x_c, states in _eta_grid_states())
+def _solved(rows) -> dict[tuple[float, int, str], ReportRow]:
+    """Rows keyed by (value, n, solver). An error row raises `_ErrorRow`
+    naming it, which fails the criterion."""
+    for r in rows:
+        if r.error:
+            raise _ErrorRow("error row at value=%g n=%d solver=%s: %s"
+                            % (r.value, r.n, r.solver, r.error))
+    return {(r.value, r.n, r.solver): r for r in rows}
 
 
 # ------------------------------------------------------------ the criteria
 
 def criterion_1() -> CriterionResult:
-    """Exact-route energies against the frozen table-I references (1e-7) and
-    the sweep's first-order energies against the closed form (1e-9), under
-    a 10 s budget."""
+    """Table I: exact-route energies against the frozen references (1e-7)
+    and first-order energies against the closed form (1e-9), under a 10 s
+    budget."""
     t0 = time.perf_counter()
-    spec = SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_lo=0,
-                     n_hi=4, solvers=("pt", "exact"))
-    rows = run_sweep(spec)
+    rows = _solved(run_sweep(TABLE_SPECS["I"]))
     elapsed = time.perf_counter() - t0
 
     exact_fail = []
     pt_worst = 0.0
     worst_exact = (0.0, None)
-    for r in rows:
-        if r.error:
-            return CriterionResult(1, _NAMES[1], False,
-                                   "error row: %s" % r.error)
-        if r.solver == "exact":
-            ref = REF_SMALL_ETA_EXACT[r.value][r.n]
+    for (value, n, solver), r in rows.items():
+        if solver == "exact":
+            ref = REF_SMALL_ETA_EXACT[value][n]
             dev = abs(r.energy - ref)
             if dev > worst_exact[0]:
-                worst_exact = (dev, (r.value, r.n))
+                worst_exact = (dev, (value, n))
             if dev > 1e-7:
-                exact_fail.append((r.value, r.n, dev))
+                exact_fail.append((value, n, dev))
         else:
-            pt_worst = max(pt_worst, abs(r.energy - pt_energy(r.n, r.value)))
+            pt_worst = max(pt_worst, abs(r.energy - pt_energy(n, value)))
 
     ok = not exact_fail and pt_worst <= 1e-9 and elapsed < 10.0
     parts = ["%d/15 exact entries beyond 1e-7" % len(exact_fail)]
@@ -240,32 +205,25 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """S_x and E_x at three box sizes from both the relaxation and the exact
-    route, each within 1e-5 of the references and within 1e-6 of each other,
-    under a 2 min budget at 2000 interior points."""
+    """Table VI by the relaxation and the exact route: S_x and E_x within
+    1e-5 of the references and the routes within 1e-6 of each other, under
+    a 2 min budget."""
     t0 = time.perf_counter()
+    spec = replace(TABLE_SPECS["VI"], solvers=("itp", "exact"))
+    rows = _solved(run_sweep(spec))
     worst_ref = 0.0
     worst_pair = 0.0
     bad: list[str] = []
     for x_c, (ref_sx, ref_ex) in sorted(REF_BOX_MEASURES.items()):
-        pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
-        grid = box_grid(-x_c, x_c, 2000)
-        cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=4))
-        itp_states = solve_spectrum(pot, grid, 4, cfg)
         for n in range(5):
-            exact_state = exact_scho.scho_wavefunction(n, x_c, grid)
-            per_route = []
-            for st in (itp_states[n], exact_state):
-                md = spectral.to_momentum(st)
-                rep = infomeasures.full_report(st, md)
-                per_route.append((rep.s_x, rep.e_x))
-                dev = max(abs(rep.s_x - ref_sx[n]), abs(rep.e_x - ref_ex[n]))
+            pair = [rows[x_c, n, solver] for solver in spec.solvers]
+            for r in pair:
+                dev = max(abs(r.s_x - ref_sx[n]), abs(r.e_x - ref_ex[n]))
                 worst_ref = max(worst_ref, dev)
                 if dev > 1e-5:
-                    bad.append("%s@(x_c=%g,n=%d)" % (st.provenance, x_c, n))
-            worst_pair = max(worst_pair,
-                             abs(per_route[0][0] - per_route[1][0]),
-                             abs(per_route[0][1] - per_route[1][1]))
+                    bad.append("%s@(x_c=%g,n=%d)" % (r.solver, x_c, n))
+            worst_pair = max(worst_pair, abs(pair[0].s_x - pair[1].s_x),
+                             abs(pair[0].e_x - pair[1].e_x))
     elapsed = time.perf_counter() - t0
     ok = not bad and worst_pair <= 1e-6 and elapsed < 120.0
     detail = " [%s]" % ", ".join(bad) if bad else ""
@@ -277,29 +235,25 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """Offset-well energies n = 0..5: basis expansion within 1e-8 relative of
-    the references, relaxation within 1e-6 of the basis expansion, under a
-    5 min budget."""
+    """Table VII, n = 0..5: basis expansion on 4001 points within 1e-8
+    relative of the references, relaxation on the table's 2000 points
+    within 1e-6 of the basis expansion, under a 5 min budget."""
     t0 = time.perf_counter()
-    grid = box_grid(-1.0, 1.0, _FINE_INTERIOR)
+    rows = _solved(
+        run_sweep(replace(TABLE_SPECS["VII"], grid_points=_FINE_INTERIOR))
+        + run_sweep(replace(TABLE_SPECS["VII"], solvers=("itp",))))
     ref_fail = []
     worst_rel = 0.0
     worst_cross = 0.0
     for d_m, refs in sorted(REF_OFFSET_ENERGIES.items()):
-        pot, mass = acho_unit_box(1.0, d_m)
-        res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     n_states=6)
-        itp_grid = box_grid(-1.0, 1.0, 2000)
-        cfg = SolverConfig(dtau=stable_dtau(pot, itp_grid, n_max=5,
-                                            mass=mass))
-        itp_states = solve_spectrum(pot, itp_grid, 5, cfg, mass=mass)
         for n in range(6):
-            rel = abs(res.energies[n] - refs[n]) / abs(refs[n])
+            energy = rows[d_m, n, "variational"].energy
+            rel = abs(energy - refs[n]) / abs(refs[n])
             worst_rel = max(worst_rel, rel)
             if rel > 1e-8:
                 ref_fail.append((d_m, n, rel))
             worst_cross = max(worst_cross,
-                              abs(res.energies[n] - itp_states[n].energy))
+                              abs(energy - rows[d_m, n, "itp"].energy))
     elapsed = time.perf_counter() - t0
     ok = not ref_fail and worst_cross <= 1e-6 and elapsed < 300.0
     parts = ["%d/24 entries beyond 1e-8 relative" % len(ref_fail)]
@@ -314,22 +268,18 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    """Offset-well (S_x, S_p, S) for n = 0..2 against the references, 5e-4
-    absolute."""
-    grid = box_grid(-1.0, 1.0, _FINE_INTERIOR)
+    """Table VIII on 4001 points: (S_x, S_p, S) for n = 0..2 against the
+    references, 5e-4 absolute."""
+    rows = _solved(run_sweep(replace(TABLE_SPECS["VIII"],
+                                     grid_points=_FINE_INTERIOR)))
     fails = []
     worst = (0.0, None)
     for d_m, per_n in sorted(REF_OFFSET_ENTROPIES.items()):
-        pot, mass = acho_unit_box(1.0, d_m)
-        res = variational.solve_acho(pot, size=50, grid=grid, mass=mass,
-                                     n_states=3)
         for n in range(3):
-            st = res.states[n]
-            md = spectral.to_momentum(st)
-            rep = infomeasures.full_report(st, md)
-            for label, got, ref in (("S_x", rep.s_x, per_n[n][0]),
-                                    ("S_p", rep.s_p, per_n[n][1]),
-                                    ("S", rep.s, per_n[n][2])):
+            r = rows[d_m, n, "variational"]
+            for label, got, ref in (("S_x", r.s_x, per_n[n][0]),
+                                    ("S_p", r.s_p, per_n[n][1]),
+                                    ("S", r.s, per_n[n][2])):
                 dev = abs(got - ref)
                 if dev > worst[0]:
                     worst = (dev, (label, d_m, n))
@@ -382,34 +332,33 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    """Every state on the three sweep grids satisfies the Shannon, Fisher,
-    and Onicescu bounds within 1e-9 slack and conserves norm under the
-    momentum transform within 1e-8."""
-    def _collect():
-        for _x_c, reports in _xc_grid_reports():
-            yield from reports
-        for _d_m, _pot, reports in _dm_grid_reports():
-            yield from reports
-        for _eta, _x_c, reports in _eta_grid_reports():
-            yield from reports
-
+    """Every state of the three bound-suite sweeps satisfies the Shannon,
+    Fisher, and Onicescu bounds within 1e-9 slack and conserves norm under
+    the momentum transform within 1e-8. Rows carry no norm defect, so the
+    states are solved again by the sweep's own route and transformed once
+    more."""
     n_states = 0
     violations = []
     margins = {"S": math.inf, "I": math.inf, "E": math.inf}
     worst_parseval = 0.0
-    for st, md, rep in _collect():
-        n_states += 1
-        margins["S"] = min(margins["S"], rep.s - infomeasures.SHANNON_FLOOR)
-        margins["I"] = min(margins["I"], rep.i - infomeasures.FISHER_FLOOR)
-        margins["E"] = min(margins["E"],
-                           infomeasures.ONICESCU_CEILING - rep.e)
-        if not (rep.shannon_bound_ok and rep.fisher_bound_ok
-                and rep.onicescu_bound_ok):
-            violations.append("bounds at n=%d" % st.n)
-        defect = spectral.parseval_defect(md)
-        worst_parseval = max(worst_parseval, defect)
-        if defect > 1e-8:
-            violations.append("norm defect %.2g at n=%d" % (defect, st.n))
+    for spec in _BOUND_SPECS:
+        for r in _solved(_bound_rows(spec)).values():
+            n_states += 1
+            margins["S"] = min(margins["S"], r.s - infomeasures.SHANNON_FLOOR)
+            margins["I"] = min(margins["I"], r.i - infomeasures.FISHER_FLOOR)
+            margins["E"] = min(margins["E"],
+                               infomeasures.ONICESCU_CEILING - r.e)
+            if not (r.shannon_ok and r.fisher_ok and r.onicescu_ok):
+                violations.append("bounds at %s %g n=%d"
+                                  % (spec.mode, r.value, r.n))
+        for value in spec.values:
+            for st in _solve_with(spec, value, spec.solvers[0])[2]:
+                md = spectral.to_momentum(st, pad_factor=spec.pad_factor)
+                defect = spectral.parseval_defect(md)
+                worst_parseval = max(worst_parseval, defect)
+                if defect > 1e-8:
+                    violations.append("norm defect %.2g at %s %g n=%d"
+                                      % (defect, spec.mode, value, st.n))
     ok = not violations
     summary = ("%d states; smallest margins S %.3g, I %.3g, E %.3g "
                "(slack 1e-9); worst norm defect %.2g (tol 1e-8)"
@@ -421,19 +370,16 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """At box half-length 6, phase-plane areas reach the unconfined-well
-    ladder (n+1/2)*pi/sqrt(2) within 1e-3 and the ground state's forbidden-
-    region probability reaches 1 - erf(1) = 0.15730 within 1e-3."""
-    x_c = 6.0
-    pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
-    worst_area = 0.0
-    for n in range(5):
-        eps = exact_scho.scho_eigenvalue(n, x_c)
-        target = (n + 0.5) * math.pi / math.sqrt(2.0)
-        worst_area = max(worst_area,
-                         abs(semiclassical.phase_area(pot, eps) - target))
-    ground = _xc_grid_states()[-1][1][0]
-    t0 = semiclassical.tunneling_probability(ground, pot)
+    """At the widest box of the bound suite (half-length 6), phase-plane
+    areas reach the unconfined-well ladder (n+1/2)*pi/sqrt(2) within 1e-3
+    and the ground state's forbidden-region probability reaches
+    1 - erf(1) = 0.15730 within 1e-3."""
+    rows = _solved(_bound_rows(_XC_SPEC))
+    x_c = XC_GRID[-1]
+    worst_area = max(abs(rows[x_c, n, "exact"].a_n
+                         - (n + 0.5) * math.pi / math.sqrt(2.0))
+                     for n in range(5))
+    t0 = rows[x_c, 0, "exact"].t_n
     dev_t = abs(t0 - REF_FORBIDDEN_FRACTION_GROUND)
     ok = worst_area <= 1e-3 and dev_t <= 1e-3
     return CriterionResult(
@@ -457,7 +403,7 @@ def free_onicescu_product(n: int) -> float:
 
 
 def criterion_8() -> CriterionResult:
-    """Trend properties on the criterion-6 grids: S_x non-decreasing in box
+    """Trend properties on the bound-suite sweeps: S_x non-decreasing in box
     size; the ground-state product E non-decreasing in box size, and every
     product E at the widest box equal to its open-line value within 1e-6;
     S_p has an interior minimum in box size for n >= 1; the first excited
@@ -479,49 +425,52 @@ def criterion_8() -> CriterionResult:
     free_tol = 1e-6
     failures = []
 
-    xc_rep = _xc_grid_reports()
-    ground = [reports[0][2].e for _xc, reports in xc_rep]
+    xc = _solved(_bound_rows(_XC_SPEC))
+
+    def over_xc(n, attr):
+        return [getattr(xc[x_c, n, "exact"], attr) for x_c in XC_GRID]
+
+    ground = over_xc(0, "e")
     drop = max(a - b for a, b in zip(ground, ground[1:]))
     if drop > slack:
         failures.append("E falls in box size at n=0 (worst step -%.2g)"
                         % drop)
     worst_free = 0.0
     for n in range(5):
-        sx = [reports[n][2].s_x for _xc, reports in xc_rep]
+        sx = over_xc(n, "s_x")
         drop = max(a - b for a, b in zip(sx, sx[1:]))
         if drop > slack:
             failures.append("S_x falls in box size at n=%d (worst step "
                             "-%.2g)" % (n, drop))
-        dev = abs(xc_rep[-1][1][n][2].e - free_onicescu_product(n))
+        dev = abs(xc[XC_GRID[-1], n, "exact"].e - free_onicescu_product(n))
         worst_free = max(worst_free, dev)
         if dev > free_tol:
             failures.append("E at x_c=%g is %.2g from the open-line value "
-                            "at n=%d" % (xc_rep[-1][0], dev, n))
+                            "at n=%d" % (XC_GRID[-1], dev, n))
     for n in range(1, 5):
-        sp = [reports[n][2].s_p for _xc, reports in xc_rep]
+        sp = over_xc(n, "s_p")
         k = int(np.argmin(sp))
         if not 0 < k < len(sp) - 1:
             failures.append("S_p minimum not interior at n=%d (argmin %d)"
                             % (n, k))
 
-    dm_rep = _dm_grid_reports()
-    shifted = [reports[1][0].energy - 1.0 * d_m ** 2
-               for d_m, _pot, reports in dm_rep]
+    dm = _solved(_bound_rows(_DM_SPEC))
+    shifted = [dm[d_m, 1, "variational"].energy - _DM_SPEC.eta * d_m ** 2
+               for d_m in DM_GRID]
     k = int(np.argmax(shifted))
     if not 0 < k < len(shifted) - 1:
         failures.append("shifted first-excited energy has no interior "
                         "maximum on the offset grid (argmax %d of %d)"
                         % (k, len(shifted) - 1))
     for n in range(5):
-        areas = [semiclassical.phase_area(pot, reports[n][0].energy)
-                 for _d_m, pot, reports in dm_rep]
+        areas = [dm[d_m, n, "variational"].a_n for d_m in DM_GRID]
         if any(b > a + slack for a, b in zip(areas, areas[1:])):
             failures.append("area not non-increasing in offset at n=%d" % n)
 
     ok = not failures
     summary = ("all five trend families hold; products at x_c=%g within "
                "%.2g of the open-line values (tol %g)"
-               % (xc_rep[-1][0], worst_free, free_tol) if ok
+               % (XC_GRID[-1], worst_free, free_tol) if ok
                else "; ".join(failures))
     return CriterionResult(8, _NAMES[8], ok, summary)
 
@@ -587,24 +536,14 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    """Each criterion-6 grid swept twice (and once with two workers) yields
-    byte-identical CSV."""
-    specs = (
-        SweepSpec(mode="scho-xc", values=XC_GRID, n_hi=4,
-                  solvers=("exact",)),
-        SweepSpec(mode="acho-dm", values=DM_GRID, n_hi=4,
-                  solvers=("variational",), eta=1.0),
-        SweepSpec(mode="scho-eta", values=ETA_GRID, n_hi=4,
-                  solvers=("exact",)),
-    )
+    """Each bound-suite sweep run again, and once more with two workers,
+    yields CSV byte-identical to its cached rows."""
     diffs = []
-    for spec in specs:
-        first = rows_to_csv(run_sweep(spec, workers=1))
-        second = rows_to_csv(run_sweep(spec, workers=1))
-        threaded = rows_to_csv(run_sweep(spec, workers=2))
-        if first != second:
+    for spec in _BOUND_SPECS:
+        first = rows_to_csv(_solved(_bound_rows(spec)).values())
+        if first != rows_to_csv(run_sweep(spec, workers=1)):
             diffs.append("%s: repeat run differs" % spec.mode)
-        if first != threaded:
+        if first != rows_to_csv(run_sweep(spec, workers=2)):
             diffs.append("%s: two-worker run differs" % spec.mode)
     ok = not diffs
     summary = ("three grids, repeat and two-worker runs all byte-identical"
@@ -625,10 +564,13 @@ def run_all(criteria=None) -> list[CriterionResult]:
     for idx in picks:
         if idx not in _CRITERIA:
             raise DomainError("no criterion %d" % idx)
+        t0 = time.perf_counter()
         try:
-            out.append(_CRITERIA[idx]())
+            res = _CRITERIA[idx]()
+        except _ErrorRow as exc:
+            res = CriterionResult(idx, _NAMES[idx], False, str(exc))
         except Exception as exc:   # a crash is a failure, not an abort
-            out.append(CriterionResult(idx, _NAMES[idx], False,
-                                       "crashed: %s: %s"
-                                       % (type(exc).__name__, exc)))
+            res = CriterionResult(idx, _NAMES[idx], False, "crashed: %s: %s"
+                                  % (type(exc).__name__, exc))
+        out.append(replace(res, seconds=time.perf_counter() - t0))
     return out

@@ -105,6 +105,8 @@ class SweepSpec:
                 raise DomainError("%s applies only to the itp solver" % name)
         if self.cross_tol is not None and self.cross_tol <= 0:
             raise DomainError("cross_tol must be positive")
+        if self.cross_tol is not None and len(self.solvers) != 2:
+            raise DomainError("cross_tol needs exactly two solvers")
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,9 @@ _PROBLEMS = {
     "acho-dm": lambda spec, value: acho_unit_box(spec.eta, value),
     "acho-eta": lambda spec, value: acho_unit_box(value, spec.d_m),
 }
+# mode -> the fixed parameter its problem reads, by config key and CLI flag;
+# a mode rejects the other one, and the centred-well modes read neither
+_FIXED = {"acho-dm": "eta", "acho-eta": "dm"}
 # solver -> (route (spec, pot, mass) -> states 0..n_hi, modes it serves): the
 # closed-form routes need a centred well, and the flat-box mixing route is
 # tied to the unit-box sweep
@@ -520,8 +525,13 @@ def parse_config(text: str) -> SweepSpec:
 
     if "mode" not in seen:
         raise ConfigError("missing mode")
+    mode = seen["mode"][0]
+    for key in ("eta", "dm"):
+        if key in seen and mode in _PROBLEMS and _FIXED.get(mode) != key:
+            raise ConfigError("line %d: mode '%s' does not read '%s'"
+                              % (seen[key][1], mode, key))
 
-    kw: dict = {"mode": seen["mode"][0]}
+    kw: dict = {"mode": mode}
     try:
         if "values" in seen:
             kw["values"] = _parse_values(*seen["values"])
@@ -554,9 +564,9 @@ def parse_config(text: str) -> SweepSpec:
         raise ConfigError(str(exc)) from exc
 
 
-# ---------------------------------------------------------------- CLI glue
-
-_CANONICAL_TABLE_SPECS = {
+# the sweep behind each report table; `confosc table` and the acceptance gate
+# both run these
+TABLE_SPECS = {
     "I": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_lo=0,
                    n_hi=4, solvers=("pt", "exact")),
     "II": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1, 25.0, 50.0,
@@ -581,6 +591,8 @@ _CANONICAL_TABLE_SPECS = {
 }
 
 
+# ---------------------------------------------------------------- CLI glue
+
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid-points", type=int, default=None,
                    help="interior grid points")
@@ -588,12 +600,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="relaxation step, itp only (default: automatic)")
     p.add_argument("--tol", type=float, default=None,
                    help="energy plateau tolerance, itp only")
-    p.add_argument("--pad-factor", type=int, default=None,
-                   help="FFT zero-padding factor")
     p.add_argument("--solver", type=str, default=None,
                    help="solver or comma pair (itp,exact,variational,pt)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="sweep worker threads")
     p.add_argument("--out", type=str, default=None,
                    help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "tsv", "pretty"),
@@ -601,19 +609,27 @@ def _add_common_flags(p: argparse.ArgumentParser):
 
 
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    updates = {}
-    if args.grid_points is not None:
-        updates["grid_points"] = args.grid_points
-    if args.dtau is not None:
-        updates["dtau"] = args.dtau
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.pad_factor is not None:
-        updates["pad_factor"] = args.pad_factor
+    updates = {name: getattr(args, name)
+               for name in ("grid_points", "dtau", "tol", "pad_factor")
+               if getattr(args, name, None) is not None}
     if args.solver is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solver.split(",")
                                    if s.strip())
     return replace(spec, **updates) if updates else spec
+
+
+def _fixed_parameter(args) -> dict:
+    """`--eta`/`--dm` as SweepSpec fields; the flag a mode does not read is
+    an error."""
+    kw = {}
+    for key in ("eta", "dm"):
+        val = getattr(args, key)
+        if val is not None:
+            if _FIXED.get(args.mode) != key:
+                raise ConfigError("--%s does not apply to mode '%s'"
+                                  % (key, args.mode))
+            kw["d_m" if key == "dm" else key] = val
+    return kw
 
 
 def _write_out(text: str, path: str | None):
@@ -627,7 +643,7 @@ def _write_out(text: str, path: str | None):
 def _cmd_solve(args) -> int:
     spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=args.n,
                      n_hi=args.n, solvers=(args.solver or "itp",),
-                     eta=args.eta, d_m=args.dm)
+                     **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     rows = run_sweep(spec, workers=1)
     _write_out(_reformat(rows_to_csv(rows), args.format or "pretty"),
@@ -658,7 +674,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table(args) -> int:
     tid = normalize_table_id(args.table_id)
-    spec = _apply_overrides(_CANONICAL_TABLE_SPECS[tid], args)
+    spec = _apply_overrides(TABLE_SPECS[tid], args)
     rows = run_sweep(spec, workers=args.workers)
     text, csv_text = emit_table(rows, tid)
     fmt = args.format or "pretty"
@@ -673,7 +689,7 @@ def _cmd_phase(args) -> int:
                      solvers=(args.solver or
                               ("exact" if args.mode.startswith("scho")
                                else "variational"),),
-                     eta=args.eta, d_m=args.dm)
+                     **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     pot, mass, states = _solve_with(spec, args.value, spec.solvers[0])
     if args.orbit is not None:
@@ -704,9 +720,9 @@ def _cmd_validate(args) -> int:
     from . import acceptance
     results = acceptance.run_all(args.criteria or None)
     for res in results:
-        print("%s  criterion %d: %s — %s"
-              % ("PASS" if res.passed else "FAIL", res.index, res.name,
-                 res.summary))
+        print("%s  criterion %d (%.1f s): %s — %s"
+              % ("PASS" if res.passed else "FAIL", res.index, res.seconds,
+                 res.name, res.summary))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -721,8 +737,6 @@ def main(argv=None) -> int:
     p_solve.add_argument("--mode", required=True, choices=tuple(_PROBLEMS))
     p_solve.add_argument("--value", type=float, required=True)
     p_solve.add_argument("--n", type=int, default=0)
-    p_solve.add_argument("--eta", type=float, default=1.0)
-    p_solve.add_argument("--dm", type=float, default=1.0)
     _add_common_flags(p_solve)
 
     p_sweep = sub.add_parser("sweep", help="run a config-driven sweep")
@@ -738,11 +752,21 @@ def main(argv=None) -> int:
     p_phase.add_argument("--mode", default="scho-xc", choices=tuple(_PROBLEMS))
     p_phase.add_argument("--value", type=float, required=True)
     p_phase.add_argument("--n-max", type=int, default=4)
-    p_phase.add_argument("--eta", type=float, default=1.0)
-    p_phase.add_argument("--dm", type=float, default=1.0)
     p_phase.add_argument("--orbit", type=int, default=None,
                          help="emit the (x, p) loop of this state instead")
     _add_common_flags(p_phase)
+
+    for p in (p_solve, p_phase):
+        p.add_argument("--eta", type=float, default=None,
+                       help="well strength, acho-dm only (default 1)")
+        p.add_argument("--dm", type=float, default=None,
+                       help="well offset, acho-eta only (default 1)")
+    for p in (p_solve, p_sweep, p_table):
+        p.add_argument("--pad-factor", type=int, default=None,
+                       help="FFT zero-padding factor")
+    for p in (p_sweep, p_table):
+        p.add_argument("--workers", type=int, default=1,
+                       help="sweep worker threads")
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
     p_val.add_argument("criteria", nargs="*", type=int,

@@ -18,6 +18,7 @@ import pytest
 
 import _oracles as O
 from confosc import acceptance
+from confosc.cli_reports import TABLE_SPECS, ReportRow
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import DensityProfile, full_report, shannon
 from confosc.model import acho_unit_box, box_grid
@@ -74,6 +75,37 @@ def test_red_set_is_exactly_the_documented_defects(gate):
         "criterion is a regression until shown otherwise, and a newly green "
         "one must be moved out of DOCUMENTED_RED with its cause"
         % (sorted(DOCUMENTED_RED), sorted(red)))
+
+
+@pytest.mark.parametrize("table,refs,levels", [
+    ("I", acceptance.REF_SMALL_ETA_EXACT, lambda ref: {len(ref)}),
+    ("VI", acceptance.REF_BOX_MEASURES, lambda ref: {len(r) for r in ref}),
+    ("VII", acceptance.REF_OFFSET_ENERGIES, lambda ref: {len(ref)}),
+    ("VIII", acceptance.REF_OFFSET_ENTROPIES, lambda ref: {len(ref)}),
+])
+def test_references_are_keyed_by_the_sweeps_they_check(table, refs, levels):
+    # the gate looks each reference up in the rows of the table's own sweep
+    spec = TABLE_SPECS[table]
+    assert tuple(refs) == spec.values
+    for ref in refs.values():
+        assert levels(ref) == {spec.n_hi - spec.n_lo + 1}
+
+
+@pytest.mark.parametrize("idx", [1, 7])
+def test_an_error_row_fails_its_criterion_and_names_the_row(monkeypatch,
+                                                            idx):
+    failed = [ReportRow(value=0.01, n=3, solver="exact",
+                        error="RootSearchError: no bracket")]
+    monkeypatch.setattr(acceptance, "run_sweep",
+                        lambda spec, workers=1: failed)
+    acceptance._bound_rows.cache_clear()
+    try:
+        (res,) = acceptance.run_all([idx])
+    finally:
+        acceptance._bound_rows.cache_clear()
+    assert not res.passed
+    assert res.summary == ("error row at value=0.01 n=3 solver=exact: "
+                           "RootSearchError: no bracket")
 
 
 # ------------------------------------------ corrected references vs oracles

@@ -63,6 +63,14 @@ def test_parse_config_range_expansion():
     ("mode = scho-xc\nvalues =", "line 2: empty value for 'values'"),
     ("mode = scho-xc\nvalues = abc", "could not convert"),
     ("mode = scho-xc\nvalues = 1\ngrid_points = ten", "invalid literal"),
+    ("mode = scho-xc\nvalues = 1\neta = 2",
+     "line 3: mode 'scho-xc' does not read 'eta'"),
+    ("mode = scho-eta\ndm = 2\nvalues = 1",
+     "line 2: mode 'scho-eta' does not read 'dm'"),
+    ("mode = acho-dm\nvalues = 1\ndm = 2",
+     "line 3: mode 'acho-dm' does not read 'dm'"),
+    ("mode = acho-eta\nvalues = 1\neta = 2",
+     "line 3: mode 'acho-eta' does not read 'eta'"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -91,6 +99,7 @@ def test_parse_config_rejects(text, fragment):
     dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
     dict(mode="acho-dm", values=(1.0,), solvers=("variational",), tol=1e-10),
     dict(mode="scho-eta", values=(0.1,), solvers=("pt", "exact"), dtau=1e-4),
+    dict(mode="scho-xc", values=(1.0,), solvers=("exact",), cross_tol=1e-6),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
@@ -414,6 +423,53 @@ def test_cli_rejects_relaxation_settings_on_other_routes(capsys):
         assert main(["solve", "--mode", "acho-dm", "--value", "1", "--solver",
                      "variational", flag, "1e-3", "--format", "csv"]) == 2
         assert "applies only to the itp solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "scho-xc", "--value", "2", "--workers", "2"],
+    ["phase", "--value", "2", "--workers", "2"],
+    ["phase", "--value", "2", "--pad-factor", "4"],
+])
+def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--mode", "scho-xc", "--value", "2", "--eta", "2"], "--eta"),
+    (["solve", "--mode", "acho-dm", "--value", "1", "--dm", "2"], "--dm"),
+    (["phase", "--mode", "acho-eta", "--value", "5", "--eta", "2"], "--eta"),
+    (["phase", "--value", "2", "--dm", "0.5"], "--dm"),
+])
+def test_cli_rejects_a_fixed_parameter_the_mode_does_not_read(argv, flag,
+                                                              capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s does not apply to mode" % flag in captured.err
+
+
+def test_cli_passes_the_fixed_parameter_the_mode_reads(tmp_path):
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--mode", "acho-eta", "--value", "4", "--dm", "0",
+                 "--n-max", "0", "--grid-points", "300", "--format", "csv",
+                 "--out", str(out)]) == 0
+    # H = -d2 + 4 x^2 on [-1, 1]: the ground level lies above the open-line
+    # value 2 and below the mean energy of the flat-box ground state (2.99);
+    # the default offset 1 would give 6.05
+    energy = float(out.read_text().split("\n")[1].split(",")[1])
+    assert 2.0 < energy < math.pi ** 2 / 4 + 4.0 * (1 / 3 - 2 / math.pi ** 2)
+
+
+def test_cli_validate_prints_one_timed_verdict_per_criterion(capsys):
+    assert main(["validate", "5", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line, idx in zip(lines, (5, 9)):
+        assert line.startswith("PASS  criterion %d (" % idx)
+        assert " s): " in line
 
 
 def test_cli_offset_orbit_uses_the_route_mass(tmp_path):
