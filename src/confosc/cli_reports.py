@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
-from .itp_solver import SolverConfig, solve_spectrum, stable_dtau
+from .itp_solver import solve_spectrum
 from .model import (ConfinedPotential, DomainError, Eigenpair, acho_unit_box,
                     box_grid, scho_unit_box)
 from .perturbation import pt_wavefunction
@@ -62,8 +62,6 @@ class SweepSpec:
     eta: float = 1.0          # well strength for the offset-sweep mode
     d_m: float = 1.0          # offset for the acho-eta mode
     grid_points: int = 2000   # interior points
-    dtau: float | None = None  # itp only; None -> automatic stable step
-    tol: float | None = None   # itp only; None -> SolverConfig's energy_tol
     pad_factor: int = 16
     cross_tol: float | None = None
 
@@ -96,13 +94,6 @@ class SweepSpec:
             raise DomainError("grid_points too small")
         if self.pad_factor < 1:
             raise DomainError("pad_factor must be >= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise DomainError("tol must be positive")
-        if self.dtau is not None and self.dtau <= 0:
-            raise DomainError("dtau must be positive")
-        for name in ("dtau", "tol"):
-            if getattr(self, name) is not None and "itp" not in self.solvers:
-                raise DomainError("%s applies only to the itp solver" % name)
         if self.cross_tol is not None and self.cross_tol <= 0:
             raise DomainError("cross_tol must be positive")
         if self.cross_tol is not None and len(self.solvers) != 2:
@@ -153,12 +144,7 @@ def _odd_interior(n_interior: int) -> int:
 def _itp_states(spec: SweepSpec, pot: ConfinedPotential,
                 mass: float) -> list[Eigenpair]:
     grid = box_grid(pot.b1, pot.b2, spec.grid_points)
-    dtau = spec.dtau
-    if dtau is None:
-        dtau = stable_dtau(pot, grid, n_max=spec.n_hi, mass=mass)
-    tol = SolverConfig.energy_tol if spec.tol is None else spec.tol
-    cfg = SolverConfig(dtau=dtau, energy_tol=tol)
-    return solve_spectrum(pot, grid, spec.n_hi, cfg, mass=mass)
+    return solve_spectrum(pot, grid, spec.n_hi, mass=mass)
 
 
 def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
@@ -474,7 +460,7 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
 
 
 _CONFIG_KEYS = ("mode", "values", "states", "solver", "eta", "dm",
-                "grid_points", "dtau", "tol", "pad_factor", "cross_tol")
+                "grid_points", "pad_factor", "cross_tol")
 
 
 def _parse_values(token: str, line_no: int) -> tuple[float, ...]:
@@ -548,8 +534,7 @@ def parse_config(text: str) -> SweepSpec:
             kw["solvers"] = tuple(s.strip()
                                   for s in seen["solver"][0].split(",")
                                   if s.strip())
-        for key, conv in (("eta", float), ("dm", float), ("dtau", float),
-                          ("tol", float), ("cross_tol", float),
+        for key, conv in (("eta", float), ("dm", float), ("cross_tol", float),
                           ("grid_points", int), ("pad_factor", int)):
             if key in seen:
                 kw["d_m" if key == "dm" else key] = conv(seen[key][0])
@@ -596,10 +581,6 @@ TABLE_SPECS = {
 def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid-points", type=int, default=None,
                    help="interior grid points")
-    p.add_argument("--dtau", type=float, default=None,
-                   help="relaxation step, itp only (default: automatic)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="energy plateau tolerance, itp only")
     p.add_argument("--solver", type=str, default=None,
                    help="solver or comma pair (itp,exact,variational,pt)")
     p.add_argument("--out", type=str, default=None,
@@ -608,13 +589,19 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    default=None, help="output format")
 
 
+def _solver_flag(args) -> tuple[str, ...] | None:
+    """`--solver` as a tuple of route names, or None when it is not given."""
+    if args.solver is None:
+        return None
+    return tuple(s.strip() for s in args.solver.split(",") if s.strip())
+
+
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
     updates = {name: getattr(args, name)
-               for name in ("grid_points", "dtau", "tol", "pad_factor")
+               for name in ("grid_points", "pad_factor")
                if getattr(args, name, None) is not None}
     if args.solver is not None:
-        updates["solvers"] = tuple(s.strip() for s in args.solver.split(",")
-                                   if s.strip())
+        updates["solvers"] = _solver_flag(args)
     return replace(spec, **updates) if updates else spec
 
 
@@ -642,7 +629,7 @@ def _write_out(text: str, path: str | None):
 
 def _cmd_solve(args) -> int:
     spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=args.n,
-                     n_hi=args.n, solvers=(args.solver or "itp",),
+                     n_hi=args.n, solvers=_solver_flag(args) or ("itp",),
                      **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     rows = run_sweep(spec, workers=1)
@@ -684,11 +671,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_phase(args) -> int:
+    solvers = _solver_flag(args) or (
+        ("exact",) if args.mode.startswith("scho") else ("variational",))
+    if len(solvers) != 1:
+        raise ConfigError("phase reads one solver, got '%s'" % args.solver)
     spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=0,
-                     n_hi=args.n_max,
-                     solvers=(args.solver or
-                              ("exact" if args.mode.startswith("scho")
-                               else "variational"),),
+                     n_hi=args.n_max, solvers=solvers,
                      **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     pot, mass, states = _solve_with(spec, args.value, spec.solvers[0])

@@ -1,37 +1,39 @@
 """Diffusion (imaginary-time) relaxation to box eigenstates.
 
-One half-implicit step solves
+One half-implicit step is
 
-    [1 + (dtau/2) H] psi' = [1 - (dtau/2) H] psi
+    psi' = [1 + (dtau/2) H]^-1 [1 - (dtau/2) H] psi = 2 L^-1 psi - psi,
 
-with H the shared discrete Hamiltonian `model.hamiltonian_bands` (the
-five-point kinetic stencil plus the diagonal well on the interior points,
-hard walls = Dirichlet zeros; its wall closure is described there). Excited
-states are kept orthogonal to the converged ladder below them by per-step
-Gram-Schmidt.
+L = 1 + (dtau/2) H, with H the shared discrete Hamiltonian
+`model.hamiltonian_bands` (the five-point kinetic stencil plus the diagonal
+well on the interior points, hard walls = Dirichlet zeros; its wall closure
+is described there). The second form makes each step one banded solve and
+no product with H. Excited states are kept orthogonal to the converged
+ladder below them by per-step Gram-Schmidt.
 
 Numerical notes that the equations do not show:
 
-* Left matrix: I + (dtau/2) H is symmetric positive definite, so the banded
-  no-pivot factorization is a Cholesky one (LAPACK pbtrf/pbtrs). Strict
-  diagonal dominance holds only for dtau < 12 m h^2 / hbar^2, but it is
-  sufficient, not necessary: positive pivots are the actual no-pivot success
-  condition, so dominance is neither checked nor required, and a pivot
-  failure raises StepSizeError.
+* Left matrix: L is symmetric positive definite, so the banded no-pivot
+  factorization is a Cholesky one (LAPACK pbtrf/pbtrs). Strict diagonal
+  dominance holds only for dtau < 12 m h^2 / hbar^2, but it is sufficient,
+  not necessary: positive pivots are the actual no-pivot success condition,
+  so dominance is neither checked nor required, and a pivot failure raises
+  StepSizeError.
 
 * Step size: the half-implicit filter (1-x)/(1+x), x = dtau*lambda/2, damps
-  the top of the discrete spectrum slower than the ground state once
-  dtau^2 * eps_0 * lambda_max > 4, and the iteration then relaxes to the
-  wrong end. `stable_dtau` picks a step below that bound from the Gershgorin
-  bound on lambda_max and a flat-box ceiling for the target level.
+  the top of the discrete spectrum slower than the target level once
+  dtau^2 * eps_n * lambda_max > 4, and the iteration then relaxes to the
+  wrong end. `solve_state` takes its step from `stable_dtau` for its own
+  target level n, which keeps below that bound from the Gershgorin bound on
+  lambda_max and a flat-box ceiling for eps_n.
 
-* Stopping: every 200 steps the run checks two plateaus, the energy (delta
-  below energy_tol) and the wavefunction fixed point (max|psi - psi_prev|
-  below 1e-12 * max|psi|). Either one holding at three consecutive checks
-  ends the run; the interval, the 1e-12 and the three are module constants.
-  On fine grids the energy delta bottoms out at ~1e-16 * lambda_max, which
-  can sit above a tight energy_tol forever; the fixed-point test is immune
-  to that noise floor and stops at machine-level contamination.
+* Stopping: every 200 steps the run compares the iterate with the one of
+  the previous check. The run ends at the wavefunction fixed point, when
+  max|psi - psi_prev| stays below 1e-12 * max|psi| at three consecutive
+  checks; the interval, the 1e-12, the three and the step budget are module
+  constants. The energy is computed once, from the final iterate. An energy
+  plateau is no stopping rule: the energy error is quadratic in the
+  wavefunction error, so it settles while psi is still visibly off.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
 _CHECK_INTERVAL = 200   # steps between convergence checks
 _PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
 _CONSECUTIVE = 3        # plateau checks in a row that end a run
+_MAX_STEPS = 2_000_000  # step budget per level
+
+_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 class StepSizeError(RuntimeError):
@@ -58,10 +63,7 @@ class StepSizeError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, last_energy: float, values: np.ndarray):
-        super().__init__(message)
-        self.last_energy = last_energy
-        self.values = values
+    """A level did not reach its fixed point within the step budget."""
 
 
 class LadderError(RuntimeError):
@@ -71,23 +73,9 @@ class LadderError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    dtau: float = 1e-4
-    energy_tol: float = 1e-12
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if self.dtau <= 0 or self.energy_tol <= 0:
-            raise DomainError("dtau and energy_tol must be positive")
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be >= 1")
-
-
-@dataclass(frozen=True)
 class PentaSystem:
     """Factored half-implicit step operator plus the matching Hamiltonian."""
     grid: Grid
-    dtau: float
     bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
 
@@ -96,8 +84,7 @@ class PentaSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[1 + (dtau/2) H]^-1 rhs through the banded Cholesky factor."""
-        pbtrs, = get_lapack_funcs(('pbtrs',), (self.cholesky,))
-        x, info = pbtrs(self.cholesky, rhs, lower=False)
+        x, info = _PBTRS(self.cholesky, rhs, lower=False)
         if info != 0:
             raise StepSizeError("banded back-substitution failed (info=%d)" % info)
         return x
@@ -117,7 +104,7 @@ def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
     except np.linalg.LinAlgError as exc:
         raise StepSizeError("non-positive pivot in banded factorization; "
                             "reduce dtau") from exc
-    return PentaSystem(grid=grid, dtau=dtau, bands=bands, cholesky=cb)
+    return PentaSystem(grid=grid, bands=bands, cholesky=cb)
 
 
 def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
@@ -134,31 +121,28 @@ def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     return vals
 
 
-def stable_dtau(pot: ConfinedPotential, grid: Grid, n_max: int = 0,
+def stable_dtau(pot: ConfinedPotential, grid: Grid, n: int = 0,
                 mass: float = 1.0) -> float:
-    """A step size below the top-vs-bottom relaxation race bound.
+    """A step size below the top-vs-bottom relaxation race bound for level n.
 
-    lambda_max from `model.gershgorin_bound`, an upper bound for the target
-    level from the flat-box spectrum plus the in-box well maximum;
-    dtau = 0.7 * 2 / sqrt(eps_hi * lambda_max)."""
+    lambda_max from `model.gershgorin_bound`, an upper bound for level n
+    from the flat-box spectrum plus the in-box well maximum;
+    dtau = 0.7 * 2 / sqrt(eps_n * lambda_max)."""
     kin = 1.0 / (2.0 * mass)
     vmax = float(np.max(pot.interior_values(grid)))
     lam_max = gershgorin_bound(pot, grid, mass)
     box_len = pot.b2 - pot.b1
-    eps_hi = (n_max + 1) ** 2 * math.pi ** 2 * kin / box_len ** 2 + vmax
-    return 0.7 * 2.0 / math.sqrt(eps_hi * lam_max)
+    eps_n = (n + 1) ** 2 * math.pi ** 2 * kin / box_len ** 2 + vmax
+    return 0.7 * 2.0 / math.sqrt(eps_n * lam_max)
 
 
 def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
-                config: SolverConfig | None = None,
                 lower_states: tuple[Eigenpair, ...] = (),
                 mass: float = 1.0) -> Eigenpair:
     """Relax to state n, keeping the iterate orthogonal to `lower_states`
     (which must be the converged states 0..n-1 on the same grid)."""
-    cfg = config or SolverConfig()
-    system = build_penta(pot, grid, dtau=cfg.dtau, mass=mass)
+    system = build_penta(pot, grid, stable_dtau(pot, grid, n, mass), mass)
     h = grid.h
-    a = 0.5 * cfg.dtau
 
     psi = initial_guess(n, grid, pot)[1:-1]
     low = None
@@ -168,45 +152,32 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
         nrm = math.sqrt(h * float(psi @ psi))
         if nrm < 1e-8:
             raise ConvergenceError("trial state lies in the span of the "
-                                   "lower ladder", math.nan, psi)
+                                   "lower ladder")
         psi /= nrm
 
-    w = system.apply_hamiltonian(psi)
-    e = h * float(psi @ w)
-    e_ref = None
     psi_ref = None
-    hits_e = 0
-    hits_psi = 0
-    converged = False
-    steps_done = 0
-
-    for it in range(1, cfg.max_steps + 1):
-        rhs = psi - a * w
-        y = system.solve(rhs)
+    hits = 0
+    for it in range(1, _MAX_STEPS + 1):
+        y = system.solve(psi)
+        y *= 2.0
+        y -= psi
         if low is not None:
             y -= low.T @ (low @ y) * h
         y /= math.sqrt(h * float(y @ y))
         psi = y
-        w = system.apply_hamiltonian(psi)
-        e = h * float(psi @ w)
-        steps_done = it
         if it % _CHECK_INTERVAL == 0:
-            if e_ref is not None:
-                hits_e = hits_e + 1 if abs(e - e_ref) < cfg.energy_tol else 0
+            if psi_ref is not None:
                 dpsi = float(np.max(np.abs(psi - psi_ref)))
                 scale = float(np.max(np.abs(psi)))
-                hits_psi = hits_psi + 1 if dpsi < _PSI_TOL * scale else 0
-                if hits_e >= _CONSECUTIVE or hits_psi >= _CONSECUTIVE:
-                    converged = True
+                hits = hits + 1 if dpsi < _PSI_TOL * scale else 0
+                if hits >= _CONSECUTIVE:
                     break
-            e_ref = e
             psi_ref = psi.copy()
 
-    if not converged:
+    e = h * float(psi @ system.apply_hamiltonian(psi))
+    if hits < _CONSECUTIVE:
         raise ConvergenceError("state %d did not settle in %d steps "
-                               "(last energy %.12g)" % (n, cfg.max_steps, e),
-                               last_energy=e, values=psi)
-
+                               "(last energy %.12g)" % (n, _MAX_STEPS, e))
     psi = canonical_sign(psi)
     full = np.zeros(grid.n_points)
     full[1:-1] = psi
@@ -214,7 +185,6 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
 
 
 def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
-                   config: SolverConfig | None = None,
                    mass: float = 1.0) -> list[Eigenpair]:
     """Relax the ladder 0..n_max bottom-up; raises LadderError naming the
     failing index, and validates ordering plus mutual orthonormality."""
@@ -223,7 +193,7 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
     states: list[Eigenpair] = []
     for n in range(n_max + 1):
         try:
-            ep = solve_state(pot, grid, n, config, tuple(states), mass)
+            ep = solve_state(pot, grid, n, tuple(states), mass)
         except (StepSizeError, ConvergenceError) as exc:
             raise LadderError("ladder failed at state %d: %s" % (n, exc),
                               state_index=n) from exc

@@ -39,9 +39,9 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
 
     Zero-pads to pad_factor times the next power of two, applies the discrete
     transform with continuum normalization, and rolls the frequency comb so p
-    runs monotonically through zero. A phase ramp exp(-i p x_min) accounts for
-    the grid not starting at the coordinate origin (irrelevant for |phi|^2,
-    kept so phi itself is the honest transform).
+    runs monotonically through zero. The grid not starting at the coordinate
+    origin only multiplies phi by the unit-modulus phase exp(-i p x_min),
+    which |phi|^2 does not see, so the transform leaves it out.
     """
     if pad_factor < 1:
         raise DomainError("pad_factor must be >= 1")
@@ -50,7 +50,7 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     m = pad_factor * _next_pow2(len(psi))
     spectrum = np.fft.fft(psi, n=m)
     p = 2.0 * math.pi * np.fft.fftfreq(m, d=h)
-    phi = (h / math.sqrt(2.0 * math.pi)) * spectrum * np.exp(-1j * p * state.grid.x_min)
+    phi = (h / math.sqrt(2.0 * math.pi)) * spectrum
     p = np.fft.fftshift(p)
     rho = np.fft.fftshift(np.abs(phi) ** 2)
     return MomentumDensity(p_values=p, density=rho, dp=2.0 * math.pi / (m * h))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from confosc.exact_scho import scho_wavefunction
-from confosc.itp_solver import SolverConfig, solve_spectrum, stable_dtau
+from confosc.itp_solver import solve_spectrum
 from confosc.model import ConfinedPotential, box_grid
 
 settings.register_profile("suite", max_examples=40, deadline=None)
@@ -26,5 +26,4 @@ def xc2_itp_ladder():
     the ladder costs a few seconds)."""
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-2.0, b2=2.0)
     grid = box_grid(-2.0, 2.0, 800)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=3))
-    return pot, grid, solve_spectrum(pot, grid, 3, cfg)
+    return pot, grid, solve_spectrum(pot, grid, 3)

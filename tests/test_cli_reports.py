@@ -30,7 +30,6 @@ solver = itp                  # single route
 eta = 1.0
 grid_points = 900
 pad_factor = 8
-tol = 1e-11
 """
 
 
@@ -43,7 +42,6 @@ def test_parse_config_reads_every_key():
     assert spec.eta == 1.0
     assert spec.grid_points == 900
     assert spec.pad_factor == 8
-    assert spec.tol == 1e-11
     assert spec.cross_tol is None
 
 
@@ -71,6 +69,8 @@ def test_parse_config_range_expansion():
      "line 3: mode 'acho-dm' does not read 'dm'"),
     ("mode = acho-eta\nvalues = 1\neta = 2",
      "line 3: mode 'acho-eta' does not read 'eta'"),
+    ("mode = scho-xc\nvalues = 1\ndtau = 1e-4", "line 3: unknown key 'dtau'"),
+    ("mode = scho-xc\nvalues = 1\ntol = 1e-11", "line 3: unknown key 'tol'"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -93,12 +93,13 @@ def test_parse_config_rejects(text, fragment):
     dict(mode="scho-eta", values=(-0.5,)),
     dict(mode="scho-xc", values=(1.0,), grid_points=4),
     dict(mode="scho-xc", values=(1.0,), pad_factor=0),
-    dict(mode="scho-xc", values=(1.0,), tol=0.0),
-    dict(mode="scho-xc", values=(1.0,), dtau=-1e-4),
+    dict(mode="scho-xc", values=(1.0,), n_lo=-1, n_hi=0),
+    dict(mode="acho-eta", values=(-1.0,)),
     dict(mode="scho-xc", values=(1.0,), cross_tol=0.0),
     dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
-    dict(mode="acho-dm", values=(1.0,), solvers=("variational",), tol=1e-10),
-    dict(mode="scho-eta", values=(0.1,), solvers=("pt", "exact"), dtau=1e-4),
+    dict(mode="scho-xc", values=(1.0,), solvers=()),
+    dict(mode="scho-xc", values=(1.0,), solvers=("itp", "exact"),
+         cross_tol=0.0),
     dict(mode="scho-xc", values=(1.0,), solvers=("exact",), cross_tol=1e-6),
 ])
 def test_spec_rejects(kw):
@@ -306,6 +307,23 @@ def test_cli_solve_writes_expected_energy(tmp_path):
     assert row.shannon_ok and row.fisher_ok and row.onicescu_ok
 
 
+def test_cli_solve_takes_a_solver_pair(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main(["solve", "--mode", "scho-xc", "--value", "2", "--n", "2",
+                 "--solver", "exact,itp", "--grid-points", "600",
+                 "--format", "csv", "--out", str(out)]) == 0
+    rows = rows_from_csv(out.read_text())
+    assert [(r.n, r.solver) for r in rows] == [(2, "exact"), (2, "itp")]
+    assert all(abs(r.energy - EPS2_XC2) < 1e-6 for r in rows)
+
+
+def test_cli_phase_rejects_a_solver_pair(capsys):
+    assert main(["phase", "--value", "2", "--solver", "exact,itp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "phase reads one solver, got 'exact,itp'" in captured.err
+
+
 def test_cli_solve_failure_exit_code(tmp_path):
     out = tmp_path / "row.csv"
     rc = main(["solve", "--mode", "scho-xc", "--value", "8", "--n", "0",
@@ -418,17 +436,12 @@ def test_cli_orbit_honours_the_format(tmp_path):
     assert tsv.replace("\t", ",") == csv_loop.read_text()
 
 
-def test_cli_rejects_relaxation_settings_on_other_routes(capsys):
-    for flag in ("--tol", "--dtau"):
-        assert main(["solve", "--mode", "acho-dm", "--value", "1", "--solver",
-                     "variational", flag, "1e-3", "--format", "csv"]) == 2
-        assert "applies only to the itp solver" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode", "scho-xc", "--value", "2", "--workers", "2"],
     ["phase", "--value", "2", "--workers", "2"],
     ["phase", "--value", "2", "--pad-factor", "4"],
+    ["solve", "--mode", "scho-xc", "--value", "2", "--dtau", "1e-4"],
+    ["sweep", "--config", "-", "--tol", "1e-11"],
 ])
 def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.sparse import diags
+from scipy.sparse.linalg import eigsh
 
+from confosc import itp_solver
 from confosc.exact_scho import scho_wavefunction
-from confosc.itp_solver import (ConvergenceError, LadderError, SolverConfig,
-                                build_penta, initial_guess, solve_spectrum,
-                                solve_state, stable_dtau)
+from confosc.itp_solver import (ConvergenceError, LadderError, build_penta,
+                                initial_guess, solve_spectrum, solve_state,
+                                stable_dtau)
 from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
                            apply_bands, box_grid, hamiltonian_bands,
                            scho_unit_box)
@@ -27,7 +30,7 @@ def relax_step(system, values):
     """One half-implicit step on full-grid samples, renormalized; returns the
     new samples and their energy on the system's Hamiltonian."""
     psi = values[1:-1]
-    y = system.solve(psi - 0.5 * system.dtau * system.apply_hamiltonian(psi))
+    y = 2.0 * system.solve(psi) - psi
     y = y / math.sqrt(system.grid.h * float(y @ y))
     out = np.zeros(len(values))
     out[1:-1] = y
@@ -68,15 +71,6 @@ def test_build_penta_rejects_bad_dtau():
         build_penta(pot, grid, 0.0)
     with pytest.raises(DomainError):
         build_penta(pot, grid, -1e-4)
-
-
-def test_solver_config_guards():
-    with pytest.raises(DomainError):
-        SolverConfig(dtau=-1.0)
-    with pytest.raises(DomainError):
-        SolverConfig(energy_tol=0.0)
-    with pytest.raises(DomainError):
-        SolverConfig(max_steps=0)
 
 
 def test_initial_guess_shape_norm_nodes():
@@ -138,8 +132,7 @@ def test_step_contract_true_value():
 def test_solve_state_weak_well_reference():
     pot, mass = scho_unit_box(0.001)
     grid = box_grid(-1.0, 1.0, 1200)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass))
-    st = solve_state(pot, grid, 0, cfg, mass=mass)
+    st = solve_state(pot, grid, 0, mass=mass)
     assert abs(st.energy - 1.2337658950) < 1e-7
     assert st.provenance == "itp"
 
@@ -147,16 +140,14 @@ def test_solve_state_weak_well_reference():
 def test_solve_state_offset_well_reference():
     pot, mass = acho_unit_box(1.0, 5.0)
     grid = box_grid(-1.0, 1.0, 2000)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass))
-    st = solve_state(pot, grid, 0, cfg, mass=mass)
+    st = solve_state(pot, grid, 0, mass=mass)
     assert abs(st.energy - 26.065225076) < 1e-6
 
 
 def test_solve_spectrum_pure_box_level():
     pot = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)
     grid = box_grid(-1.0, 1.0, 2000)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=2))
-    states = solve_spectrum(pot, grid, 2, cfg)
+    states = solve_spectrum(pot, grid, 2)
     assert abs(states[2].energy - 9.0 * math.pi ** 2 / 8.0) < 1e-7
 
 
@@ -175,6 +166,33 @@ def test_ladder_energies_orthonormal_and_match_roots(xc2_itp_ladder):
     assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-9
 
 
+def banded_eigenpairs(pot, grid, count):
+    """The `count` lowest eigenpairs of `hamiltonian_bands` by a direct
+    shift-invert Lanczos solve, with the grid states' norm."""
+    bands = hamiltonian_bands(pot, grid)
+    d1, d2 = bands[1, 1:], bands[0, 2:]
+    mat = diags([d2, d1, bands[2], d1, d2], [-2, -1, 0, 1, 2], format="csc")
+    vals, vecs = eigsh(mat, k=count, sigma=0.0,
+                       v0=np.ones(grid.n_interior))
+    return vals, vecs.T / math.sqrt(grid.h)
+
+
+@pytest.mark.parametrize("x_c", [2.0, 5.0])
+def test_ladder_matches_a_direct_banded_eigensolve(x_c):
+    # relaxation must reach the fixed point of its own operator: the
+    # eigenvectors of the shared discrete H, not just their energies
+    pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
+    grid = box_grid(-x_c, x_c, 2000)
+    states = solve_spectrum(pot, grid, 4)
+    energies, vectors = banded_eigenpairs(pot, grid, 5)
+    for st, e, v in zip(states, energies, vectors):
+        psi = st.values[1:-1]
+        # odd states peak twice with equal |psi|, so fix the sign by overlap
+        v = v if psi @ v > 0 else -v
+        assert abs(st.energy - e) <= 1e-9 * e
+        assert np.max(np.abs(psi - v)) <= 1e-9
+
+
 def test_projection_keeps_excited_state_clean(xc2_itp_ladder):
     pot, grid, states = xc2_itp_ladder
     overlap = grid.h * float(np.dot(states[0].values, states[1].values))
@@ -186,38 +204,37 @@ def test_refinement_halving_cuts_error_by_eight():
     errs = []
     for n_int in (250, 500):
         grid = box_grid(-2.0, 2.0, n_int)
-        cfg = SolverConfig(dtau=stable_dtau(pot, grid))
-        st = solve_state(pot, grid, 0, cfg)
+        st = solve_state(pot, grid, 0)
         errs.append(abs(st.energy - EPS0_XC2))
     assert errs[0] / errs[1] >= 8.0
 
 
 def test_stable_dtau_tightens_for_stiff_meshes():
-    # at the production mesh the race bound sits below the generic 1e-4
-    # default (which is exactly the regime where that default diverges)
+    # at the production mesh the race bound sits below 1e-4, a step at which
+    # relaxation on this mesh diverges; solve_state takes the bound instead
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-0.25, b2=0.25)
     grid = box_grid(-0.25, 0.25, 2000)
     dtau = stable_dtau(pot, grid)
     assert 0.0 < dtau < 1e-4
-    st = solve_state(pot, grid, 0, SolverConfig(dtau=dtau))
+    st = solve_state(pot, grid, 0)
     assert abs(st.energy - 19.74329275027983) < 2e-6
 
 
-def test_convergence_error_reports_step_budget():
+def test_convergence_error_reports_step_budget(monkeypatch):
+    monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 300)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass), max_steps=10)
     with pytest.raises(ConvergenceError) as err:
-        solve_state(pot, grid, 0, cfg, mass=mass)
+        solve_state(pot, grid, 0, mass=mass)
     assert "10" in str(err.value)
 
 
-def test_ladder_error_names_failing_state():
+def test_ladder_error_names_failing_state(monkeypatch):
+    monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 300)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass), max_steps=10)
     with pytest.raises(LadderError) as err:
-        solve_spectrum(pot, grid, 1, cfg, mass=mass)
+        solve_spectrum(pot, grid, 1, mass=mass)
     assert err.value.state_index == 0
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import _oracles as O
-from confosc.itp_solver import SolverConfig, solve_state, stable_dtau
+from confosc.itp_solver import solve_state
 from confosc.model import DomainError, box_grid, scho_unit_box, simpson_weights
 from confosc.perturbation import (pib_energy_unit_box, pib_state_values,
                                   pib_x2_element, pt_energy, pt_fisher_x,
@@ -161,8 +161,7 @@ def test_mixed_state_guards():
 def test_weak_well_state_matches_relaxation():
     grid = odd_grid()
     pot, mass = scho_unit_box(0.001)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass))
-    ref = solve_state(pot, grid, 0, cfg, mass=mass)
+    ref = solve_state(pot, grid, 0, mass=mass)
     state = pt_wavefunction(0, 0.001, grid, num_terms=2)
     w = simpson_weights(grid.n_points, grid.h)
     overlap = abs(float(w @ (state.values * ref.values)))
@@ -173,8 +172,7 @@ def test_each_extra_partner_improves_the_state():
     # measured 1 - overlap at strength 0.5: 7.4e-6 -> 2.8e-8 -> 1.1e-9 -> 2e-10
     grid = odd_grid()
     pot, mass = scho_unit_box(0.5)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, mass=mass))
-    ref = solve_state(pot, grid, 0, cfg, mass=mass)
+    ref = solve_state(pot, grid, 0, mass=mass)
     w = simpson_weights(grid.n_points, grid.h)
     overlaps = []
     for terms in (0, 1, 2, 4):

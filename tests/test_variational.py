@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from confosc.exact_scho import scho_eigenvalue
-from confosc.itp_solver import (SolverConfig, build_penta, solve_state,
-                                stable_dtau)
+from confosc.itp_solver import build_penta, solve_state
 from confosc.model import DomainError, acho_unit_box, box_grid, simpson_weights
 from confosc.variational import (DEFAULT_ALPHA, BasisError, build_basis,
                                  diagonalize, hamiltonian_matrix, solve_acho)
@@ -109,10 +108,9 @@ def test_transposed_reference_entry_corrected_value():
     res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
     assert abs(res.energies[3] - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
     grid = box_grid(-1.0, 1.0, 2000)
-    cfg = SolverConfig(dtau=stable_dtau(pot, grid, n_max=3, mass=mass))
     lower = []
     for n in range(4):
-        lower.append(solve_state(pot, grid, n, cfg, lower_states=tuple(lower),
+        lower.append(solve_state(pot, grid, n, lower_states=tuple(lower),
                                  mass=mass))
     assert abs(lower[3].energy - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-6
 
