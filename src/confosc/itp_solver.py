@@ -1,39 +1,47 @@
 """Diffusion (imaginary-time) relaxation to box eigenstates.
 
-One half-implicit step is
+One step is backward Euler in imaginary time, measured from the well floor:
 
-    psi' = [1 + (dtau/2) H]^-1 [1 - (dtau/2) H] psi = 2 L^-1 psi - psi,
+    psi' = L^-1 psi,    L = 1 + dtau (H - V_min),
 
-L = 1 + (dtau/2) H, with H the shared discrete Hamiltonian
-`model.hamiltonian_bands` (the five-point kinetic stencil plus the diagonal
-well on the interior points, hard walls = Dirichlet zeros; its wall closure
-is described there). The second form makes each step one banded solve and
-no product with H. Excited states are kept orthogonal to the converged
-ladder below them by per-step Gram-Schmidt.
+followed by Gram-Schmidt against the converged ladder below (deflation) and
+renormalisation. H is the shared discrete Hamiltonian `model.hamiltonian_bands`
+(the five-point kinetic stencil plus the diagonal well on the interior
+points, hard walls = Dirichlet zeros; its wall closure is described there)
+and V_min the smallest interior well value. A step is one banded solve and
+no product with H.
 
 Numerical notes that the equations do not show:
 
-* Left matrix: L is symmetric positive definite, so the banded no-pivot
-  factorization is a Cholesky one (LAPACK pbtrf/pbtrs). Strict diagonal
-  dominance holds only for dtau < 12 m h^2 / hbar^2, but it is sufficient,
-  not necessary: positive pivots are the actual no-pivot success condition,
-  so dominance is neither checked nor required, and a pivot failure raises
-  StepSizeError.
+* No race between levels: an eigencomponent of level lambda is scaled by
+  1/(1 + dtau (lambda - V_min)), which falls monotonically in lambda for
+  every dtau > 0, so the top of the discrete spectrum is damped hardest and
+  no step bound exists (the Crank-Nicolson filter (1-x)/(1+x) tends to -1
+  there and would bound dtau by the mesh). The deflated fixed point is the
+  eigenvector of H.
 
-* Step size: the half-implicit filter (1-x)/(1+x), x = dtau*lambda/2, damps
-  the top of the discrete spectrum slower than the target level once
-  dtau^2 * eps_n * lambda_max > 4, and the iteration then relaxes to the
-  wrong end. `solve_state` takes its step from `stable_dtau` for its own
-  target level n, which keeps below that bound from the Gershgorin bound on
-  lambda_max and a flat-box ceiling for eps_n.
+* Floor shift: the stencil is positive definite and V - V_min >= 0, so
+  H - V_min is too; L >= 1 is symmetric positive definite and its banded
+  Cholesky factor (LAPACK pbtrf/pbtrs) always exists. The slowest error of
+  level n, its component along level n+1, shrinks by (1 + a) / (1 + a + g)
+  per step, a = dtau (E_n - V_min) and g = dtau (E_n+1 - E_n). Without the
+  shift a would hold the whole height of the well, which is large when the
+  minimum lies outside the box, and the ratio would sit near 1.
 
-* Stopping: every 200 steps the run compares the iterate with the one of
-  the previous check. The run ends at the wavefunction fixed point, when
+* Step size: dtau = 1/eps_box, eps_box = pi^2 / (2 m (b2 - b1)^2) the
+  flat-box ground level, derived from the box alone with no setting. Every
+  level has E_n - V_min >= eps_box (to the O(h^4) stencil error), so
+  a >= 1, and since 1 + a <= 2a the rate ln(1 + g/(1 + a)) is at least half
+  the rate ln(1 + g/a) of the dtau -> infinity limit (inverse iteration
+  from the floor), at any mesh.
+
+* Stopping: after every step the run compares the iterate with the one
+  before it. The run ends at the wavefunction fixed point, when
   max|psi - psi_prev| stays below 1e-12 * max|psi| at three consecutive
-  checks; the interval, the 1e-12, the three and the step budget are module
-  constants. The energy is computed once, from the final iterate. An energy
-  plateau is no stopping rule: the energy error is quadratic in the
-  wavefunction error, so it settles while psi is still visibly off.
+  steps; the 1e-12, the three and the step budget are module constants.
+  The energy is computed once, from the final iterate. An energy plateau
+  is no stopping rule: the energy error is quadratic in the wavefunction
+  error, so it settles while psi is still visibly off.
 """
 
 from __future__ import annotations
@@ -46,20 +54,14 @@ from numpy.polynomial.hermite import hermval
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, canonical_sign, gershgorin_bound,
-                    hamiltonian_bands)
+                    apply_bands, canonical_sign, hamiltonian_bands)
 
 
-_CHECK_INTERVAL = 200   # steps between convergence checks
 _PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
-_CONSECUTIVE = 3        # plateau checks in a row that end a run
-_MAX_STEPS = 2_000_000  # step budget per level
+_CONSECUTIVE = 3        # plateau steps in a row that end a run
+_MAX_STEPS = 10_000     # step budget per level
 
 _PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
-
-
-class StepSizeError(RuntimeError):
-    """Factorization broke down; retry with a smaller dtau."""
 
 
 class ConvergenceError(RuntimeError):
@@ -74,7 +76,7 @@ class LadderError(RuntimeError):
 
 @dataclass(frozen=True)
 class PentaSystem:
-    """Factored half-implicit step operator plus the matching Hamiltonian."""
+    """Factored backward-Euler step operator plus the matching Hamiltonian."""
     grid: Grid
     bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
@@ -83,11 +85,8 @@ class PentaSystem:
         return apply_bands(self.bands, psi_interior)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """[1 + (dtau/2) H]^-1 rhs through the banded Cholesky factor."""
-        x, info = _PBTRS(self.cholesky, rhs, lower=False)
-        if info != 0:
-            raise StepSizeError("banded back-substitution failed (info=%d)" % info)
-        return x
+        """[1 + dtau (H - V_min)]^-1 rhs through the banded Cholesky factor."""
+        return _PBTRS(self.cholesky, rhs, lower=False)[0]
 
 
 def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
@@ -95,16 +94,10 @@ def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
     if dtau <= 0:
         raise DomainError("dtau must be positive")
     bands = hamiltonian_bands(pot, grid, mass)
-    ab = (0.5 * dtau) * bands
-    ab[2] += 1.0
-    if ab[2].min() <= 0:
-        raise StepSizeError("left matrix lost positivity; reduce dtau")
-    try:
-        cb = cholesky_banded(ab, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise StepSizeError("non-positive pivot in banded factorization; "
-                            "reduce dtau") from exc
-    return PentaSystem(grid=grid, bands=bands, cholesky=cb)
+    ab = dtau * bands
+    ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
+    return PentaSystem(grid=grid, bands=bands,
+                       cholesky=cholesky_banded(ab, lower=False))
 
 
 def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
@@ -121,27 +114,13 @@ def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     return vals
 
 
-def stable_dtau(pot: ConfinedPotential, grid: Grid, n: int = 0,
-                mass: float = 1.0) -> float:
-    """A step size below the top-vs-bottom relaxation race bound for level n.
-
-    lambda_max from `model.gershgorin_bound`, an upper bound for level n
-    from the flat-box spectrum plus the in-box well maximum;
-    dtau = 0.7 * 2 / sqrt(eps_n * lambda_max)."""
-    kin = 1.0 / (2.0 * mass)
-    vmax = float(np.max(pot.interior_values(grid)))
-    lam_max = gershgorin_bound(pot, grid, mass)
-    box_len = pot.b2 - pot.b1
-    eps_n = (n + 1) ** 2 * math.pi ** 2 * kin / box_len ** 2 + vmax
-    return 0.7 * 2.0 / math.sqrt(eps_n * lam_max)
-
-
 def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
                 lower_states: tuple[Eigenpair, ...] = (),
                 mass: float = 1.0) -> Eigenpair:
     """Relax to state n, keeping the iterate orthogonal to `lower_states`
     (which must be the converged states 0..n-1 on the same grid)."""
-    system = build_penta(pot, grid, stable_dtau(pot, grid, n, mass), mass)
+    box_ground = math.pi ** 2 / (2.0 * mass * (pot.b2 - pot.b1) ** 2)
+    system = build_penta(pot, grid, 1.0 / box_ground, mass)
     h = grid.h
 
     psi = initial_guess(n, grid, pot)[1:-1]
@@ -155,24 +134,17 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
                                    "lower ladder")
         psi /= nrm
 
-    psi_ref = None
     hits = 0
-    for it in range(1, _MAX_STEPS + 1):
+    for _ in range(_MAX_STEPS):
         y = system.solve(psi)
-        y *= 2.0
-        y -= psi
         if low is not None:
             y -= low.T @ (low @ y) * h
         y /= math.sqrt(h * float(y @ y))
+        dpsi = float(np.max(np.abs(y - psi)))
+        hits = hits + 1 if dpsi < _PSI_TOL * float(np.max(np.abs(y))) else 0
         psi = y
-        if it % _CHECK_INTERVAL == 0:
-            if psi_ref is not None:
-                dpsi = float(np.max(np.abs(psi - psi_ref)))
-                scale = float(np.max(np.abs(psi)))
-                hits = hits + 1 if dpsi < _PSI_TOL * scale else 0
-                if hits >= _CONSECUTIVE:
-                    break
-            psi_ref = psi.copy()
+        if hits >= _CONSECUTIVE:
+            break
 
     e = h * float(psi @ system.apply_hamiltonian(psi))
     if hits < _CONSECUTIVE:
@@ -194,7 +166,7 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
     for n in range(n_max + 1):
         try:
             ep = solve_state(pot, grid, n, tuple(states), mass)
-        except (StepSizeError, ConvergenceError) as exc:
+        except ConvergenceError as exc:
             raise LadderError("ladder failed at state %d: %s" % (n, exc),
                               state_index=n) from exc
         states.append(ep)

@@ -152,19 +152,13 @@ def apply_bands(bands: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def gershgorin_bound(pot: ConfinedPotential, grid: Grid,
-                     mass: float = 1.0) -> float:
-    """Gershgorin upper bound on the largest eigenvalue of the
-    `hamiltonian_bands` matrix: the stencil's absolute row sum, 16/3 in units
-    of kin/h^2, plus the largest well value."""
-    kin = 1.0 / (2.0 * mass)
-    vmax = float(np.max(pot.interior_values(grid)))
-    return (16.0 / 3.0) * kin / grid.h**2 + vmax
-
-
 def canonical_sign(psi: np.ndarray) -> np.ndarray:
-    """psi or -psi, whichever is positive at its largest-magnitude sample."""
-    k = int(np.argmax(np.abs(psi)))
+    """psi or -psi, whichever is positive at its leftmost sample whose
+    magnitude is within 1e-6 relative of the largest. The tolerance makes
+    the sign of a state with two equal peaks (an odd state of a centred
+    well) independent of rounding."""
+    mag = np.abs(psi)
+    k = int(np.argmax(mag >= (1.0 - 1e-6) * mag.max()))
     return -psi if psi[k] < 0 else psi
 
 

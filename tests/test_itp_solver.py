@@ -8,12 +8,12 @@ from scipy.sparse.linalg import eigsh
 
 from confosc import itp_solver
 from confosc.exact_scho import scho_wavefunction
-from confosc.itp_solver import (ConvergenceError, LadderError, build_penta,
-                                initial_guess, solve_spectrum, solve_state,
-                                stable_dtau)
+from confosc.itp_solver import (ConvergenceError, LadderError, PentaSystem,
+                                build_penta, initial_guess, solve_spectrum,
+                                solve_state)
 from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
-                           apply_bands, box_grid, hamiltonian_bands,
-                           scho_unit_box)
+                           apply_bands, box_grid, canonical_sign,
+                           hamiltonian_bands, scho_unit_box)
 
 EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho)
 ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
@@ -27,10 +27,9 @@ def energy_expectation(values, pot, grid, mass=1.0):
 
 
 def relax_step(system, values):
-    """One half-implicit step on full-grid samples, renormalized; returns the
-    new samples and their energy on the system's Hamiltonian."""
-    psi = values[1:-1]
-    y = 2.0 * system.solve(psi) - psi
+    """One backward-Euler step on full-grid samples, renormalized; returns
+    the new samples and their energy on the system's Hamiltonian."""
+    y = system.solve(values[1:-1])
     y = y / math.sqrt(system.grid.h * float(y @ y))
     out = np.zeros(len(values))
     out[1:-1] = y
@@ -53,10 +52,10 @@ def test_free_particle_row_coefficients():
     # the relaxation route propagates with these bands
     sys_ = build_penta(pot, grid, dtau)
     assert np.array_equal(sys_.bands, bands)
-    # the factor solves the left matrix I + (dtau/2) H
+    # the factor solves the left matrix I + dtau (H - V_min), V_min = 0 here
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
     x = sys_.solve(rhs)
-    lhs = x + 0.5 * dtau * sys_.apply_hamiltonian(x)
+    lhs = x + dtau * sys_.apply_hamiltonian(x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # hard-wall closure only touches the two wall-adjacent diagonal entries
     assert math.isclose(d0[0], 5.0 / (4.0 * h2) - 1.0 / (24.0 * h2),
@@ -89,7 +88,8 @@ def test_initial_guess_shape_norm_nodes():
 def test_step_preserves_norm_and_decreases_energy():
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 400)
-    dtau = stable_dtau(pot, grid, mass=mass)
+    # the route's step: the inverse flat-box ground level
+    dtau = 2.0 * mass * (pot.b2 - pot.b1) ** 2 / math.pi ** 2
     sys_ = build_penta(pot, grid, dtau, mass=mass)
     vals = initial_guess(0, grid, pot)
     energies = [energy_expectation(vals, pot, grid, mass=mass)]
@@ -166,31 +166,52 @@ def test_ladder_energies_orthonormal_and_match_roots(xc2_itp_ladder):
     assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-9
 
 
-def banded_eigenpairs(pot, grid, count):
+def banded_eigenpairs(pot, grid, count, mass=1.0):
     """The `count` lowest eigenpairs of `hamiltonian_bands` by a direct
-    shift-invert Lanczos solve, with the grid states' norm."""
-    bands = hamiltonian_bands(pot, grid)
+    shift-invert Lanczos solve, with the grid states' norm and sign."""
+    bands = hamiltonian_bands(pot, grid, mass)
     d1, d2 = bands[1, 1:], bands[0, 2:]
     mat = diags([d2, d1, bands[2], d1, d2], [-2, -1, 0, 1, 2], format="csc")
     vals, vecs = eigsh(mat, k=count, sigma=0.0,
                        v0=np.ones(grid.n_interior))
-    return vals, vecs.T / math.sqrt(grid.h)
+    return vals, [canonical_sign(v) for v in vecs.T / math.sqrt(grid.h)]
 
 
-@pytest.mark.parametrize("x_c", [2.0, 5.0])
-def test_ladder_matches_a_direct_banded_eigensolve(x_c):
+def _box(x_c):
+    return ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c), 1.0
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(_box(2.0), id="2.0"),
+    pytest.param(_box(5.0), id="5.0"),
+    pytest.param(_box(8.0), id="scho-xc-8"),
+    pytest.param(scho_unit_box(2500.0), id="scho-eta-2500"),
+    pytest.param(acho_unit_box(1.0, 10.0), id="acho-dm-10-eta-1"),
+    pytest.param(acho_unit_box(100.0, 10.0), id="acho-dm-10-eta-100"),
+    pytest.param((ConfinedPotential(k=0.0), 1.0), id="flat-box"),
+])
+def test_ladder_matches_a_direct_banded_eigensolve(problem):
     # relaxation must reach the fixed point of its own operator: the
     # eigenvectors of the shared discrete H, not just their energies
-    pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
-    grid = box_grid(-x_c, x_c, 2000)
-    states = solve_spectrum(pot, grid, 4)
-    energies, vectors = banded_eigenpairs(pot, grid, 5)
+    pot, mass = problem
+    grid = box_grid(pot.b1, pot.b2, 2000)
+    states = solve_spectrum(pot, grid, 4, mass=mass)
+    energies, vectors = banded_eigenpairs(pot, grid, 5, mass)
     for st, e, v in zip(states, energies, vectors):
-        psi = st.values[1:-1]
-        # odd states peak twice with equal |psi|, so fix the sign by overlap
-        v = v if psi @ v > 0 else -v
-        assert abs(st.energy - e) <= 1e-9 * e
-        assert np.max(np.abs(psi - v)) <= 1e-9
+        assert abs(st.energy - e) <= 1e-10 * e
+        assert np.max(np.abs(st.values[1:-1] - v)) <= 1e-10
+
+
+def test_offset_ladder_takes_hundreds_of_steps(monkeypatch):
+    # a strong well with its minimum far outside the box, where the levels
+    # sit high above zero and close together: the slowest ladder measured
+    calls = []
+    solve = PentaSystem.solve
+    monkeypatch.setattr(PentaSystem, "solve",
+                        lambda self, rhs: calls.append(1) or solve(self, rhs))
+    pot, mass = acho_unit_box(100.0, 10.0)
+    solve_spectrum(pot, box_grid(-1.0, 1.0, 2000), 4, mass=mass)
+    assert len(calls) <= 1000
 
 
 def test_projection_keeps_excited_state_clean(xc2_itp_ladder):
@@ -209,13 +230,11 @@ def test_refinement_halving_cuts_error_by_eight():
     assert errs[0] / errs[1] >= 8.0
 
 
-def test_stable_dtau_tightens_for_stiff_meshes():
-    # at the production mesh the race bound sits below 1e-4, a step at which
-    # relaxation on this mesh diverges; solve_state takes the bound instead
+def test_stiff_mesh_ground_level():
+    # the narrowest table box on the production mesh: the stiffest stencil
+    # any table relaxes with (h^-2 ~ 1.6e7)
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-0.25, b2=0.25)
     grid = box_grid(-0.25, 0.25, 2000)
-    dtau = stable_dtau(pot, grid)
-    assert 0.0 < dtau < 1e-4
     st = solve_state(pot, grid, 0)
     assert abs(st.energy - 19.74329275027983) < 2e-6
 
