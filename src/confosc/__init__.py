@@ -8,9 +8,7 @@ semiclassical phase-plane view, and a deterministic sweep/report CLI.
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid, WALL,
                     acho_unit_box, box_grid, scho_unit_box, simpson_weights)
-from .itp_solver import (ConvergenceError, LadderError, PentaSystem,
-                         build_penta, initial_guess, solve_spectrum,
-                         solve_state)
+from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          pib_measures, scho_eigenvalue, scho_wavefunction)
 from .variational import (BasisError, BasisSet, DEFAULT_ALPHA,

@@ -70,6 +70,9 @@ class SweepSpec:
             raise DomainError("unknown mode '%s'" % self.mode)
         if not self.values:
             raise DomainError("empty value list")
+        if not all(map(math.isfinite, (*self.values, self.eta, self.d_m,
+                                       self.cross_tol or 0.0))):
+            raise DomainError("values, eta, dm and cross_tol must be finite")
         if not (0 <= self.n_lo <= self.n_hi):
             raise DomainError("need 0 <= n_lo <= n_hi")
         if not (1 <= len(self.solvers) <= 2):

@@ -6,10 +6,10 @@ One step is backward Euler in imaginary time, measured from the well floor:
 
 followed by Gram-Schmidt against the converged ladder below (deflation) and
 renormalisation. H is the shared discrete Hamiltonian `model.hamiltonian_bands`
-(the five-point kinetic stencil plus the diagonal well on the interior
-points, hard walls = Dirichlet zeros; its wall closure is described there)
-and V_min the smallest interior well value. A step is one banded solve and
-no product with H.
+(five-point kinetic stencil plus the well on the interior points, hard walls
+= Dirichlet zeros) and V_min the smallest interior well value.
+`solve_spectrum` builds H and the banded Cholesky factor of L once per
+ladder; a step is one banded solve and no product with H.
 
 Numerical notes that the equations do not show:
 
@@ -17,7 +17,7 @@ Numerical notes that the equations do not show:
   1/(1 + dtau (lambda - V_min)), which falls monotonically in lambda for
   every dtau > 0, so the top of the discrete spectrum is damped hardest and
   no step bound exists (the Crank-Nicolson filter (1-x)/(1+x) tends to -1
-  there and would bound dtau by the mesh). The deflated fixed point is the
+  there and would bound dtau by the mesh). The deflated fixed point is an
   eigenvector of H.
 
 * Floor shift: the stencil is positive definite and V - V_min >= 0, so
@@ -29,17 +29,16 @@ Numerical notes that the equations do not show:
   minimum lies outside the box, and the ratio would sit near 1.
 
 * Step size: dtau = 1/eps_box, eps_box = pi^2 / (2 m (b2 - b1)^2) the
-  flat-box ground level, derived from the box alone with no setting. Every
-  level has E_n - V_min >= eps_box (to the O(h^4) stencil error), so
+  flat-box ground level, derived from the box and the mass with no setting.
+  Every level has E_n - V_min >= eps_box (to the O(h^4) stencil error), so
   a >= 1, and since 1 + a <= 2a the rate ln(1 + g/(1 + a)) is at least half
   the rate ln(1 + g/a) of the dtau -> infinity limit (inverse iteration
   from the floor), at any mesh.
 
-* Stopping: after every step the run compares the iterate with the one
-  before it. The run ends at the wavefunction fixed point, when
+* Stopping: a level ends at the wavefunction fixed point, when
   max|psi - psi_prev| stays below 1e-12 * max|psi| at three consecutive
-  steps; the 1e-12, the three and the step budget are module constants.
-  The energy is computed once, from the final iterate. An energy plateau
+  steps (the 1e-12, the three and the step budget are module constants);
+  its energy is computed once, from the final iterate. An energy plateau
   is no stopping rule: the energy error is quadratic in the wavefunction
   error, so it settles while psi is still visibly off.
 """
@@ -64,11 +63,9 @@ _MAX_STEPS = 10_000     # step budget per level
 _PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
-class ConvergenceError(RuntimeError):
-    """A level did not reach its fixed point within the step budget."""
-
-
 class LadderError(RuntimeError):
+    """A ladder failed; `state_index` names the level, or is -1 when the
+    finished ladder fails its ordering or orthonormality check."""
     def __init__(self, message: str, state_index: int):
         super().__init__(message)
         self.state_index = state_index
@@ -76,69 +73,46 @@ class LadderError(RuntimeError):
 
 @dataclass(frozen=True)
 class PentaSystem:
-    """Factored backward-Euler step operator plus the matching Hamiltonian."""
+    """One ladder's factored backward-Euler step operator and its H."""
     grid: Grid
     bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
-
-    def apply_hamiltonian(self, psi_interior: np.ndarray) -> np.ndarray:
-        return apply_bands(self.bands, psi_interior)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[1 + dtau (H - V_min)]^-1 rhs through the banded Cholesky factor."""
         return _PBTRS(self.cholesky, rhs, lower=False)[0]
 
 
-def build_penta(pot: ConfinedPotential, grid: Grid, dtau: float,
-                mass: float = 1.0) -> PentaSystem:
-    if dtau <= 0:
-        raise DomainError("dtau must be positive")
-    bands = hamiltonian_bands(pot, grid, mass)
-    ab = dtau * bands
-    ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
-    return PentaSystem(grid=grid, bands=bands,
-                       cholesky=cholesky_banded(ab, lower=False))
-
-
-def initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
+def _initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     """Hermite-times-Gaussian trial profile centred on the well minimum,
     zeroed at the walls and normalized so that h * sum(psi^2) = 1."""
-    if m < 0:
-        raise DomainError("state index must be >= 0")
     y = grid.points - pot.d_m
     coeffs = [0.0] * m + [1.0]
     vals = hermval(y, coeffs) * np.exp(-y * y)
-    vals[0] = 0.0
-    vals[-1] = 0.0
+    vals[0] = vals[-1] = 0.0
     vals /= math.sqrt(grid.h * float(vals @ vals))
     return vals
 
 
-def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
-                lower_states: tuple[Eigenpair, ...] = (),
-                mass: float = 1.0) -> Eigenpair:
-    """Relax to state n, keeping the iterate orthogonal to `lower_states`
-    (which must be the converged states 0..n-1 on the same grid)."""
-    box_ground = math.pi ** 2 / (2.0 * mass * (pot.b2 - pot.b1) ** 2)
-    system = build_penta(pot, grid, 1.0 / box_ground, mass)
-    h = grid.h
-
-    psi = initial_guess(n, grid, pot)[1:-1]
-    low = None
-    if lower_states:
-        low = np.array([ep.values[1:-1] for ep in lower_states])
-        psi -= low.T @ (low @ psi) * h
+def solve_state(system: PentaSystem, pot: ConfinedPotential,
+                lower: np.ndarray) -> Eigenpair:
+    """Relax to state n = len(lower), keeping the iterate orthogonal to the
+    rows of `lower`, the converged interior states 0..n-1 of `system`."""
+    grid, h, n = system.grid, system.grid.h, len(lower)
+    psi = _initial_guess(n, grid, pot)[1:-1]
+    if n:
+        psi -= lower.T @ (lower @ psi) * h
         nrm = math.sqrt(h * float(psi @ psi))
         if nrm < 1e-8:
-            raise ConvergenceError("trial state lies in the span of the "
-                                   "lower ladder")
+            raise LadderError("ladder failed at state %d: trial state lies "
+                              "in the span of the lower ladder" % n, n)
         psi /= nrm
 
     hits = 0
     for _ in range(_MAX_STEPS):
         y = system.solve(psi)
-        if low is not None:
-            y -= low.T @ (low @ y) * h
+        if n:
+            y -= lower.T @ (lower @ y) * h
         y /= math.sqrt(h * float(y @ y))
         dpsi = float(np.max(np.abs(y - psi)))
         hits = hits + 1 if dpsi < _PSI_TOL * float(np.max(np.abs(y))) else 0
@@ -146,38 +120,39 @@ def solve_state(pot: ConfinedPotential, grid: Grid, n: int,
         if hits >= _CONSECUTIVE:
             break
 
-    e = h * float(psi @ system.apply_hamiltonian(psi))
+    e = h * float(psi @ apply_bands(system.bands, psi))
     if hits < _CONSECUTIVE:
-        raise ConvergenceError("state %d did not settle in %d steps "
-                               "(last energy %.12g)" % (n, _MAX_STEPS, e))
-    psi = canonical_sign(psi)
+        raise LadderError("ladder failed at state %d: did not settle in %d "
+                          "steps (last energy %.12g)" % (n, _MAX_STEPS, e), n)
     full = np.zeros(grid.n_points)
-    full[1:-1] = psi
+    full[1:-1] = canonical_sign(psi)
     return Eigenpair(n=n, energy=e, values=full, grid=grid, provenance="itp")
 
 
 def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
                    mass: float = 1.0) -> list[Eigenpair]:
-    """Relax the ladder 0..n_max bottom-up; raises LadderError naming the
-    failing index, and validates ordering plus mutual orthonormality."""
+    """Relax the ladder 0..n_max bottom-up with one factored step operator;
+    raises LadderError naming the failing index, and validates ordering
+    plus mutual orthonormality."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    states: list[Eigenpair] = []
-    for n in range(n_max + 1):
-        try:
-            ep = solve_state(pot, grid, n, tuple(states), mass)
-        except ConvergenceError as exc:
-            raise LadderError("ladder failed at state %d: %s" % (n, exc),
-                              state_index=n) from exc
-        states.append(ep)
+    bands = hamiltonian_bands(pot, grid, mass)
+    dtau = 1.0 / (math.pi ** 2 / (2.0 * mass * (pot.b2 - pot.b1) ** 2))
+    ab = dtau * bands
+    ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
+    system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False))
 
-    h = grid.h
+    mat = np.empty((n_max + 1, grid.n_interior))
+    states = []
+    for n in range(n_max + 1):
+        states.append(solve_state(system, pot, mat[:n]))
+        mat[n] = states[-1].values[1:-1]
+
     energies = [s.energy for s in states]
     if any(b <= a for a, b in zip(energies, energies[1:])):
         raise LadderError("energies not strictly increasing: %r" % energies,
-                          state_index=-1)
-    mat = np.array([s.values[1:-1] for s in states])
-    gram = mat @ mat.T * h
+                          -1)
+    gram = mat @ mat.T * grid.h
     if float(np.max(np.abs(gram - np.eye(len(states))))) > 1e-9:
-        raise LadderError("ladder lost orthonormality", state_index=-1)
+        raise LadderError("ladder lost orthonormality", -1)
     return states

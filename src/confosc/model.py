@@ -80,6 +80,8 @@ class ConfinedPotential:
     b2: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k, self.d_m, self.b1, self.b2))):
+            raise DomainError("k, d_m, b1 and b2 must be finite")
         if not self.b2 > self.b1:
             raise DomainError("wall order: need b1 < b2")
         if self.k < 0:
@@ -128,6 +130,8 @@ def hamiltonian_bands(pot: ConfinedPotential, grid: Grid,
     entries by one ghost coefficient (the -30 + 1 = -29 wall row). Truncating
     the ghost to zero instead costs O(h) in the eigenvalue.
     """
+    if not mass > 0:
+        raise DomainError("mass must be positive")
     h = grid.h
     kin = 1.0 / (2.0 * mass)
     c2 = kin / (12.0 * h**2)

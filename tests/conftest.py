@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from confosc import itp_solver
 from confosc.exact_scho import scho_wavefunction
 from confosc.itp_solver import solve_spectrum
 from confosc.model import ConfinedPotential, box_grid
@@ -27,3 +28,19 @@ def xc2_itp_ladder():
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-2.0, b2=2.0)
     grid = box_grid(-2.0, 2.0, 800)
     return pot, grid, solve_spectrum(pot, grid, 3)
+
+
+@pytest.fixture
+def route_system(monkeypatch):
+    """`route_system(pot, grid, mass)` is the factored step operator that
+    `solve_spectrum` builds for that problem, taken from a one-level ladder."""
+    def build(pot, grid, mass=1.0):
+        seen = []
+        solve_state = itp_solver.solve_state
+        monkeypatch.setattr(itp_solver, "solve_state",
+                            lambda system, *args: seen.append(system)
+                            or solve_state(system, *args))
+        solve_spectrum(pot, grid, 0, mass=mass)
+        monkeypatch.setattr(itp_solver, "solve_state", solve_state)
+        return seen[0]
+    return build

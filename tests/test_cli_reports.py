@@ -101,6 +101,18 @@ def test_parse_config_rejects(text, fragment):
     dict(mode="scho-xc", values=(1.0,), solvers=("itp", "exact"),
          cross_tol=0.0),
     dict(mode="scho-xc", values=(1.0,), solvers=("exact",), cross_tol=1e-6),
+    dict(mode="acho-dm", values=(math.nan,), solvers=("variational",)),
+    dict(mode="acho-dm", values=(1.0, math.inf), solvers=("variational",)),
+    dict(mode="scho-xc", values=(math.inf,)),
+    dict(mode="scho-eta", values=(math.nan,)),
+    dict(mode="acho-dm", values=(1.0,), eta=math.nan),
+    dict(mode="acho-dm", values=(1.0,), eta=math.inf),
+    dict(mode="acho-eta", values=(1.0,), d_m=math.nan),
+    dict(mode="acho-eta", values=(1.0,), d_m=-math.inf),
+    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
+         cross_tol=math.nan),
+    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
+         cross_tol=math.inf),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):

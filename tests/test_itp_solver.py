@@ -8,12 +8,11 @@ from scipy.sparse.linalg import eigsh
 
 from confosc import itp_solver
 from confosc.exact_scho import scho_wavefunction
-from confosc.itp_solver import (ConvergenceError, LadderError, PentaSystem,
-                                build_penta, initial_guess, solve_spectrum,
-                                solve_state)
-from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
-                           apply_bands, box_grid, canonical_sign,
-                           hamiltonian_bands, scho_unit_box)
+from confosc.itp_solver import (LadderError, PentaSystem, _initial_guess,
+                                solve_spectrum)
+from confosc.model import (ConfinedPotential, acho_unit_box, apply_bands,
+                           box_grid, canonical_sign, hamiltonian_bands,
+                           scho_unit_box)
 
 EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho)
 ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
@@ -33,14 +32,14 @@ def relax_step(system, values):
     y = y / math.sqrt(system.grid.h * float(y @ y))
     out = np.zeros(len(values))
     out[1:-1] = y
-    return out, system.grid.h * float(y @ system.apply_hamiltonian(y))
+    return out, system.grid.h * float(y @ apply_bands(system.bands, y))
 
 
-def test_free_particle_row_coefficients():
+def test_free_particle_row_coefficients(route_system):
     # V = 0 rows: diagonal 5/(4 h^2), first off -2/(3 h^2), second 1/(24 h^2)
     pot = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)
     grid = box_grid(-1.0, 1.0, 64)
-    dtau = 1e-3
+    dtau = 8.0 / math.pi ** 2     # the route's 1/eps_box, eps_box = pi^2/8
     bands = hamiltonian_bands(pot, grid)
     d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
     h2 = grid.h ** 2
@@ -50,12 +49,12 @@ def test_free_particle_row_coefficients():
     assert np.allclose(d2, 1.0 / (24.0 * h2), rtol=1e-14)
     assert not bands[1, 0] and not bands[0, :2].any()
     # the relaxation route propagates with these bands
-    sys_ = build_penta(pot, grid, dtau)
+    sys_ = route_system(pot, grid)
     assert np.array_equal(sys_.bands, bands)
     # the factor solves the left matrix I + dtau (H - V_min), V_min = 0 here
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
     x = sys_.solve(rhs)
-    lhs = x + dtau * sys_.apply_hamiltonian(x)
+    lhs = x + dtau * apply_bands(bands, x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # hard-wall closure only touches the two wall-adjacent diagonal entries
     assert math.isclose(d0[0], 5.0 / (4.0 * h2) - 1.0 / (24.0 * h2),
@@ -63,20 +62,11 @@ def test_free_particle_row_coefficients():
     assert d0[0] == d0[-1]
 
 
-def test_build_penta_rejects_bad_dtau():
-    pot, _ = scho_unit_box(1.0)
-    grid = box_grid(-1.0, 1.0, 32)
-    with pytest.raises(DomainError):
-        build_penta(pot, grid, 0.0)
-    with pytest.raises(DomainError):
-        build_penta(pot, grid, -1e-4)
-
-
 def test_initial_guess_shape_norm_nodes():
     pot, _ = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 500)
     for m in range(3):
-        vals = initial_guess(m, grid, pot)
+        vals = _initial_guess(m, grid, pot)
         assert vals[0] == 0.0 and vals[-1] == 0.0
         assert math.isclose(grid.h * float(np.dot(vals, vals)), 1.0,
                             abs_tol=1e-12)
@@ -85,13 +75,11 @@ def test_initial_guess_shape_norm_nodes():
         assert int(np.count_nonzero(signs[1:] != signs[:-1])) == m
 
 
-def test_step_preserves_norm_and_decreases_energy():
+def test_step_preserves_norm_and_decreases_energy(route_system):
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 400)
-    # the route's step: the inverse flat-box ground level
-    dtau = 2.0 * mass * (pot.b2 - pot.b1) ** 2 / math.pi ** 2
-    sys_ = build_penta(pot, grid, dtau, mass=mass)
-    vals = initial_guess(0, grid, pot)
+    sys_ = route_system(pot, grid, mass=mass)
+    vals = _initial_guess(0, grid, pot)
     energies = [energy_expectation(vals, pot, grid, mass=mass)]
     for _ in range(120):
         vals, e = relax_step(sys_, vals)
@@ -106,24 +94,24 @@ def test_step_preserves_norm_and_decreases_energy():
 @pytest.mark.xfail(strict=True,
                    reason="published example centre is defective: the open-"
                           "line bound forces the eta=16 ground above 2")
-def test_step_contract_printed_centre():
+def test_step_contract_printed_centre(route_system):
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
     vals = math.sqrt(2.0) * scho_wavefunction(0, 2.0, native).values
-    sys_ = build_penta(pot, grid, 1e-4, mass=mass)
+    sys_ = route_system(pot, grid, mass=mass)
     _, after = relax_step(sys_, vals)
     assert abs(after - 1.76416) < 1e-4
 
 
-def test_step_contract_true_value():
+def test_step_contract_true_value(route_system):
     # companion to the xfail above: the correct centre is 4*eps0(x_c = 2)
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
     vals = math.sqrt(2.0) * scho_wavefunction(0, 2.0, native).values
     before = energy_expectation(vals, pot, grid, mass=mass)
-    sys_ = build_penta(pot, grid, 1e-4, mass=mass)
+    sys_ = route_system(pot, grid, mass=mass)
     _, after = relax_step(sys_, vals)
     assert abs(after - ETA16_GROUND) < 1e-9
     assert abs(after - before) < 1e-10
@@ -132,7 +120,7 @@ def test_step_contract_true_value():
 def test_solve_state_weak_well_reference():
     pot, mass = scho_unit_box(0.001)
     grid = box_grid(-1.0, 1.0, 1200)
-    st = solve_state(pot, grid, 0, mass=mass)
+    st = solve_spectrum(pot, grid, 0, mass=mass)[0]
     assert abs(st.energy - 1.2337658950) < 1e-7
     assert st.provenance == "itp"
 
@@ -140,7 +128,7 @@ def test_solve_state_weak_well_reference():
 def test_solve_state_offset_well_reference():
     pot, mass = acho_unit_box(1.0, 5.0)
     grid = box_grid(-1.0, 1.0, 2000)
-    st = solve_state(pot, grid, 0, mass=mass)
+    st = solve_spectrum(pot, grid, 0, mass=mass)[0]
     assert abs(st.energy - 26.065225076) < 1e-6
 
 
@@ -225,7 +213,7 @@ def test_refinement_halving_cuts_error_by_eight():
     errs = []
     for n_int in (250, 500):
         grid = box_grid(-2.0, 2.0, n_int)
-        st = solve_state(pot, grid, 0)
+        st = solve_spectrum(pot, grid, 0)[0]
         errs.append(abs(st.energy - EPS0_XC2))
     assert errs[0] / errs[1] >= 8.0
 
@@ -235,17 +223,8 @@ def test_stiff_mesh_ground_level():
     # any table relaxes with (h^-2 ~ 1.6e7)
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-0.25, b2=0.25)
     grid = box_grid(-0.25, 0.25, 2000)
-    st = solve_state(pot, grid, 0)
+    st = solve_spectrum(pot, grid, 0)[0]
     assert abs(st.energy - 19.74329275027983) < 2e-6
-
-
-def test_convergence_error_reports_step_budget(monkeypatch):
-    monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
-    pot, mass = scho_unit_box(16.0)
-    grid = box_grid(-1.0, 1.0, 300)
-    with pytest.raises(ConvergenceError) as err:
-        solve_state(pot, grid, 0, mass=mass)
-    assert "10" in str(err.value)
 
 
 def test_ladder_error_names_failing_state(monkeypatch):
@@ -255,6 +234,40 @@ def test_ladder_error_names_failing_state(monkeypatch):
     with pytest.raises(LadderError) as err:
         solve_spectrum(pot, grid, 1, mass=mass)
     assert err.value.state_index == 0
+    assert "10 steps" in str(err.value)
+
+
+def test_ladder_error_names_a_trial_state_in_the_lower_span(monkeypatch):
+    pot, mass = scho_unit_box(16.0)
+    grid = box_grid(-1.0, 1.0, 300)
+    ground = solve_spectrum(pot, grid, 0, mass=mass)[0].values
+    # every trial state is the converged ground state: level 1 has nothing
+    # left once the ladder below is projected out
+    monkeypatch.setattr(itp_solver, "_initial_guess",
+                        lambda m, grid, pot: ground.copy())
+    with pytest.raises(LadderError) as err:
+        solve_spectrum(pot, grid, 1, mass=mass)
+    assert err.value.state_index == 1
+    assert "span of the lower ladder" in str(err.value)
+
+
+def count_calls(monkeypatch, name, calls):
+    """Patch `itp_solver.<name>` to append `name` to `calls` on each call."""
+    real = getattr(itp_solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(itp_solver, name, counted)
+
+
+def test_one_operator_and_one_factor_per_ladder(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, "hamiltonian_bands", calls)
+    count_calls(monkeypatch, "cholesky_banded", calls)
+    pot, mass = acho_unit_box(1.0, 5.0)
+    solve_spectrum(pot, box_grid(-1.0, 1.0, 300), 3, mass=mass)
+    assert sorted(calls) == ["cholesky_banded", "hamiltonian_bands"]
 
 
 @pytest.mark.xfail(strict=True,
@@ -264,7 +277,7 @@ def test_ladder_error_names_failing_state(monkeypatch):
 def test_guess_overlap_printed_threshold():
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-5.0, b2=5.0)
     grid = box_grid(-5.0, 5.0, 2000)
-    guess = initial_guess(0, grid, pot)
+    guess = _initial_guess(0, grid, pot)
     exact = scho_wavefunction(0, 5.0, grid)
     overlap = simpson(guess * exact.values, x=grid.points)
     assert overlap > 0.99
@@ -275,7 +288,7 @@ def test_guess_overlap_true_value():
     # with envelope widths 1 and 1/2 gives 0.9709835...
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-5.0, b2=5.0)
     grid = box_grid(-5.0, 5.0, 2000)
-    guess = initial_guess(0, grid, pot)
+    guess = _initial_guess(0, grid, pot)
     exact = scho_wavefunction(0, 5.0, grid)
     overlap = simpson(guess * exact.values, x=grid.points)
     closed = (2.0 * math.sqrt(0.5) / 1.5) ** 0.5

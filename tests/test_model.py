@@ -45,16 +45,21 @@ def test_potential_value_and_walls():
 
 
 def test_potential_constructor_guards():
-    with pytest.raises(DomainError):
-        ConfinedPotential(k=-1.0)
-    with pytest.raises(DomainError):
-        ConfinedPotential(b1=1.0, b2=-1.0)
+    for kw in (dict(k=-1.0), dict(b1=1.0, b2=-1.0), dict(k=math.nan),
+               dict(k=math.inf), dict(d_m=math.nan), dict(d_m=-math.inf),
+               dict(b1=-math.inf), dict(b2=math.inf), dict(b1=math.nan)):
+        with pytest.raises(DomainError):
+            ConfinedPotential(**kw)
 
 
 def test_interior_values_requires_spanning_grid():
     pot = ConfinedPotential(b1=-1.0, b2=1.0)
     with pytest.raises(DomainError):
         pot.interior_values(box_grid(-2.0, 2.0, 100))
+    # the operator built on them also needs a positive mass
+    for mass in (0.0, -0.5, math.nan):
+        with pytest.raises(DomainError):
+            hamiltonian_bands(pot, box_grid(-1.0, 1.0, 100), mass)
     v = pot.interior_values(box_grid(-1.0, 1.0, 101))
     assert v.shape == (101,)
     assert v.min() >= 0.0

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import simpson
 
 from confosc.exact_scho import scho_eigenvalue
-from confosc.itp_solver import build_penta, solve_state
-from confosc.model import DomainError, acho_unit_box, box_grid, simpson_weights
+from confosc.itp_solver import solve_spectrum
+from confosc.model import (DomainError, acho_unit_box, apply_bands, box_grid,
+                           simpson_weights)
 from confosc.variational import (DEFAULT_ALPHA, BasisError, build_basis,
                                  diagonalize, hamiltonian_matrix, solve_acho)
 
@@ -71,14 +72,14 @@ def test_hamiltonian_matrix_is_symmetric():
     assert np.array_equal(h, h.T)
 
 
-def test_hamiltonian_matrix_uses_the_relaxation_operator():
+def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
     # both routes see one discrete Hamiltonian: the matrix is the symmetrised
     # Simpson matrix of the relaxation route's H applied to the trial rows
     pot, mass = acho_unit_box(1.0, 0.36)
     grid = unit_grid(1001)
     basis = build_basis(14, grid)
     rows = basis.values[:, 1:-1]
-    h_rows = build_penta(pot, grid, 1e-4, mass=mass).apply_hamiltonian(rows)
+    h_rows = apply_bands(route_system(pot, grid, mass).bands, rows)
     w = simpson_weights(grid.n_points, grid.h)[1:-1]
     mat = (rows * w) @ h_rows.T
     assert np.array_equal(hamiltonian_matrix(basis, pot, mass=mass),
@@ -108,11 +109,8 @@ def test_transposed_reference_entry_corrected_value():
     res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
     assert abs(res.energies[3] - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
     grid = box_grid(-1.0, 1.0, 2000)
-    lower = []
-    for n in range(4):
-        lower.append(solve_state(pot, grid, n, lower_states=tuple(lower),
-                                 mass=mass))
-    assert abs(lower[3].energy - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-6
+    ladder = solve_spectrum(pot, grid, 3, mass=mass)
+    assert abs(ladder[3].energy - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-6
 
 
 def test_centred_well_agrees_with_scaled_exact_route():
