@@ -227,6 +227,17 @@ def test_stiff_mesh_ground_level():
     assert abs(st.energy - 19.74329275027983) < 2e-6
 
 
+def test_convergence_error_reports_step_budget(route_system, monkeypatch):
+    pot, mass = scho_unit_box(16.0)
+    grid = box_grid(-1.0, 1.0, 300)
+    system = route_system(pot, grid, mass)
+    monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
+    with pytest.raises(LadderError) as err:
+        itp_solver.solve_state(system, pot, np.empty((0, grid.n_interior)))
+    assert err.value.state_index == 0
+    assert "10 steps" in str(err.value)
+
+
 def test_ladder_error_names_failing_state(monkeypatch):
     monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
     pot, mass = scho_unit_box(16.0)
