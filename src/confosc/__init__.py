@@ -6,8 +6,9 @@ position/momentum information measures with their rigorous bounds, a
 semiclassical phase-plane view, and a deterministic sweep/report CLI.
 """
 
-from .model import (ConfinedPotential, DomainError, Eigenpair, Grid, WALL,
-                    acho_unit_box, box_grid, scho_unit_box, simpson_weights)
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                    acho_unit_box, box_grid, scho_unit_box, simpson,
+                    simpson_weights)
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          pib_measures, scho_eigenvalue, scho_wavefunction)

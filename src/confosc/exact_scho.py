@@ -16,9 +16,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .model import DomainError, Eigenpair, Grid
+from .model import DomainError, Eigenpair, Grid, simpson
 
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
@@ -167,7 +166,7 @@ def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:
         psi = np.exp(-z / 2.0) * _series_1f1(0.25 - eps / 2.0, 0.5, z)
     else:
         psi = x * np.exp(-z / 2.0) * _series_1f1(0.75 - eps / 2.0, 1.5, z)
-    norm = simpson(psi * psi, dx=grid.h)
+    norm = simpson(psi * psi, grid.h)
     psi = psi / math.sqrt(norm)
     return Eigenpair(n=n, energy=eps, values=psi, grid=grid, provenance="exact")
 

@@ -5,7 +5,8 @@ composite position-momentum quantities and their universal bounds:
     I = I_x * I_p >= 4
     E = E_x * E_p <= 1/(2 pi)
 
-All quadratures are Simpson on the uniform mesh.
+Every integral is `model.simpson` over the uniform samples, whatever their
+count: the position mesh and the power-of-two momentum comb alike.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .model import DomainError, Eigenpair
+from .model import DomainError, Eigenpair, simpson
 from .spectral import MomentumDensity
 
 SHANNON_FLOOR = 1.0 + math.log(math.pi)
@@ -54,15 +54,12 @@ class DensityProfile:
     def from_momentum(cls, md: MomentumDensity) -> "DensityProfile":
         return cls(values=md.density, spacing=md.dp, space="momentum")
 
-    def integral(self) -> float:
-        return float(simpson(self.values, dx=self.spacing))
-
 
 def shannon(d: DensityProfile) -> float:
     """-integral rho ln rho, with the 0*ln(0) = 0 convention."""
     rho = d.values
     integrand = np.where(rho < 1e-300, 0.0, -rho * np.log(np.maximum(rho, 1e-300)))
-    return float(simpson(integrand, dx=d.spacing))
+    return simpson(integrand, d.spacing)
 
 
 def fisher(d: DensityProfile) -> float:
@@ -71,12 +68,12 @@ def fisher(d: DensityProfile) -> float:
     grad = np.gradient(rho, d.spacing)
     floor = FISHER_DENSITY_FLOOR * float(rho.max())
     integrand = np.where(rho < floor, 0.0, grad ** 2 / np.maximum(rho, floor))
-    return float(simpson(integrand, dx=d.spacing))
+    return simpson(integrand, d.spacing)
 
 
 def onicescu(d: DensityProfile) -> float:
     """integral rho^2 (larger for more localized densities)."""
-    return float(simpson(d.values ** 2, dx=d.spacing))
+    return simpson(d.values ** 2, d.spacing)
 
 
 @dataclass(frozen=True)

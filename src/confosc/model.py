@@ -18,10 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Value returned for points at or beyond a hard wall.
-WALL = math.inf
-
-
 class DomainError(ValueError):
     """Raised for non-positive or otherwise out-of-domain constructor input."""
 
@@ -87,13 +83,6 @@ class ConfinedPotential:
         if self.k < 0:
             raise DomainError("force constant must be >= 0")
 
-    def value(self, x):
-        """Potential at x (scalar or array); WALL at or beyond the walls."""
-        x = np.asarray(x, dtype=float)
-        v = 0.5 * self.k * (x - self.d_m) ** 2
-        out = np.where((x > self.b1) & (x < self.b2), v, WALL)
-        return float(out) if out.ndim == 0 else out
-
     def interior_values(self, grid: Grid) -> np.ndarray:
         """V sampled on grid interior points. The grid must span the box."""
         if not (math.isclose(grid.x_min, self.b1, abs_tol=1e-12)
@@ -104,8 +93,25 @@ class ConfinedPotential:
         return 0.5 * self.k * (x - self.d_m) ** 2
 
 
+def simpson(f: np.ndarray, h: float) -> float:
+    """Integral of the samples `f` spaced `h` apart, for any count >= 3:
+    composite Simpson over the longest odd-count prefix and, for an even
+    count, the uneven-panel end correction of Cartwright (2017) on the last
+    interval, h*(5 f[-1] + 8 f[-2] - f[-3])/12."""
+    n = len(f)
+    if n < 3:
+        raise DomainError("Simpson's rule needs at least 3 points")
+    m = n if n % 2 else n - 1
+    total = float(np.sum(f[0:m - 2:2] + 4.0 * f[1:m - 1:2] + f[2:m:2]))
+    total *= h / 3.0
+    if m < n:
+        total += float(h * (5.0 * f[-1] + 8.0 * f[-2] - f[-3]) / 12.0)
+    return total
+
+
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for `n_points` samples spaced `h` apart."""
+    """The weights of `simpson` at an odd `n_points`, for integrals taken as
+    a matrix product."""
     if n_points < 3 or n_points % 2 == 0:
         raise DomainError("composite Simpson needs an odd point count >= 3")
     w = np.full(n_points, 2.0)
@@ -183,9 +189,6 @@ class Eigenpair:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    def density(self) -> np.ndarray:
-        return self.values ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import DomainError, Eigenpair, Grid, simpson_weights
+from .model import DomainError, Eigenpair, Grid, simpson
 
 
 def pib_energy_unit_box(q: int) -> float:
@@ -91,8 +91,6 @@ def pt_wavefunction(n: int, eta: float, grid: Grid,
     if not (math.isclose(grid.x_min, -1.0, rel_tol=0, abs_tol=1e-12)
             and math.isclose(grid.x_max, 1.0, rel_tol=0, abs_tol=1e-12)):
         raise DomainError("first-order states live on the unit box [-1, 1]")
-    if grid.n_points % 2 == 0:
-        raise DomainError("Simpson normalization needs an odd point count")
 
     q = n + 1
     x = grid.points
@@ -104,8 +102,7 @@ def pt_wavefunction(n: int, eta: float, grid: Grid,
 
     vals[0] = 0.0
     vals[-1] = 0.0
-    w = simpson_weights(grid.n_points, grid.h)
-    vals = vals / math.sqrt(float(w @ (vals * vals)))
+    vals = vals / math.sqrt(simpson(vals * vals, grid.h))
     return Eigenpair(n=n, energy=pt_energy(n, eta), values=vals, grid=grid,
                      provenance="pt")
 

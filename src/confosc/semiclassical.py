@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .model import ConfinedPotential, DomainError, Eigenpair, simpson_weights
+from .model import ConfinedPotential, DomainError, Eigenpair, simpson
 
 _SIMPSON_PANELS = 2000   # per half-segment of the area integral
 
@@ -51,10 +50,6 @@ def classical_region_lengths(pot: ConfinedPotential,
     return (hi - lo, pot.b2 - hi)
 
 
-def _simpson(f_vals: np.ndarray, h: float) -> float:
-    return float(simpson_weights(len(f_vals), h) @ f_vals)
-
-
 def phase_area(pot: ConfinedPotential, energy: float) -> float:
     """integral of sqrt(energy - V(x)) over the allowed interval; the full
     phase-plane loop area for unit mass is 2*sqrt(2) times this."""
@@ -79,7 +74,7 @@ def phase_area(pot: ConfinedPotential, energy: float) -> float:
     for near, far in ((lo - left, mid - left), (right - hi, right - mid)):
         # step from the ends: u[1] - u[0] loses digits when u0 >> the step
         u0, u1 = math.sqrt(near), math.sqrt(far)
-        total += _simpson(f(np.linspace(u0, u1, n)), (u1 - u0) / (n - 1))
+        total += simpson(f(np.linspace(u0, u1, n)), (u1 - u0) / (n - 1))
     return total
 
 
@@ -95,7 +90,7 @@ def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:
     v[-1] = 0.5 * pot.k * (x[-1] - pot.d_m) ** 2
     rho = state.values * state.values
     masked = np.where(v > state.energy, rho, 0.0)
-    return float(simpson(masked, dx=grid.h))
+    return simpson(masked, grid.h)
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,6 @@ class PhaseOrbit:
     def __post_init__(self):
         self.x.setflags(write=False)
         self.p.setflags(write=False)
-
-    def area(self) -> float:
-        """Shoelace area of the loop."""
-        return 0.5 * abs(float(np.sum(self.x * np.roll(self.p, -1)
-                                      - np.roll(self.x, -1) * self.p)))
 
 
 def phase_orbit(pot: ConfinedPotential, energy: float, mass: float = 1.0,

@@ -21,8 +21,10 @@ The Hamiltonian matrix applies the shared discrete Hamiltonian
 `model.hamiltonian_bands`, the operator the relaxation route propagates with,
 to the interior samples of the trial rows; its odd-reflection wall closure is
 fourth-order exact here because every trial function has u(wall) = 0 and
-u''(wall) = 0 (the boundary equation forces the latter). All quadrature is
-composite Simpson, which requires an odd number of grid points.
+u''(wall) = 0 (the boundary equation forces the latter). The Gram-Schmidt
+overlaps and the matrix elements are matrix products with the Simpson
+weights, which need an odd number of grid points; a state's norm is
+`model.simpson`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from scipy.special import hyp1f1
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     apply_bands, box_grid, canonical_sign, hamiltonian_bands,
-                    simpson_weights)
+                    simpson, simpson_weights)
 
 DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
 
@@ -162,7 +164,7 @@ def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
     mat = (rows * w) @ h_rows.T
     asym = float(np.max(np.abs(mat - mat.T)))
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if asym > 1e-8 * scale:
+    if not asym <= 1e-8 * scale:
         raise BasisError("Hamiltonian matrix asymmetry %.3e exceeds "
                          "round-off budget" % asym)
     return 0.5 * (mat + mat.T)
@@ -174,11 +176,12 @@ def diagonalize(h_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mat = np.asarray(h_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("need a square matrix")
-    if float(np.max(np.abs(mat - mat.T))) > 1e-8 * max(1.0, float(np.max(np.abs(mat)))):
+    if not (float(np.max(np.abs(mat - mat.T)))
+            <= 1e-8 * max(1.0, float(np.max(np.abs(mat))))):
         raise DomainError("matrix is not symmetric")
     energies, vectors = np.linalg.eigh(mat)
     resid = float(np.max(np.abs(mat @ vectors - vectors * energies)))
-    if resid > 1e-9 * max(1.0, float(np.max(np.abs(energies)))):
+    if not resid <= 1e-9 * max(1.0, float(np.max(np.abs(energies)))):
         raise BasisError("eigen decomposition residual %.3e too large" % resid)
     return energies, vectors
 
@@ -203,11 +206,10 @@ def solve_acho(pot: ConfinedPotential, size: int = 50,
     basis = build_basis(size, grid)
     energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass))
 
-    w = simpson_weights(grid.n_points, grid.h)
     states = []
     for j in range(min(n_states, size)):
         vals = vectors[:, j] @ basis.values
-        vals /= math.sqrt(float(w @ (vals * vals)))
+        vals /= math.sqrt(simpson(vals * vals, grid.h))
         states.append(Eigenpair(n=j, energy=float(energies[j]),
                                 values=canonical_sign(vals), grid=grid,
                                 provenance="variational"))

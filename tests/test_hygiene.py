@@ -1,5 +1,6 @@
-"""Every name imported in the package modules and the tests is used, and
-every private module-level function or constant of the package is read.
+"""Every name imported in the package modules and the tests is used, every
+private module-level function or constant of the package is read, and the
+package integrates with its own Simpson rule, not `scipy.integrate`.
 
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
@@ -91,3 +92,30 @@ def test_no_unused_private_names():
                for path in sorted(package.glob("*.py"))}
     found = unused_private_names(sources)
     assert not found, "private names nothing reads:\n" + "\n".join(found)
+
+
+def imports_scipy_integrate(source: str) -> bool:
+    """Whether `source` imports `scipy.integrate` or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("scipy.integrate") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.integrate") or (
+                    node.module == "scipy"
+                    and any(a.name == "integrate" for a in node.names)):
+                return True
+    return False
+
+
+def test_the_check_sees_scipy_integrate_imports():
+    assert imports_scipy_integrate("from scipy.integrate import simpson\n")
+    assert imports_scipy_integrate("import scipy.integrate as si\n")
+    assert imports_scipy_integrate("from scipy import integrate, linalg\n")
+    assert not imports_scipy_integrate("from scipy.linalg import eigh\n")
+
+
+def test_package_has_one_simpson_rule():
+    found = [path.name for path in sorted(CHECKED[0].glob("*.py"))
+             if imports_scipy_integrate(path.read_text(encoding="utf-8"))]
+    assert not found, "modules importing scipy.integrate: " + ", ".join(found)

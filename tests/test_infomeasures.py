@@ -9,7 +9,7 @@ import _oracles as O
 from confosc.infomeasures import (BOUND_SLACK, FISHER_FLOOR, ONICESCU_CEILING,
                                   SHANNON_FLOOR, DensityProfile, fisher,
                                   full_report, onicescu, shannon)
-from confosc.model import DomainError, box_grid
+from confosc.model import DomainError, box_grid, simpson
 from confosc.spectral import to_momentum
 
 PI = math.pi
@@ -31,10 +31,12 @@ def test_profile_guards():
 
 def test_profile_constructors_normalized(xc2_exact):
     st0 = xc2_exact[0]
-    assert abs(DensityProfile.from_state(st0).integral() - 1.0) < 1e-10
+    dx = DensityProfile.from_state(st0)
+    assert abs(simpson(dx.values, dx.spacing) - 1.0) < 1e-10
     md = to_momentum(st0)
-    assert abs(DensityProfile.from_momentum(md).integral() - 1.0) < 1e-8
-    assert DensityProfile.from_momentum(md).space == "momentum"
+    dp = DensityProfile.from_momentum(md)
+    assert abs(simpson(dp.values, dp.spacing) - 1.0) < 1e-8
+    assert dp.space == "momentum"
 
 
 def test_bound_constants():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson as scipy_simpson
 
-from confosc.model import (WALL, ConfinedPotential, DomainError, Eigenpair,
-                           Grid, acho_unit_box, apply_bands, box_grid,
-                           canonical_sign, hamiltonian_bands, scho_unit_box)
+from confosc.model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                           acho_unit_box, apply_bands, box_grid,
+                           canonical_sign, hamiltonian_bands, scho_unit_box,
+                           simpson, simpson_weights)
 
 
 def test_grid_endpoints_sit_on_walls():
@@ -32,16 +34,6 @@ def test_grid_rejects_tiny_and_inverted():
         Grid(6, -1.0, 1.0)
     with pytest.raises(DomainError):
         Grid(50, 1.0, 1.0)
-
-
-def test_potential_value_and_walls():
-    pot = ConfinedPotential(k=3.0, d_m=0.25, b1=-1.0, b2=1.0)
-    assert pot.value(0.25) == 0.0
-    assert math.isclose(pot.value(0.75), 0.5 * 3.0 * 0.5 ** 2)
-    assert pot.value(1.0) == WALL
-    assert pot.value(-2.0) == WALL
-    arr = pot.value(np.array([-1.0, 0.25, 2.0]))
-    assert arr[0] == WALL and arr[1] == 0.0 and arr[2] == WALL
 
 
 def test_potential_constructor_guards():
@@ -71,7 +63,44 @@ def test_eigenpair_samples_are_read_only():
     ep = Eigenpair(n=0, energy=1.0, values=vals, grid=g)
     with pytest.raises(ValueError):
         ep.values[0] = 1.0
-    assert np.all(ep.density() == 0.0)
+
+
+def smooth_samples(n):
+    """A positive, non-polynomial integrand on [0, 1.7] and its spacing."""
+    x = np.linspace(0.0, 1.7, n)
+    return 2.0 + np.sin(3.0 * x) * np.exp(-x), 1.7 / (n - 1)
+
+
+@pytest.mark.parametrize("n", list(range(3, 13)) + [2002, 4003, 32768, 65536])
+def test_simpson_matches_the_library_rule(n):
+    # scipy's rule is an independent reference, even counts included
+    f, h = smooth_samples(n)
+    assert math.isclose(simpson(f, h), float(scipy_simpson(f, dx=h)),
+                        rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 10, 2001, 2002])
+def test_simpson_exact_for_low_degree(n):
+    x = np.linspace(-0.5, 1.5, n)
+    h = 2.0 / (n - 1)
+    quad = 3.0 * x ** 2 - x + 0.5                  # integral 3.5 - 1 + 1
+    assert math.isclose(simpson(quad, h), 3.5, rel_tol=1e-13)
+    if n % 2:
+        cubic = x ** 3 - 2.0 * x ** 2              # integral 5/4 - 7/3
+        assert math.isclose(simpson(cubic, h), -13.0 / 12.0, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 2001, 4003])
+def test_simpson_weights_are_the_odd_count_rule(n):
+    f, h = smooth_samples(n)
+    assert math.isclose(float(simpson_weights(n, h) @ f), simpson(f, h),
+                        rel_tol=1e-14)
+
+
+def test_simpson_needs_three_points():
+    for f in (np.array([]), np.array([1.0]), np.array([1.0, 2.0])):
+        with pytest.raises(DomainError):
+            simpson(f, 0.5)
 
 
 def test_canonical_sign_makes_the_largest_sample_positive():

@@ -151,8 +151,6 @@ def test_mixed_state_guards():
     with pytest.raises(DomainError):
         pt_wavefunction(0, 0.1, box_grid(-2.0, 2.0, 1201))
     with pytest.raises(DomainError):
-        pt_wavefunction(0, 0.1, box_grid(-1.0, 1.0, 1200))
-    with pytest.raises(DomainError):
         pt_wavefunction(0, 0.1, odd_grid(), num_terms=-1)
     with pytest.raises(DomainError):
         pt_wavefunction(-1, 0.1, odd_grid())

@@ -65,6 +65,14 @@ def test_simpson_weights_need_odd_count():
         simpson_weights(8, 0.125)
 
 
+def test_well_beyond_the_arithmetic_is_rejected():
+    # at d_m = 1e200 the well overflows to inf and the matrix turns NaN; the
+    # symmetry and residual checks must not let NaN through
+    pot, mass = acho_unit_box(1.0, 1e200)
+    with np.errstate(all="ignore"), pytest.raises(BasisError):
+        solve_acho(pot, size=8, grid=unit_grid(), mass=mass)
+
+
 def test_hamiltonian_matrix_is_symmetric():
     pot, mass = acho_unit_box(1.0, 0.5)
     basis = build_basis(14, unit_grid())
