@@ -11,12 +11,11 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     simpson_weights)
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                         pib_measures, scho_eigenvalue, scho_wavefunction)
+                         scho_eigenvalue, scho_wavefunction)
 from .variational import (BasisError, BasisSet, DEFAULT_ALPHA,
                           VariationalResult, build_basis, diagonalize,
                           hamiltonian_matrix, solve_acho)
-from .spectral import (MomentumDensity, momentum_moments, parseval_defect,
-                       to_momentum)
+from .spectral import MomentumDensity, parseval_defect, to_momentum
 from .infomeasures import (BOUND_SLACK, DensityProfile, FISHER_FLOOR,
                            InfoReport, ONICESCU_CEILING, SHANNON_FLOOR,
                            fisher, full_report, onicescu, shannon)

@@ -4,7 +4,7 @@ oracle equivalence, and output determinism.
 
 The gate measures every state through the sweep engine
 (`cli_reports.run_sweep`): criteria 1-4 run the sweeps of the report tables
-(`TABLE_SPECS`, at a finer grid where a criterion says so), and criteria 6,
+(`TABLES`, at a finer grid where a criterion says so), and criteria 6,
 7, 8 and 10 share three cached bound-suite sweeps. So the gate checks the
 same routes, grids and measures that `confosc table` prints. A criterion
 that meets an error row fails and names the row.
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact_scho, infomeasures, spectral, variational
-from .cli_reports import (TABLE_SPECS, ReportRow, SweepSpec, _solve_with,
+from .cli_reports import (TABLES, ReportRow, SweepSpec, _solve_with,
                           rows_to_csv, run_sweep)
 from .model import DomainError
 from .perturbation import pt_energy, pt_fisher_x, pt_onicescu_x0
@@ -174,7 +174,7 @@ def criterion_1() -> CriterionResult:
     and first-order energies against the closed form (1e-9), under a 10 s
     budget."""
     t0 = time.perf_counter()
-    rows = _solved(run_sweep(TABLE_SPECS["I"]))
+    rows = _solved(run_sweep(TABLES["I"].spec))
     elapsed = time.perf_counter() - t0
 
     exact_fail = []
@@ -209,7 +209,7 @@ def criterion_2() -> CriterionResult:
     1e-5 of the references and the routes within 1e-6 of each other, under
     a 2 min budget."""
     t0 = time.perf_counter()
-    spec = replace(TABLE_SPECS["VI"], solvers=("itp", "exact"))
+    spec = replace(TABLES["VI"].spec, solvers=("itp", "exact"))
     rows = _solved(run_sweep(spec))
     worst_ref = 0.0
     worst_pair = 0.0
@@ -240,8 +240,8 @@ def criterion_3() -> CriterionResult:
     within 1e-6 of the basis expansion, under a 5 min budget."""
     t0 = time.perf_counter()
     rows = _solved(
-        run_sweep(replace(TABLE_SPECS["VII"], grid_points=_FINE_INTERIOR))
-        + run_sweep(replace(TABLE_SPECS["VII"], solvers=("itp",))))
+        run_sweep(replace(TABLES["VII"].spec, grid_points=_FINE_INTERIOR))
+        + run_sweep(replace(TABLES["VII"].spec, solvers=("itp",))))
     ref_fail = []
     worst_rel = 0.0
     worst_cross = 0.0
@@ -270,7 +270,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Table VIII on 4001 points: (S_x, S_p, S) for n = 0..2 against the
     references, 5e-4 absolute."""
-    rows = _solved(run_sweep(replace(TABLE_SPECS["VIII"],
+    rows = _solved(run_sweep(replace(TABLES["VIII"].spec,
                                      grid_points=_FINE_INTERIOR)))
     fails = []
     worst = (0.0, None)

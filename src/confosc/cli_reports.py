@@ -30,6 +30,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import solve_spectrum
@@ -85,14 +86,14 @@ class SweepSpec:
             if self.mode not in _ROUTES[s][1]:
                 raise DomainError("solver '%s' not valid for mode '%s'"
                                   % (s, self.mode))
-        if self.mode in ("scho-xc",) and min(self.values) <= 0:
-            raise DomainError("box half-length values must be positive")
-        if self.mode in ("scho-eta", "acho-eta") and min(self.values) < 0:
-            raise DomainError("well strength values must be non-negative")
-        if self.mode == "scho-eta" and "exact" in self.solvers \
-                and 0.0 in self.values:
-            raise DomainError("solver 'exact' cannot take scho-eta value 0: "
-                              "its native box half-length eta^(1/4) is 0")
+        for value in self.values:       # each point's problem, built once
+            try:
+                pot, _mass = _PROBLEMS[self.mode](self, value)
+                if "exact" in self.solvers:
+                    exact_scho.series_window(_native_half_length(pot))
+            except DomainError as exc:
+                raise DomainError("%s value %g: %s"
+                                  % (self.mode, value, exc)) from None
         if self.grid_points < 8:
             raise DomainError("grid_points too small")
         if self.pad_factor < 1:
@@ -127,15 +128,15 @@ class ReportRow:
     error: str = ""
 
 
-_CSV_COLUMNS = (
-    ("value", "value"), ("n", "n"), ("solver", "solver"),
-    ("energy", "energy"), ("S_x", "s_x"), ("S_p", "s_p"), ("S", "s"),
-    ("I_x", "i_x"), ("I_p", "i_p"), ("I", "i"),
-    ("E_x", "e_x"), ("E_p", "e_p"), ("E", "e"),
-    ("A_n", "a_n"), ("T_n", "t_n"), ("L_cl", "l_cl"),
-    ("shannon_ok", "shannon_ok"), ("fisher_ok", "fisher_ok"),
-    ("onicescu_ok", "onicescu_ok"), ("error", "error"),
-)
+# CSV header -> ReportRow field, in column order; the one map from the names
+# that outputs print to the fields they read
+_CSV_COLUMNS = {
+    "value": "value", "n": "n", "solver": "solver", "energy": "energy",
+    "S_x": "s_x", "S_p": "s_p", "S": "s", "I_x": "i_x", "I_p": "i_p",
+    "I": "i", "E_x": "e_x", "E_p": "e_p", "E": "e",
+    "A_n": "a_n", "T_n": "t_n", "L_cl": "l_cl", "shannon_ok": "shannon_ok",
+    "fisher_ok": "fisher_ok", "onicescu_ok": "onicescu_ok", "error": "error",
+}
 
 
 def _odd_interior(n_interior: int) -> int:
@@ -153,13 +154,18 @@ def _itp_states(spec: SweepSpec, pot: ConfinedPotential,
     return solve_spectrum(pot, grid, spec.n_hi, mass=mass)
 
 
+def _native_half_length(pot: ConfinedPotential) -> float:
+    """The centred well of strength k on [-b, b] (unit mass) is the
+    natural-unit well (k = 1) on [-x_c, x_c], x_c = b k^(1/4)."""
+    return pot.b2 * pot.k ** 0.25
+
+
 def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
                   mass: float) -> list[Eigenpair]:
-    """The centred well of strength k on [-b, b] (unit mass) is the
-    natural-unit well (k = 1) on [-x_c, x_c], x_c = b k^(1/4), stretched by
+    """The natural-unit states stretched onto the report box by
     s = x_c / b: energies scale by s^2 and samples by sqrt(s). At k = 1,
     s is exactly 1 and the states pass through unchanged."""
-    x_c = pot.b2 * pot.k ** 0.25
+    x_c = _native_half_length(pot)
     s = x_c / pot.b2
     grid = box_grid(pot.b1, pot.b2, spec.grid_points)
     native = box_grid(-x_c, x_c, spec.grid_points)
@@ -233,15 +239,17 @@ def _measured_row(spec: SweepSpec, value: float, solver: str,
 
 
 def _point_rows(spec: SweepSpec, value: float) -> list[ReportRow]:
+    def failed(n: int, solver: str, exc: Exception) -> ReportRow:
+        return ReportRow(value=value, n=n, solver=solver,
+                         error="%s: %s" % (type(exc).__name__, exc))
+
     rows: list[ReportRow] = []
     for solver in spec.solvers:
         try:
             pot, _mass, states = _solve_with(spec, value, solver)
         except Exception as exc:      # recorded, sweep continues
             n_fail = getattr(exc, "state_index", spec.n_lo)
-            rows.append(ReportRow(value=value, n=max(n_fail, 0),
-                                  solver=solver,
-                                  error="%s: %s" % (type(exc).__name__, exc)))
+            rows.append(failed(max(n_fail, 0), solver, exc))
             continue
         for state in states:
             if state.n < spec.n_lo:
@@ -249,9 +257,7 @@ def _point_rows(spec: SweepSpec, value: float) -> list[ReportRow]:
             try:
                 rows.append(_measured_row(spec, value, solver, pot, state))
             except Exception as exc:
-                rows.append(ReportRow(value=value, n=state.n, solver=solver,
-                                      error="%s: %s" % (type(exc).__name__,
-                                                        exc)))
+                rows.append(failed(state.n, solver, exc))
     order = {s: k for k, s in enumerate(spec.solvers)}
     rows.sort(key=lambda r: (r.n, order[r.solver]))
     return rows
@@ -293,23 +299,13 @@ def cross_check(rows: list[ReportRow], spec: SweepSpec) -> CrossReport:
     tol = spec.cross_tol
     if tol is None:
         tol = _CROSS_DEFAULTS.get(frozenset(spec.solvers))
-    by_key: dict[tuple[float, int, str], float] = {}
-    for r in rows:
-        if not r.error:
-            by_key[(r.value, r.n, r.solver)] = r.energy
-    worst = 0.0
-    pairs = 0
+    energy = {(r.value, r.n, r.solver): r.energy for r in rows if not r.error}
     a, b = spec.solvers
-    for v in spec.values:
-        for n in range(spec.n_lo, spec.n_hi + 1):
-            ea = by_key.get((v, n, a))
-            eb = by_key.get((v, n, b))
-            if ea is None or eb is None:
-                continue
-            pairs += 1
-            worst = max(worst, abs(ea - eb))
-    return CrossReport(solvers=spec.solvers, max_delta=worst, tol=tol,
-                       n_pairs=pairs)
+    deltas = [abs(energy[v, n, a] - energy[v, n, b])
+              for v in spec.values for n in range(spec.n_lo, spec.n_hi + 1)
+              if (v, n, a) in energy and (v, n, b) in energy]
+    return CrossReport(solvers=spec.solvers, tol=tol, n_pairs=len(deltas),
+                       max_delta=max(deltas, default=0.0))
 
 
 def _fmt_cell(value) -> str:
@@ -322,76 +318,12 @@ def _fmt_cell(value) -> str:
     return str(value).replace(",", ";").replace("\n", "; ")
 
 
-def rows_to_csv(rows: list[ReportRow]) -> str:
-    lines = [",".join(name for name, _ in _CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join(_fmt_cell(getattr(r, attr))
-                              for _, attr in _CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def rows_from_csv(text: str) -> list[ReportRow]:
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    expected = [name for name, _ in _CSV_COLUMNS]
-    if header != expected:
-        raise SchemaError("unexpected header %r" % (header,))
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(_CSV_COLUMNS):
-            raise SchemaError("row with %d cells, expected %d"
-                              % (len(cells), len(_CSV_COLUMNS)))
-        kw = {}
-        for (name, attr), cell in zip(_CSV_COLUMNS, cells):
-            if attr in ("n",):
-                kw[attr] = int(cell)
-            elif attr in ("solver", "error"):
-                kw[attr] = cell
-            elif attr.endswith("_ok"):
-                kw[attr] = cell == "true"
-            else:
-                kw[attr] = float(cell)
-        out.append(ReportRow(**kw))
-    return out
-
-
-# report table layouts: value-column label plus the measure columns; paired
-# layouts repeat each measure once per solver (column suffix = solver tag)
-_TABLE_PLAIN = {
-    "II": ("eta", (("S_x", "s_x"), ("S_p", "s_p"))),
-    "III": ("eta", (("I_x", "i_x"), ("I_p", "i_p"))),
-    "IV": ("eta", (("E_x", "e_x"), ("E_p", "e_p"))),
-    "VI": ("xc", (("S_x", "s_x"), ("E_x", "e_x"))),
-    "VII": ("dm", (("energy", "energy"),)),
-    "VIII": ("dm", (("S_x", "s_x"), ("S_p", "s_p"), ("S", "s"))),
-    "IX": ("eta", (("I_x", "i_x"), ("I_p", "i_p"), ("S_x", "s_x"),
-                   ("S_p", "s_p"), ("E_x", "e_x"), ("E_p", "e_p"))),
-}
-_TABLE_PAIRED = {
-    "I": ("eta", (("energy", "energy"),)),
-    "V": ("eta", (("S_x", "s_x"), ("I_x", "i_x"), ("E_x", "e_x"))),
-}
-_ROMAN = {"I": 1, "II": 2, "III": 3, "IV": 4, "V": 5, "VI": 6, "VII": 7,
-          "VIII": 8, "IX": 9}
-
-
-def normalize_table_id(table_id: str) -> str:
-    tid = table_id.strip().upper()
-    if tid in _ROMAN:
-        return tid
-    for roman, arabic in _ROMAN.items():
-        if tid == str(arabic):
-            return roman
-    raise SchemaError("unknown table id '%s' (expected I..IX)" % table_id)
-
-
 def _render(header: list[str], cells: list[list[str]], fmt: str) -> str:
-    """Header and cell rows as csv, tsv, or right-aligned pretty text."""
+    """Header and cell rows as csv, tsv, or right-aligned pretty text: the
+    one writer of every solve, sweep, table and phase output."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
-        return sep.join(header) + "\n" + \
-            "\n".join(sep.join(row) for row in cells) + "\n"
+        return "".join(sep.join(row) + "\n" for row in [header, *cells])
     widths = [len(h) for h in header]
     for row in cells:
         for j, c in enumerate(row):
@@ -403,49 +335,115 @@ def _render(header: list[str], cells: list[list[str]], fmt: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _reformat(csv_text: str, fmt: str) -> str:
-    """CSV text (LF-ended lines, no quoted cells) in the requested format."""
-    if fmt == "csv":
-        return csv_text
-    lines = [ln.split(",") for ln in csv_text[:-1].split("\n")]
-    return _render(lines[0], lines[1:], fmt)
+def _render_rows(rows: list[ReportRow], fmt: str) -> str:
+    """Sweep rows with every CSV column, in the requested format."""
+    cells = [[_fmt_cell(getattr(r, attr)) for attr in _CSV_COLUMNS.values()]
+             for r in rows]
+    return _render(list(_CSV_COLUMNS), cells, fmt)
+
+
+def rows_to_csv(rows: list[ReportRow]) -> str:
+    return _render_rows(rows, "csv")
+
+
+# ReportRow fields that are not floats or "_ok" flags, by type
+_CELL_TYPES = {"n": int, "solver": str, "error": str}
+
+
+def rows_from_csv(text: str) -> list[ReportRow]:
+    lines = [ln for ln in text.split("\n") if ln]
+    header = lines[0].split(",")
+    if header != list(_CSV_COLUMNS):
+        raise SchemaError("unexpected header %r" % (header,))
+    out = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(_CSV_COLUMNS):
+            raise SchemaError("row with %d cells, expected %d"
+                              % (len(cells), len(_CSV_COLUMNS)))
+        out.append(ReportRow(**{
+            attr: cell == "true" if attr.endswith("_ok")
+            else _CELL_TYPES.get(attr, float)(cell)
+            for attr, cell in zip(_CSV_COLUMNS.values(), cells)}))
+    return out
+
+
+class ReportTable(NamedTuple):
+    """One report table: the sweep that `confosc table` and the acceptance
+    gate run, the label of its value column, and its measure columns by CSV
+    header. A sweep that pairs two routes prints each column once per route,
+    suffixed with the route name."""
+    spec: SweepSpec
+    value_label: str
+    columns: tuple[str, ...]
+
+
+# the report tables, in order
+_ETA_GRID = (0.001, 0.01, 0.1, 25.0, 50.0, 100.0)
+TABLES = {
+    "I": ReportTable(
+        SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_hi=4,
+                  solvers=("pt", "exact")), "eta", ("energy",)),
+    "II": ReportTable(
+        SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
+                  solvers=("exact",)), "eta", ("S_x", "S_p")),
+    "III": ReportTable(
+        SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
+                  solvers=("exact",)), "eta", ("I_x", "I_p")),
+    "IV": ReportTable(
+        SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
+                  solvers=("exact",)), "eta", ("E_x", "E_p")),
+    "V": ReportTable(
+        SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_hi=2,
+                  solvers=("pt", "exact")), "eta", ("S_x", "I_x", "E_x")),
+    "VI": ReportTable(
+        SweepSpec(mode="scho-xc", values=(0.25, 2.0, 5.0), n_hi=4,
+                  solvers=("exact",)), "xc", ("S_x", "E_x")),
+    "VII": ReportTable(
+        SweepSpec(mode="acho-dm", values=(0.36, 1.92, 5.0, 10.0), n_hi=5,
+                  solvers=("variational",)), "dm", ("energy",)),
+    "VIII": ReportTable(
+        SweepSpec(mode="acho-dm", values=(0.12, 2.04, 5.0, 8.0, 10.0),
+                  n_hi=2, solvers=("variational",)),
+        "dm", ("S_x", "S_p", "S")),
+    "IX": ReportTable(
+        SweepSpec(mode="acho-eta", values=(5.0, 10.0, 20.0), d_m=1.0,
+                  solvers=("variational",)),
+        "eta", ("I_x", "I_p", "S_x", "S_p", "E_x", "E_p")),
+}
+
+
+def normalize_table_id(table_id: str) -> str:
+    """A table id as the registry keys it, from its numeral or position."""
+    tid = table_id.strip().upper()
+    tid = {str(k): key for k, key in enumerate(TABLES, 1)}.get(tid, tid)
+    if tid not in TABLES:
+        raise SchemaError("unknown table id '%s' (expected I..IX)"
+                          % table_id)
+    return tid
 
 
 def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
     """(aligned text, CSV text) for one of the report layouts I..IX."""
     tid = normalize_table_id(table_id)
-    solvers_seen = []
-    for r in rows:
-        if r.solver not in solvers_seen:
-            solvers_seen.append(r.solver)
-
-    by_key = {}
-    for r in rows:
-        if not r.error:
-            by_key[(r.value, r.n, r.solver)] = r
+    spec, value_label, columns = TABLES[tid]
+    solvers = list(dict.fromkeys(r.solver for r in rows))
+    by_key = {(r.value, r.n, r.solver): r for r in rows if not r.error}
     values = sorted({r.value for r in rows})
     ns = sorted({r.n for r in rows if not r.error})
     if not ns:
         first = next((r.error for r in rows if r.error), "no rows")
         raise SchemaError("table %s has no solved rows; first error: %s"
                           % (tid, first))
+    if len(solvers) != len(spec.solvers):
+        raise SchemaError("table %s reads %d solver(s); got %r"
+                          % (tid, len(spec.solvers), solvers))
 
-    if tid in _TABLE_PAIRED:
-        value_label, columns = _TABLE_PAIRED[tid]
-        if len(solvers_seen) != 2:
-            raise SchemaError("table %s pairs two solvers; got %r"
-                              % (tid, solvers_seen))
-        col_names = ["%s_%s" % (name, s)
-                     for name, _ in columns for s in solvers_seen]
-        col_getters = [(attr, s) for _, attr in columns for s in solvers_seen]
-    else:
-        value_label, columns = _TABLE_PLAIN[tid]
-        if len(solvers_seen) != 1:
-            raise SchemaError("table %s needs a single solver; got %r"
-                              % (tid, solvers_seen))
-        col_names = [name for name, _ in columns]
-        col_getters = [(attr, solvers_seen[0]) for _, attr in columns]
-
+    paired = len(spec.solvers) == 2
+    col_names = ["%s_%s" % (name, s) if paired else name
+                 for name in columns for s in solvers]
+    col_getters = [(_CSV_COLUMNS[name], s)
+                   for name in columns for s in solvers]
     header = [value_label, "n"] + col_names
     cells = []
     for v in values:
@@ -523,12 +521,10 @@ def parse_config(text: str) -> SweepSpec:
             raise ConfigError("line %d: mode '%s' does not read '%s'"
                               % (seen[key][1], mode, key))
 
-    kw: dict = {"mode": mode}
+    kw: dict = {"mode": mode, "values": ()}
     try:
         if "values" in seen:
             kw["values"] = _parse_values(*seen["values"])
-        else:
-            kw["values"] = ()
         if "states" in seen:
             tok, line_no = seen["states"]
             if ":" in tok:
@@ -544,42 +540,13 @@ def parse_config(text: str) -> SweepSpec:
                           ("grid_points", int), ("pad_factor", int)):
             if key in seen:
                 kw["d_m" if key == "dm" else key] = conv(seen[key][0])
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:       # a ConfigError among them keeps its text
         raise ConfigError(str(exc)) from exc
 
     try:
         return SweepSpec(**kw)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-# the sweep behind each report table; `confosc table` and the acceptance gate
-# both run these
-TABLE_SPECS = {
-    "I": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_lo=0,
-                   n_hi=4, solvers=("pt", "exact")),
-    "II": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1, 25.0, 50.0,
-                                             100.0), n_hi=2,
-                    solvers=("exact",)),
-    "III": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1, 25.0, 50.0,
-                                              100.0), n_hi=2,
-                     solvers=("exact",)),
-    "IV": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1, 25.0, 50.0,
-                                             100.0), n_hi=2,
-                    solvers=("exact",)),
-    "V": SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_hi=2,
-                   solvers=("pt", "exact")),
-    "VI": SweepSpec(mode="scho-xc", values=(0.25, 2.0, 5.0), n_hi=4,
-                    solvers=("exact",)),
-    "VII": SweepSpec(mode="acho-dm", values=(0.36, 1.92, 5.0, 10.0), n_hi=5,
-                     solvers=("variational",)),
-    "VIII": SweepSpec(mode="acho-dm", values=(0.12, 2.04, 5.0, 8.0, 10.0),
-                      n_hi=2, solvers=("variational",)),
-    "IX": SweepSpec(mode="acho-eta", values=(5.0, 10.0, 20.0), n_hi=0,
-                    d_m=1.0, solvers=("variational",)),
-}
 
 
 # ---------------------------------------------------------------- CLI glue
@@ -639,8 +606,7 @@ def _cmd_solve(args) -> int:
                      **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     rows = run_sweep(spec, workers=1)
-    _write_out(_reformat(rows_to_csv(rows), args.format or "pretty"),
-               args.out)
+    _write_out(_render_rows(rows, args.format or "pretty"), args.out)
     return 1 if any(r.error for r in rows) else 0
 
 
@@ -652,7 +618,7 @@ def _cmd_sweep(args) -> int:
             text = fh.read()
     spec = _apply_overrides(parse_config(text), args)
     rows = run_sweep(spec, workers=args.workers)
-    _write_out(_reformat(rows_to_csv(rows), args.format or "csv"), args.out)
+    _write_out(_render_rows(rows, args.format or "csv"), args.out)
     if len(spec.solvers) == 2:
         rep = cross_check(rows, spec)
         tol_text = "none" if rep.tol is None else "%.3g" % rep.tol
@@ -667,12 +633,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table(args) -> int:
     tid = normalize_table_id(args.table_id)
-    spec = _apply_overrides(TABLE_SPECS[tid], args)
+    spec = _apply_overrides(TABLES[tid].spec, args)
     rows = run_sweep(spec, workers=args.workers)
     text, csv_text = emit_table(rows, tid)
-    fmt = args.format or "pretty"
-    _write_out(text if fmt == "pretty" else _reformat(csv_text, fmt),
-               args.out)
+    # no cell holds a comma, so swapping the separator gives the tsv
+    out = {"pretty": text, "csv": csv_text,
+           "tsv": csv_text.replace(",", "\t")}
+    _write_out(out[args.format or "pretty"], args.out)
     return 0
 
 
@@ -772,9 +739,6 @@ def main(argv=None) -> int:
                 "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, SchemaError, DomainError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except OSError as exc:
+    except (ConfigError, SchemaError, DomainError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -7,7 +7,7 @@ Gaussian-damped 1F1 profiles. The hypergeometric series here is hand-rolled
 path; the variational module deliberately uses an independent implementation
 so the two can cross-check each other.
 
-Also provides the zero-well-limit (flat box) closed forms.
+Also provides the zero-well-limit (flat box) levels.
 """
 
 from __future__ import annotations
@@ -103,6 +103,16 @@ def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def series_window(x_c: float) -> float:
+    """The wall argument x_c^2 of the series, once x_c lies in the window
+    0 < x_c^2 <= 50 where the Maclaurin sum does not cancel."""
+    z_edge = x_c * x_c
+    if not (x_c > 0 and z_edge <= _Z_LIMIT):
+        raise DomainError("solver 'exact' needs 0 < x_c^2 <= %g (the series "
+                          "window); got box half-length %g" % (_Z_LIMIT, x_c))
+    return z_edge
+
+
 @lru_cache(maxsize=None)
 def scho_eigenvalue(n: int, x_c: float) -> float:
     """Energy of state n of the centred well in a box of half-length x_c.
@@ -111,15 +121,11 @@ def scho_eigenvalue(n: int, x_c: float) -> float:
     the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
     of the odd branch. Scan step 0.1, then plain bisection down to 1e-12.
     """
-    if x_c <= 0:
-        raise DomainError("x_c must be positive")
+    z_edge = series_window(x_c)
     if n < 0:
         raise DomainError("state index must be >= 0")
     even = (n % 2 == 0)
     want = n // 2 + 1 if even else (n + 1) // 2
-    z_edge = x_c * x_c
-    if z_edge > _Z_LIMIT:
-        raise DomainError("box too wide for the series window (x_c^2 <= 50)")
 
     # the flat-box value plus the well depth at the wall bounds every level;
     # scanning past ten times that means something is wrong
@@ -178,21 +184,3 @@ def pib_energy(n: int, x_c: float) -> float:
     if x_c <= 0:
         raise DomainError("x_c must be positive")
     return (n + 1) ** 2 * math.pi ** 2 / (8.0 * x_c ** 2)
-
-
-def pib_measures(n: int, x_c: float) -> tuple[float, float, float]:
-    """Flat-box position-space (S_x, E_x, I_x) closed forms.
-
-    Here n is the 1-based quantum number (n = 1 is the ground state), matching
-    the usual sine-state labelling; only I_x = n^2 pi^2 / x_c^2 depends on it.
-    Note the literature sometimes misprints E_x with x_c in the numerator;
-    dimensionally E_x scales as 1/length, i.e. 3/(4 x_c).
-    """
-    if n < 1:
-        raise DomainError("quantum number is 1-based here; need n >= 1")
-    if x_c <= 0:
-        raise DomainError("x_c must be positive")
-    s_x = math.log(4.0 * x_c) - 1.0
-    e_x = 3.0 / (4.0 * x_c)
-    i_x = n ** 2 * math.pi ** 2 / x_c ** 2
-    return s_x, e_x, i_x

@@ -53,7 +53,7 @@ from numpy.polynomial.hermite import hermval
 from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, canonical_sign, hamiltonian_bands)
+                    apply_bands, hamiltonian_bands)
 
 
 _PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
@@ -125,7 +125,7 @@ def solve_state(system: PentaSystem, pot: ConfinedPotential,
         raise LadderError("ladder failed at state %d: did not settle in %d "
                           "steps (last energy %.12g)" % (n, _MAX_STEPS, e), n)
     full = np.zeros(grid.n_points)
-    full[1:-1] = canonical_sign(psi)
+    full[1:-1] = psi
     return Eigenpair(n=n, energy=e, values=full, grid=grid, provenance="itp")
 
 

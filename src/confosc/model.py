@@ -82,6 +82,12 @@ class ConfinedPotential:
             raise DomainError("wall order: need b1 < b2")
         if self.k < 0:
             raise DomainError("force constant must be >= 0")
+        # the well is largest at a wall; products, not **, so that an
+        # overflow gives inf instead of raising OverflowError
+        walls = [0.5 * self.k * (b - self.d_m) * (b - self.d_m)
+                 for b in (self.b1, self.b2)]
+        if not all(map(math.isfinite, walls)):
+            raise DomainError("the well must be finite at the walls")
 
     def interior_values(self, grid: Grid) -> np.ndarray:
         """V sampled on grid interior points. The grid must span the box."""
@@ -174,7 +180,8 @@ def canonical_sign(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """A solved bound state: index, energy, normalized samples on `grid`.
+    """A solved bound state: index, energy, normalized samples on `grid`,
+    stored in the `canonical_sign` convention whatever route made them.
 
     provenance records which solver produced it: "itp" (relaxation),
     "exact" (quantization-root wavefunction), "variational", or "pt"
@@ -188,7 +195,9 @@ class Eigenpair:
     provenance: str = "itp"
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        values = canonical_sign(self.values)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 # ---------------------------------------------------------------------------

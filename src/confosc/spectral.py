@@ -56,14 +56,6 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     return MomentumDensity(p_values=p, density=rho, dp=2.0 * math.pi / (m * h))
 
 
-def momentum_moments(md: MomentumDensity, order: int) -> float:
-    """<p> or <p^2> of the momentum density (plain Riemann sum; the comb is
-    uniform and the density decays, so this is the natural quadrature)."""
-    if order not in (1, 2):
-        raise DomainError("only first and second moments supported")
-    return float(np.sum(md.p_values ** order * md.density) * md.dp)
-
-
 def parseval_defect(md: MomentumDensity) -> float:
     """|integral of density - 1|; zero up to rounding for a normalized input."""
     return abs(float(np.sum(md.density) * md.dp) - 1.0)

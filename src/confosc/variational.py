@@ -38,8 +38,7 @@ from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, box_grid, canonical_sign, hamiltonian_bands,
-                    simpson, simpson_weights)
+                    apply_bands, hamiltonian_bands, simpson, simpson_weights)
 
 DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
 
@@ -54,7 +53,6 @@ class BasisSet:
     they carry in the auxiliary centred problem."""
     grid: Grid
     values: np.ndarray = field(repr=False)         # (size, n_points)
-    aux_energies: tuple[float, ...] = ()
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -149,8 +147,7 @@ def build_basis(size: int, grid: Grid) -> BasisSet:
                              "orthogonalization" % j)
         rows[j] /= nrm
 
-    return BasisSet(grid=grid, values=rows,
-                    aux_energies=tuple(eps for eps, _ in levels))
+    return BasisSet(grid=grid, values=rows)
 
 
 def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
@@ -195,14 +192,10 @@ class VariationalResult:
         self.energies.setflags(write=False)
 
 
-def solve_acho(pot: ConfinedPotential, size: int = 50,
-               grid: Grid | None = None, mass: float = 1.0,
-               n_states: int = 6) -> VariationalResult:
+def solve_acho(pot: ConfinedPotential, grid: Grid, size: int = 50,
+               mass: float = 1.0, n_states: int = 6) -> VariationalResult:
     """Rayleigh-Ritz levels and states of a quadratic well in a hard box,
     in the trial set of envelope width DEFAULT_ALPHA."""
-    if grid is None:
-        grid = box_grid(pot.b1, pot.b2, n_interior=3999)
-
     basis = build_basis(size, grid)
     energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass))
 
@@ -210,7 +203,6 @@ def solve_acho(pot: ConfinedPotential, size: int = 50,
     for j in range(min(n_states, size)):
         vals = vectors[:, j] @ basis.values
         vals /= math.sqrt(simpson(vals * vals, grid.h))
-        states.append(Eigenpair(n=j, energy=float(energies[j]),
-                                values=canonical_sign(vals), grid=grid,
-                                provenance="variational"))
+        states.append(Eigenpair(n=j, energy=float(energies[j]), values=vals,
+                                grid=grid, provenance="variational"))
     return VariationalResult(energies=energies, states=tuple(states))

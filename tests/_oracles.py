@@ -291,6 +291,11 @@ def pib_density(n: int, x_c: float):
     return rho
 
 
+def pib_shannon_x(x_c: float) -> float:
+    """-integral rho ln rho = ln(4 x_c) - 1, independent of the state index."""
+    return math.log(4.0 * x_c) - 1.0
+
+
 def pib_onicescu_x(x_c: float) -> float:
     """integral rho^2 = 3/(4 x_c), independent of the state index."""
     return 3.0 / (4.0 * x_c)
@@ -305,3 +310,9 @@ def pib_fisher_x(n: int, x_c: float) -> float:
 GAUSS_S_X = 0.5 * (1.0 + math.log(math.pi))     # 1.0723649429...
 GAUSS_E_X = 1.0 / math.sqrt(2.0 * math.pi)      # 0.3989422804...
 ONICESCU_CEILING = 1.0 / (2.0 * math.pi)        # product bound, saturated here
+
+
+def momentum_moments(md, order: int) -> float:
+    """<p^order> of a momentum density by a plain Riemann sum over its comb,
+    which is uniform and on which the density decays."""
+    return float(np.sum(md.p_values ** order * md.density) * md.dp)

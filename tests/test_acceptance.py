@@ -18,7 +18,7 @@ import pytest
 
 import _oracles as O
 from confosc import acceptance
-from confosc.cli_reports import TABLE_SPECS, ReportRow
+from confosc.cli_reports import TABLES, ReportRow
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import DensityProfile, full_report, shannon
 from confosc.model import acho_unit_box, box_grid
@@ -85,7 +85,7 @@ def test_red_set_is_exactly_the_documented_defects(gate):
 ])
 def test_references_are_keyed_by_the_sweeps_they_check(table, refs, levels):
     # the gate looks each reference up in the rows of the table's own sweep
-    spec = TABLE_SPECS[table]
+    spec = TABLES[table].spec
     assert tuple(refs) == spec.values
     for ref in refs.values():
         assert levels(ref) == {spec.n_hi - spec.n_lo + 1}

@@ -5,16 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import _oracles as O
 import confosc
-from confosc.cli_reports import (ConfigError, ReportRow, SchemaError,
-                                 SweepSpec, cross_check, emit_table, main,
-                                 normalize_table_id, parse_config,
-                                 rows_from_csv, rows_to_csv, run_sweep)
-from confosc.exact_scho import scho_eigenvalue
-from confosc.model import DomainError
+from confosc import exact_scho
+from confosc.cli_reports import (TABLES, ConfigError, ReportRow, SchemaError,
+                                 SweepSpec, _solve_with, cross_check,
+                                 emit_table, main, normalize_table_id,
+                                 parse_config, rows_from_csv, rows_to_csv,
+                                 run_sweep)
+from confosc.exact_scho import (RootSearchError, scho_eigenvalue,
+                                scho_wavefunction)
+from confosc.model import DomainError, canonical_sign
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
 
@@ -113,6 +117,11 @@ def test_parse_config_rejects(text, fragment):
          cross_tol=math.nan),
     dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
          cross_tol=math.inf),
+    dict(mode="acho-dm", values=(1.0,), eta=-1.0),
+    dict(mode="scho-xc", values=(2.0, 7.5), solvers=("itp", "exact")),
+    dict(mode="scho-eta", values=(2501.0,), solvers=("exact",)),
+    dict(mode="acho-dm", values=(1e200,), solvers=("variational",)),
+    dict(mode="acho-eta", values=(1e308,)),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
@@ -127,6 +136,26 @@ def test_cli_rejects_exact_route_at_zero_strength(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "solver 'exact'" in captured.err and "value 0" in captured.err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--mode", "scho-xc", "--value", "8", "--solver", "exact"],
+     "series window"),
+    (["--mode", "scho-eta", "--value", "3000", "--solver", "exact"],
+     "series window"),
+    (["--mode", "acho-dm", "--value", "1e200", "--solver", "variational"],
+     "finite at the walls"),
+    (["--mode", "acho-dm", "--value", "1e200", "--solver", "itp"],
+     "finite at the walls"),
+    (["--mode", "acho-eta", "--value", "1e308", "--solver", "itp"],
+     "must be finite"),
+])
+def test_cli_rejects_a_value_outside_the_route_domain(argv, fragment, capsys):
+    # refused when the spec is built, before any route runs: no error row
+    assert main(["solve"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value" in captured.err and fragment in captured.err
 
 
 # ------------------------------------------------------------ CSV round trip
@@ -226,6 +255,48 @@ def test_normalize_table_id():
         normalize_table_id("X")
 
 
+def _every_format(tmp_path, argv) -> dict[str, str]:
+    out = {}
+    for fmt in ("csv", "tsv", "pretty"):
+        path = tmp_path / fmt
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        out[fmt] = path.read_text()
+    return out
+
+
+def assert_one_writer(out: dict[str, str]):
+    """tsv is the CSV with tabs, and pretty holds the CSV cells aligned (an
+    empty cell prints as blanks)."""
+    assert out["tsv"] == out["csv"].replace(",", "\t")
+    pretty = out["pretty"].splitlines()
+    assert set(pretty[1]) == {"-", " "}
+    assert [ln.split() for ln in pretty[:1] + pretty[2:]] == \
+        [[c for c in ln.split(",") if c] for ln in out["csv"].splitlines()]
+
+
+@pytest.mark.parametrize("tid", list(TABLES))
+def test_each_table_prints_the_same_cells_in_every_format(tid, tmp_path):
+    assert_one_writer(_every_format(tmp_path,
+                                    ["table", tid, "--grid-points", "600"]))
+
+
+def test_sweep_and_solve_print_the_same_cells_in_every_format(tmp_path):
+    assert_one_writer(_every_format(
+        tmp_path, ["solve", "--mode", "scho-xc", "--value", "2", "--n", "1",
+                   "--solver", "exact,itp", "--grid-points", "300"]))
+    config = tmp_path / "sweep.cfg"
+    config.write_text("mode = acho-dm\nvalues = 0.5, 2\nstates = 0:1\n"
+                      "solver = variational\ngrid_points = 300\n")
+    assert_one_writer(_every_format(tmp_path,
+                                    ["sweep", "--config", str(config)]))
+
+
+def test_every_registry_column_is_a_csv_header():
+    header = rows_to_csv([]).rstrip("\n").split(",")
+    for table in TABLES.values():
+        assert set(table.columns) <= set(header)
+
+
 # ------------------------------------------------------------ sweep behavior
 
 def test_sweep_is_deterministic_and_worker_invariant():
@@ -247,18 +318,47 @@ def test_exact_scho_eta_route_solves_each_level_once():
     assert scho_eigenvalue.cache_info().misses == 3
 
 
-def test_sweep_records_errors_and_continues():
-    # the closed-form route cannot reach half-length 8 (transform argument
-    # cap); that value must yield an error row while the rest solve fine
-    spec = SweepSpec(mode="scho-xc", values=(2.0, 8.0), n_hi=0,
+@pytest.fixture
+def exact_fails_at_three(monkeypatch):
+    """The exact route raises at half-length 3 and solves elsewhere."""
+    solve = exact_scho.scho_wavefunction
+
+    def flaky(n, x_c, grid):
+        if x_c == 3.0:
+            raise RootSearchError("no bracket at x_c=3")
+        return solve(n, x_c, grid)
+    monkeypatch.setattr(exact_scho, "scho_wavefunction", flaky)
+
+
+def test_sweep_records_errors_and_continues(exact_fails_at_three):
+    # a route that fails at one value yields an error row there while the
+    # rest solve fine
+    spec = SweepSpec(mode="scho-xc", values=(2.0, 3.0), n_hi=0,
                      solvers=("exact",), grid_points=300)
     rows = run_sweep(spec)
     good = [r for r in rows if not r.error]
     bad = [r for r in rows if r.error]
     assert [r.value for r in good] == [2.0]
-    assert [r.value for r in bad] == [8.0]
-    assert "Error" in bad[0].error
+    assert [r.value for r in bad] == [3.0]
+    assert bad[0].error == "RootSearchError: no bracket at x_c=3"
     assert math.isnan(bad[0].energy)
+
+
+def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
+    for mode, value, solvers in (
+            ("scho-eta", 2.0, ("itp", "exact", "variational", "pt")),
+            ("acho-dm", 0.5, ("itp", "variational"))):
+        for solver in solvers:
+            spec = SweepSpec(mode=mode, values=(value,), n_hi=3,
+                             solvers=(solver,), grid_points=400)
+            for state in _solve_with(spec, value, solver)[2]:
+                assert np.array_equal(state.values,
+                                      canonical_sign(state.values))
+    # so the relaxation and exact states overlap at +1, never -1
+    _pot, grid, ladder = xc2_itp_ladder
+    for state in ladder:
+        exact = scho_wavefunction(state.n, 2.0, grid)
+        assert abs(grid.h * float(state.values @ exact.values) - 1.0) < 1e-6
 
 
 def test_cross_check_semantics():
@@ -336,9 +436,9 @@ def test_cli_phase_rejects_a_solver_pair(capsys):
     assert "phase reads one solver, got 'exact,itp'" in captured.err
 
 
-def test_cli_solve_failure_exit_code(tmp_path):
+def test_cli_solve_failure_exit_code(tmp_path, exact_fails_at_three):
     out = tmp_path / "row.csv"
-    rc = main(["solve", "--mode", "scho-xc", "--value", "8", "--n", "0",
+    rc = main(["solve", "--mode", "scho-xc", "--value", "3", "--n", "0",
                "--solver", "exact", "--format", "csv", "--out", str(out)])
     assert rc == 1
     assert rows_from_csv(out.read_text())[0].error

@@ -7,8 +7,8 @@ from scipy.integrate import simpson
 
 import _oracles as O
 from confosc.exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                                pib_measures, scho_eigenvalue,
-                                scho_wavefunction)
+                                scho_eigenvalue, scho_wavefunction,
+                                series_window)
 from confosc.model import DomainError, box_grid
 
 # Native-units quantization roots, frozen from tests/_oracles.mp_scho_eigenvalue
@@ -134,6 +134,16 @@ def test_root_scan_failure_is_reported():
         scho_eigenvalue(0, 7.5)      # wall argument z = 56.25 beyond the cap
 
 
+def test_series_window_is_one_rule():
+    # scho_eigenvalue and the sweep spec both ask series_window
+    assert series_window(7.07) == 7.07 * 7.07
+    for x_c in (0.0, -1.0, math.nan, 7.1):
+        with pytest.raises(DomainError, match="series window"):
+            series_window(x_c)
+        with pytest.raises(DomainError, match="series window"):
+            scho_eigenvalue(0, x_c)
+
+
 # ---------------------------------------------------------------------------
 # wavefunctions
 # ---------------------------------------------------------------------------
@@ -164,15 +174,6 @@ def test_wavefunction_gram_identity(xc2_grid, xc2_exact):
     assert np.max(np.abs(gram - np.eye(len(xc2_exact)))) < 1e-9
 
 
-def test_wavefunction_centre_positive_convention(xc2_exact):
-    # sign fixed so every state is positive just right of the box centre
-    # (the fixture grid has an even point count, so the middle sample sits
-    # at +h/2 where odd states are already nonzero)
-    for state in xc2_exact:
-        vals = state.values
-        assert vals[len(vals) // 2] > 0
-
-
 def test_wavefunction_and_eigenvalue_share_one_cache_entry():
     # the state's root search is the one a later eigenvalue call reuses
     scho_eigenvalue.cache_clear()
@@ -188,19 +189,12 @@ def test_wavefunction_and_eigenvalue_share_one_cache_entry():
 
 @given(n=st.integers(0, 5), x_c=st.floats(0.3, 6.0))
 def test_pib_closed_forms_match_oracle_forms(n, x_c):
-    # pib_measures counts states from 1, pib_energy from 0 (documented)
-    s_x, e_x, i_x = pib_measures(n + 1, x_c)
-    assert math.isclose(e_x, O.pib_onicescu_x(x_c), rel_tol=1e-13)
-    assert math.isclose(i_x, O.pib_fisher_x(n, x_c), rel_tol=1e-13)
-    assert math.isclose(s_x, math.log(4.0 * x_c) - 1.0, rel_tol=0,
-                        abs_tol=1e-13)
+    # the flat-box level, and through I_x = 4 <p^2> = 8 m eps the Fisher
+    # closed form of the oracles
     assert math.isclose(pib_energy(n, x_c), O.pib_energy(n, x_c),
                         rel_tol=1e-14)
-
-
-def test_pib_measures_rejects_zero_index():
-    with pytest.raises(DomainError):
-        pib_measures(0, 1.0)
+    assert math.isclose(8.0 * pib_energy(n, x_c), O.pib_fisher_x(n, x_c),
+                        rel_tol=1e-13)
 
 
 def test_pib_entropy_form_against_quadrature():
@@ -209,7 +203,7 @@ def test_pib_entropy_form_against_quadrature():
     for n, x_c in ((0, 1.0), (3, 2.5)):
         nodes = [-x_c + j * 2.0 * x_c / (n + 1) for j in range(n + 2)]
         s_quad = O.mp_entropy_split(O.pib_density(n, x_c), nodes)
-        assert math.isclose(s_quad, math.log(4.0 * x_c) - 1.0, abs_tol=1e-12)
+        assert math.isclose(s_quad, O.pib_shannon_x(x_c), abs_tol=1e-12)
 
 
 def test_pib_ground_energy_value():

@@ -44,6 +44,16 @@ def test_potential_constructor_guards():
             ConfinedPotential(**kw)
 
 
+def test_potential_must_be_finite_at_the_walls():
+    # every parameter is finite, yet 0.5 k (wall - d_m)^2 is not
+    for kw in (dict(k=2.0, d_m=1e200), dict(k=1e308, b1=-10.0, b2=10.0),
+               dict(k=0.0, d_m=1e308, b1=-1e308)):
+        with pytest.raises(DomainError, match="finite at the walls"):
+            ConfinedPotential(**kw)
+    pot = ConfinedPotential(k=2.0, d_m=1e150)     # 1e300 at the walls
+    assert np.all(np.isfinite(pot.interior_values(box_grid(-1.0, 1.0, 50))))
+
+
 def test_interior_values_requires_spanning_grid():
     pot = ConfinedPotential(b1=-1.0, b2=1.0)
     with pytest.raises(DomainError):
@@ -63,6 +73,15 @@ def test_eigenpair_samples_are_read_only():
     ep = Eigenpair(n=0, energy=1.0, values=vals, grid=g)
     with pytest.raises(ValueError):
         ep.values[0] = 1.0
+
+
+def test_eigenpair_stores_the_canonical_sign():
+    g = box_grid(-1.0, 1.0, 5)
+    vals = np.array([0.0, 0.3, -0.9, 0.5, 0.2, 0.1, 0.0])
+    assert np.array_equal(Eigenpair(n=1, energy=1.0, values=vals,
+                                    grid=g).values, -vals)
+    assert np.array_equal(Eigenpair(n=1, energy=1.0, values=-vals,
+                                    grid=g).values, -vals)
 
 
 def smooth_samples(n):

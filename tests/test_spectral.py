@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as O
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import DensityProfile, shannon
 from confosc.model import DomainError, Eigenpair, box_grid
-from confosc.spectral import momentum_moments, parseval_defect, to_momentum
+from confosc.spectral import parseval_defect, to_momentum
 
 PI = math.pi
 
@@ -23,13 +24,6 @@ def box_ground(n_interior):
 def test_pad_factor_guard():
     with pytest.raises(DomainError):
         to_momentum(box_ground(200), pad_factor=0)
-
-
-def test_moment_order_guard():
-    md = to_momentum(box_ground(200))
-    for order in (0, 3, -1):
-        with pytest.raises(DomainError):
-            momentum_moments(md, order)
 
 
 def test_comb_geometry():
@@ -53,8 +47,10 @@ def test_parseval_for_smooth_and_kinked_states():
 def test_box_second_moment_is_twice_the_energy():
     # <p^2> = 2 m eps for the flat box; the kinked walls shed a slowly
     # decaying p^-4 tail, so accuracy is set by the Nyquist cutoff pi/h
-    coarse = abs(momentum_moments(to_momentum(box_ground(1000)), 2) - PI * PI / 4.0)
-    fine = abs(momentum_moments(to_momentum(box_ground(4000)), 2) - PI * PI / 4.0)
+    coarse = abs(O.momentum_moments(to_momentum(box_ground(1000)), 2)
+                 - PI * PI / 4.0)
+    fine = abs(O.momentum_moments(to_momentum(box_ground(4000)), 2)
+               - PI * PI / 4.0)
     assert fine < 1e-3
     assert fine < coarse
 
@@ -62,13 +58,13 @@ def test_box_second_moment_is_twice_the_energy():
 def test_wide_well_momentum_width():
     # x_c = 6 ground state is Gaussian to ~1e-15; <p^2> = 1/2 in native units
     st = scho_wavefunction(0, 6.0, box_grid(-6.0, 6.0, 2000))
-    assert abs(momentum_moments(to_momentum(st), 2) - 0.5) < 1e-6
+    assert abs(O.momentum_moments(to_momentum(st), 2) - 0.5) < 1e-6
 
 
 def test_first_moment_vanishes_for_real_states(xc2_exact):
     # odd states keep a ~1e-9 residual from the unpaired Nyquist sample
     for st in xc2_exact:
-        assert abs(momentum_moments(to_momentum(st), 1)) < 5e-9
+        assert abs(O.momentum_moments(to_momentum(st), 1)) < 5e-9
 
 
 def test_density_is_even_for_parity_eigenstates(xc2_exact):

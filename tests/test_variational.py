@@ -8,8 +8,9 @@ from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
 from confosc.model import (DomainError, acho_unit_box, apply_bands, box_grid,
                            simpson_weights)
-from confosc.variational import (DEFAULT_ALPHA, BasisError, build_basis,
-                                 diagonalize, hamiltonian_matrix, solve_acho)
+from confosc.variational import (DEFAULT_ALPHA, BasisError, BasisSet,
+                                 _boundary_roots, build_basis, diagonalize,
+                                 hamiltonian_matrix, solve_acho)
 
 # Offset-well level references (reduced units, eta = 1): (d_m, n) -> energy.
 OFFSET_REFS = {
@@ -36,11 +37,14 @@ def test_default_alpha_value():
 
 def test_auxiliary_levels_match_quantization_roots():
     # at alpha = sqrt(1/8) the auxiliary envelope problem on [-1, 1] is the
-    # centred well in doubled units: eps_aux(n) = 2 * eps_native(n, x_c = 1)
-    basis = build_basis(12, unit_grid())
-    for n in range(8):
-        assert math.isclose(basis.aux_energies[n],
-                            2.0 * scho_eigenvalue(n, 1.0), abs_tol=1e-8)
+    # centred well in doubled units: eps_aux(n) = 2 * eps_native(n, x_c = 1);
+    # build_basis scans with beta = 1, z_edge = 1 and step 0.3 there
+    assert math.isclose(2.0 * math.sqrt(2.0) * DEFAULT_ALPHA, 1.0)
+    for odd in (False, True):
+        roots = _boundary_roots(1.0, 1.0, odd, 4, 0.3)
+        for j, eps in enumerate(roots):
+            assert math.isclose(eps, 2.0 * scho_eigenvalue(2 * j + odd, 1.0),
+                                abs_tol=1e-8)
 
 
 def test_basis_gram_identity():
@@ -66,11 +70,25 @@ def test_simpson_weights_need_odd_count():
 
 
 def test_well_beyond_the_arithmetic_is_rejected():
-    # at d_m = 1e200 the well overflows to inf and the matrix turns NaN; the
-    # symmetry and residual checks must not let NaN through
-    pot, mass = acho_unit_box(1.0, 1e200)
-    with np.errstate(all="ignore"), pytest.raises(BasisError):
-        solve_acho(pot, size=8, grid=unit_grid(), mass=mass)
+    # at d_m = 1e200 the well overflows to inf at the walls, so the problem
+    # is refused before any matrix is built
+    with pytest.raises(DomainError, match="finite at the walls"):
+        acho_unit_box(1.0, 1e200)
+
+
+def test_nan_cannot_pass_the_matrix_checks(monkeypatch):
+    # the symmetry and residual checks are written so that NaN fails them
+    grid = unit_grid(101)
+    pot, mass = acho_unit_box(1.0, 0.5)
+    nan_rows = BasisSet(grid=grid, values=np.full((3, grid.n_points), np.nan))
+    with pytest.raises(BasisError, match="asymmetry"):
+        hamiltonian_matrix(nan_rows, pot, mass)
+    with pytest.raises(DomainError, match="not symmetric"):
+        diagonalize(np.full((2, 2), np.nan))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda mat: (np.full(2, np.nan), np.eye(2)))
+    with pytest.raises(BasisError, match="residual"):
+        diagonalize(np.eye(2))
 
 
 def test_hamiltonian_matrix_is_symmetric():
