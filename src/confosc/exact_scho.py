@@ -16,17 +16,19 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import DomainError, Eigenpair, Grid, simpson
 
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
 _Z_LIMIT = 50.0
-_ROOT_TOL = 1e-12   # bisection width; one value, so one cache key per level
+_ROOT_TOL = 1e-12   # Brent root tolerance; one value, so one cache key per level
 
 
 class RootSearchError(RuntimeError):
-    """No sign change found below the energy ceiling."""
+    """Fewer boundary zeros below the min-max bound than the level needs,
+    or a series that did not settle."""
 
 
 def _series_1f1(a, b: float, z):
@@ -87,22 +89,6 @@ def _boundary_values(n_parity_even: bool, eps, z_edge: float) -> np.ndarray:
     return _series_1f1(0.75 - eps / 2.0, 1.5, z_edge)
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def series_window(x_c: float) -> float:
     """The wall argument x_c^2 of the series, once x_c lies in the window
     0 < x_c^2 <= 50 where the Maclaurin sum does not cancel."""
@@ -119,44 +105,29 @@ def scho_eigenvalue(n: int, x_c: float) -> float:
 
     Located as the appropriate zero (in energy) of the wall value: for even n
     the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
-    of the odd branch. Scan step 0.1, then plain bisection down to 1e-12.
+    of the odd branch. One vectorised scan at step 0.1 up to the min-max bound
+    finds the sign changes; Brent's method refines the wanted one to 1e-12.
     """
     z_edge = series_window(x_c)
     if n < 0:
         raise DomainError("state index must be >= 0")
     even = (n % 2 == 0)
-    want = n // 2 + 1 if even else (n + 1) // 2
+    want = n // 2 + 1
 
-    # the flat-box value plus the well depth at the wall bounds every level;
-    # scanning past ten times that means something is wrong
-    ceiling = 10.0 * (pib_energy(n, x_c) + 0.5 * x_c * x_c)
+    # 0 <= V <= x_c^2/2 on the box, so by min-max level n lies between its
+    # flat-box value and that plus x_c^2/2: its branch has at least `want`
+    # zeros below the ceiling
+    ceiling = pib_energy(n, x_c) + 0.5 * z_edge
     step = 0.1
-    lo_bracket = None
-    seen = 0
-    eps0 = 1e-9
-    chunk = 4096
-    start = eps0
-    prev_eps = eps0
-    prev_val = float(_boundary_values(even, eps0, z_edge))
-    while start < ceiling and lo_bracket is None:
-        eps_grid = start + step * np.arange(1, chunk + 1)
-        vals = _boundary_values(even, eps_grid, z_edge)
-        signs_prev = np.concatenate(([prev_val], vals[:-1]))
-        flips = np.nonzero((signs_prev < 0) != (vals < 0))[0]
-        for idx in flips:
-            seen += 1
-            if seen == want:
-                lo_bracket = (prev_eps if idx == 0 else eps_grid[idx - 1],
-                              eps_grid[idx])
-                break
-        prev_eps = eps_grid[-1]
-        prev_val = vals[-1]
-        start = prev_eps
-    if lo_bracket is None:
+    eps = 1e-9 + step * np.arange(int(ceiling / step) + 2)
+    vals = _boundary_values(even, eps, z_edge)
+    flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
+    if len(flips) < want:
         raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
                               "n=%d, x_c=%g" % (want, ceiling, n, x_c))
+    k = flips[want - 1]
     f = lambda e: float(_boundary_values(even, e, z_edge))
-    return _bisect_root(f, lo_bracket[0], lo_bracket[1], _ROOT_TOL)
+    return brentq(f, eps[k], eps[k + 1], xtol=_ROOT_TOL)
 
 
 def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:

@@ -12,10 +12,12 @@ decay like the target states do, and reduce to the exact answer when the well
 is centred and alpha matches it. The envelope width alpha is fixed at
 DEFAULT_ALPHA, the width of the unit well.
 
-Roots of the boundary equation are located by scanning in sqrt(eps), where
-consecutive same-parity levels are nearly equally spaced (the flat-box ladder
-gives exactly pi/(2b) spacing, and the quadratic term only compresses it
-mildly), so a fixed scan step cannot skip a level.
+Roots of the boundary equation are located by one vectorised scan in
+sqrt(eps), where consecutive same-parity levels are nearly equally spaced (the
+flat-box ladder gives exactly pi/(2b) spacing, and the quadratic term only
+compresses it mildly), so a fixed scan step cannot skip a level. The scan
+stops at the min-max bound on the highest wanted level, and Brent's method
+refines each sign change.
 
 The Hamiltonian matrix applies the shared discrete Hamiltonian
 `model.hamiltonian_bands`, the operator the relaxation route propagates with,
@@ -65,37 +67,23 @@ def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
     b = 1.5 if odd else 0.5
     shift = 3.0 if odd else 1.0
 
-    def g(s: float) -> float:
-        eps = s * s
-        a = (shift - eps / beta) / 4.0
-        return float(hyp1f1(a, b, z_edge))
+    def g(s):
+        return hyp1f1((shift - s * s / beta) / 4.0, b, z_edge)
 
-    roots: list[float] = []
-    s_lo = 1e-9
-    g_lo = g(s_lo)
-    chunk = 512
-    guard = 0
-    while len(roots) < count:
-        guard += 1
-        if guard > 200:
-            raise BasisError("boundary root scan ran away (beta=%g)" % beta)
-        s_vals = s_lo + s_step * np.arange(1, chunk + 1)
-        eps = s_vals * s_vals
-        a = (shift - eps / beta) / 4.0
-        g_vals = hyp1f1(a, b, z_edge)
-        prev = g_lo
-        prev_s = s_lo
-        for s, gv in zip(s_vals, g_vals):
-            if prev == 0.0:
-                roots.append(prev_s * prev_s)
-            elif gv == 0.0 or (gv < 0) != (prev < 0):
-                s_root = brentq(g, prev_s, s, xtol=1e-13, maxiter=200)
-                roots.append(s_root * s_root)
-            if len(roots) >= count:
-                break
-            prev, prev_s = gv, s
-        s_lo, g_lo = s_vals[-1], g_vals[-1]
-    return roots[:count]
+    # 0 <= beta^2 x^2 <= beta z_edge on the box, so by min-max the wanted
+    # level 2 count - 1 lies below its flat-box value plus beta z_edge
+    s_max = math.sqrt((count * math.pi) ** 2 * beta / z_edge + beta * z_edge)
+    s_vals = 1e-9 + s_step * np.arange(int(s_max / s_step) + 2)
+    g_vals = g(s_vals)
+    flips = np.nonzero((g_vals[:-1] < 0) != (g_vals[1:] < 0))[0]
+    if len(flips) < count:
+        raise BasisError("found %d of %d %s boundary zeros below eps=%.3g "
+                         "(edge=%g, beta=%g)"
+                         % (len(flips), count, "odd" if odd else "even",
+                            s_max * s_max, math.sqrt(z_edge / beta), beta))
+    roots = [brentq(g, s_vals[k], s_vals[k + 1], xtol=1e-13, maxiter=200)
+             for k in flips[:count]]
+    return [s * s for s in roots]
 
 
 @lru_cache(maxsize=16)

@@ -24,7 +24,11 @@ def frac_1f1(a, b, z, terms: int = 160) -> Fraction:
 
     Inputs are converted through str() so decimal literals stay exact.
     Suitable for moderate |z| (the series is evaluated verbatim, no
-    transformations).
+    transformations). The sum stops early once its tail is proven below
+    2^-110 of the total: with b + k > 0, every later term ratio is at most
+    r = |z| (1 + |a - b| / (b + k)) / (k + 2), so for r <= 1/2 the tail
+    after the current term is at most that term. Otherwise it runs `terms`
+    terms.
     """
     a = Fraction(str(a)) if not isinstance(a, Fraction) else a
     b = Fraction(str(b)) if not isinstance(b, Fraction) else b
@@ -34,6 +38,9 @@ def frac_1f1(a, b, z, terms: int = 160) -> Fraction:
     for k in range(terms):
         term = term * (a + k) * z / ((b + k) * (k + 1))
         total += term
+        if (b + k > 0 and 2 * abs(z) * (1 + abs(a - b) / (b + k)) <= k + 2
+                and abs(term) <= abs(total) / 2 ** 110):
+            break
     return total
 
 

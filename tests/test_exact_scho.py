@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
 import _oracles as O
+from confosc import exact_scho
 from confosc.exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                                 scho_eigenvalue, scho_wavefunction,
                                 series_window)
@@ -16,6 +17,9 @@ from confosc.model import DomainError, box_grid
 ROOT_TRUTHS = {
     (0, 0.25): 19.74329275027983,
     (1, 0.25): 78.96566859568605,
+    (2, 0.25): 177.6625922957069,
+    (3, 0.25): 315.8373617534654,
+    (4, 0.25): 493.49038344923935,
     (0, 1.0): 1.298459832032057,
     (2, 1.0): 11.25882578148291,
     (0, 2.0): 0.5374612092816752,
@@ -96,7 +100,7 @@ def test_kummer_contiguous_identity(a, z):
 def test_eigenvalue_against_oracle_truths(key):
     n, x_c = key
     assert math.isclose(scho_eigenvalue(n, x_c), ROOT_TRUTHS[key],
-                        rel_tol=0, abs_tol=5e-11)
+                        rel_tol=0, abs_tol=1e-12)
 
 
 def test_eigenvalue_live_oracle_link():
@@ -122,16 +126,31 @@ def test_reduced_ground_reference_value():
 
 def test_levels_increase_and_clear_open_line_bound():
     # gaps never fall below the open-line spacing 1 and every level clears
-    # (n + 1/2); slack 1e-9 covers the bisection tolerance on the roots
+    # (n + 1/2); slack 1e-9 covers the 1e-12 root tolerance
     for x_c in (0.5, 2.0, 6.0):
         eps = [scho_eigenvalue(n, x_c) for n in range(5)]
         assert all(b - a >= 1.0 - 1e-9 for a, b in zip(eps, eps[1:]))
         assert all(e > n + 0.5 - 1e-9 for n, e in enumerate(eps))
 
 
+@pytest.mark.parametrize("x_c", (0.25, 1.0, 3.0, 6.0, 7.0))
+def test_levels_lie_in_their_min_max_bracket(x_c):
+    # 0 <= V <= x_c^2/2 on the box: the premise that bounds the root scan
+    for n in range(5):
+        eps = scho_eigenvalue(n, x_c)
+        assert pib_energy(n, x_c) < eps < pib_energy(n, x_c) + 0.5 * x_c ** 2
+
+
 def test_root_scan_failure_is_reported():
-    with pytest.raises((RootSearchError, DomainError)):
+    with pytest.raises(DomainError):
         scho_eigenvalue(0, 7.5)      # wall argument z = 56.25 beyond the cap
+
+
+def test_scan_without_enough_sign_changes_is_reported(monkeypatch):
+    monkeypatch.setattr(exact_scho, "_boundary_values",
+                        lambda even, eps, z_edge: np.ones(np.shape(eps)))
+    with pytest.raises(RootSearchError, match=r"n=3, x_c=1\.2345"):
+        scho_eigenvalue(3, 1.2345)
 
 
 def test_series_window_is_one_rule():
@@ -165,6 +184,15 @@ def test_wavefunction_normalized_nodes_parity(xc2_grid, xc2_exact):
             assert np.allclose(vals, mirrored, atol=1e-9)
         else:
             assert np.allclose(vals, -mirrored, atol=1e-9)
+
+
+@pytest.mark.parametrize("x_c", (6.0, 7.0))
+def test_wide_box_states_vanish_at_the_walls(x_c):
+    grid = box_grid(-x_c, x_c, 4001)
+    for n in range(5):
+        vals = scho_wavefunction(n, x_c, grid).values
+        wall = max(abs(vals[0]), abs(vals[-1]))
+        assert wall <= 1e-8 * np.max(np.abs(vals))
 
 
 def test_wavefunction_gram_identity(xc2_grid, xc2_exact):

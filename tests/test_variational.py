@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
 from confosc.model import (DomainError, acho_unit_box, apply_bands, box_grid,
@@ -45,6 +46,13 @@ def test_auxiliary_levels_match_quantization_roots():
         for j, eps in enumerate(roots):
             assert math.isclose(eps, 2.0 * scho_eigenvalue(2 * j + odd, 1.0),
                                 abs_tol=1e-8)
+
+
+def test_scan_without_enough_sign_changes_is_reported(monkeypatch):
+    monkeypatch.setattr(variational, "hyp1f1",
+                        lambda a, b, z: np.ones(np.shape(a)))
+    with pytest.raises(BasisError, match=r"found 0 of 4 odd .*edge=1,"):
+        _boundary_roots(1.0, 1.0, True, 4, 0.3)
 
 
 def test_basis_gram_identity():
