@@ -19,6 +19,10 @@ compresses it mildly), so a fixed scan step cannot skip a level. The scan
 stops at the min-max bound on the highest wanted level, and Brent's method
 refines each sign change.
 
+Every trial function is even or odd in x (DLMF 13.2), so the trial rows are
+evaluated on x >= 0 only, in one broadcast `hyp1f1` call per parity, and
+mirrored with their parity's sign onto x < 0.
+
 The Hamiltonian matrix applies the shared discrete Hamiltonian
 `model.hamiltonian_bands`, the operator the relaxation route propagates with,
 to the interior samples of the trial rows; its odd-reflection wall closure is
@@ -60,15 +64,20 @@ class BasisSet:
         self.values.setflags(write=False)
 
 
+def _kummer_args(eps, beta: float, odd: bool):
+    """Parameters (a, b) of the Kummer factor M(a, b, beta x^2) of the
+    auxiliary level(s) `eps` of one parity."""
+    if odd:
+        return (3.0 - eps / beta) / 4.0, 1.5
+    return (1.0 - eps / beta) / 4.0, 0.5
+
+
 def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
                     s_step: float) -> list[float]:
     """First `count` eigenvalues of the auxiliary problem for one parity,
     found as zeros (in eps) of the hypergeometric boundary factor."""
-    b = 1.5 if odd else 0.5
-    shift = 3.0 if odd else 1.0
-
     def g(s):
-        return hyp1f1((shift - s * s / beta) / 4.0, b, z_edge)
+        return hyp1f1(*_kummer_args(s * s, beta, odd), z_edge)
 
     # 0 <= beta^2 x^2 <= beta z_edge on the box, so by min-max the wanted
     # level 2 count - 1 lies below its flat-box value plus beta z_edge
@@ -84,6 +93,32 @@ def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
     roots = [brentq(g, s_vals[k], s_vals[k + 1], xtol=1e-13, maxiter=200)
              for k in flips[:count]]
     return [s * s for s in roots]
+
+
+def _trial_rows(levels: list[tuple[float, bool]], grid: Grid,
+                beta: float) -> np.ndarray:
+    """Raw trial functions of the auxiliary `levels` ((eps, odd) pairs),
+    one row each, zero at the walls. Each row is even or odd in x, so it is
+    evaluated on x >= 0, the centre sample to the wall, in one broadcast
+    `hyp1f1` call per parity, and mirrored with its sign onto x < 0."""
+    c = grid.n_points // 2
+    # measured from the centre sample, which is x = 0 up to round-off, so
+    # the odd rows vanish there exactly
+    x = grid.points[c:] - grid.points[c]
+    zx = beta * x * x
+    env = np.exp(-0.5 * zx)
+    eps = np.array([e for e, _ in levels])
+    odd = np.array([o for _, o in levels])
+    rows = np.empty((len(levels), grid.n_points))
+    for parity, factor, sign in ((False, env, 1.0), (True, x * env, -1.0)):
+        idx = np.flatnonzero(odd == parity)
+        a, b = _kummer_args(eps[idx, None], beta, parity)
+        half = factor * hyp1f1(a, b, zx)
+        rows[idx, c:] = half
+        rows[idx, :c] = sign * half[:, :0:-1]
+    rows[:, 0] = 0.0
+    rows[:, -1] = 0.0
+    return rows
 
 
 @lru_cache(maxsize=16)
@@ -111,20 +146,7 @@ def build_basis(size: int, grid: Grid) -> BasisSet:
     levels.sort()
     levels = levels[:size]
 
-    x = grid.points
-    zx = beta * x * x
-    env = np.exp(-0.5 * zx)
-    rows = np.empty((size, grid.n_points))
-    for j, (eps, odd) in enumerate(levels):
-        if odd:
-            a = (3.0 - eps / beta) / 4.0
-            rows[j] = x * env * hyp1f1(a, 1.5, zx)
-        else:
-            a = (1.0 - eps / beta) / 4.0
-            rows[j] = env * hyp1f1(a, 0.5, zx)
-    rows[:, 0] = 0.0
-    rows[:, -1] = 0.0
-
+    rows = _trial_rows(levels, grid, beta)
     w = simpson_weights(grid.n_points, grid.h)
     for j in range(size):
         for i in range(j):

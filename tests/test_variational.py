@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import hyp1f1
 
 from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
@@ -10,8 +11,8 @@ from confosc.itp_solver import solve_spectrum
 from confosc.model import (DomainError, acho_unit_box, apply_bands, box_grid,
                            simpson_weights)
 from confosc.variational import (DEFAULT_ALPHA, BasisError, BasisSet,
-                                 _boundary_roots, build_basis, diagonalize,
-                                 hamiltonian_matrix, solve_acho)
+                                 _boundary_roots, _trial_rows, build_basis,
+                                 diagonalize, hamiltonian_matrix, solve_acho)
 
 # Offset-well level references (reduced units, eta = 1): (d_m, n) -> energy.
 OFFSET_REFS = {
@@ -61,6 +62,83 @@ def test_basis_gram_identity():
     w = simpson_weights(grid.n_points, grid.h)
     gram = np.einsum("ip,p,jp->ij", basis.values, w, basis.values)
     assert np.max(np.abs(gram - np.eye(10))) < 1e-9
+
+
+def fresh_build(monkeypatch, size, grid):
+    """An uncached `build_basis(size, grid)`, with the levels and the raw
+    trial rows it orthonormalised."""
+    seen = []
+
+    def spy(levels, grid, beta):
+        rows = _trial_rows(levels, grid, beta)
+        seen.append((levels, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(variational, "_trial_rows", spy)
+    basis = build_basis.__wrapped__(size, grid)
+    (levels, raw), = seen
+    return levels, raw, basis
+
+
+def full_grid_rows(levels, grid, beta):
+    """The trial rows evaluated over the whole grid, one `hyp1f1` call per
+    row: the formula the half-line evaluation and its mirror replace."""
+    x = grid.points
+    zx = beta * x * x
+    env = np.exp(-0.5 * zx)
+    rows = np.empty((len(levels), grid.n_points))
+    for j, (eps, odd) in enumerate(levels):
+        if odd:
+            rows[j] = x * env * hyp1f1((3.0 - eps / beta) / 4.0, 1.5, zx)
+        else:
+            rows[j] = env * hyp1f1((1.0 - eps / beta) / 4.0, 0.5, zx)
+    rows[:, [0, -1]] = 0.0
+    return rows
+
+
+# the centre sample of the 1003-point grid is -1.1e-16, not 0
+@pytest.mark.parametrize("size", [10, 50])
+@pytest.mark.parametrize("n_interior", [1001, 4001])
+def test_trial_rows_have_exact_parity(monkeypatch, size, n_interior):
+    levels, raw, basis = fresh_build(monkeypatch, size, unit_grid(n_interior))
+    signs = [-1.0 if odd else 1.0 for _, odd in levels]
+    assert sorted(set(signs)) == [-1.0, 1.0]
+    for row, sign in zip(raw, signs):
+        assert np.array_equal(row[::-1], sign * row)
+    # the cross-parity Gram-Schmidt projections add round-off
+    for row, sign in zip(basis.values, signs):
+        assert np.max(np.abs(row[::-1] - sign * row)) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [10, 50])
+@pytest.mark.parametrize("n_interior", [2001, 4001])
+def test_basis_matches_the_full_grid_build(monkeypatch, size, n_interior):
+    grid = unit_grid(n_interior)
+    levels, raw, basis = fresh_build(monkeypatch, size, grid)
+    # x >= 0 is evaluated as before, bit for bit; only the mirror moves
+    c = grid.n_points // 2
+    beta = 2.0 * math.sqrt(2.0) * DEFAULT_ALPHA
+    assert np.array_equal(raw[:, c:], full_grid_rows(levels, grid, beta)[:, c:])
+    monkeypatch.setattr(variational, "_trial_rows", full_grid_rows)
+    reference = build_basis.__wrapped__(size, grid)
+    assert np.max(np.abs(basis.values - reference.values)) <= 1e-12
+
+
+def test_basis_build_makes_one_grid_call_per_parity(monkeypatch):
+    # scalar-z calls come from the boundary-root scan and are not counted
+    grid = unit_grid(1001)
+    sizes = []
+
+    def counting(a, b, z):
+        out = hyp1f1(a, b, z)
+        if np.ndim(z):
+            sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(variational, "hyp1f1", counting)
+    build_basis.__wrapped__(50, grid)
+    assert len(sizes) == 2
+    assert sum(sizes) <= 50 * (grid.n_points // 2 + 1)
 
 
 def test_basis_cache_returns_same_object():
