@@ -7,8 +7,8 @@ semiclassical phase-plane view, and a deterministic sweep/report CLI.
 """
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    acho_unit_box, box_grid, scho_unit_box, simpson,
-                    simpson_weights)
+                    acho_unit_box, box_grid, brent_root, scho_unit_box,
+                    simpson, simpson_weights)
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          scho_eigenvalue, scho_wavefunction)

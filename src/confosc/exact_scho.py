@@ -5,7 +5,8 @@ hypergeometric boundary value; the wavefunctions are the corresponding
 Gaussian-damped 1F1 profiles. The hypergeometric series here is hand-rolled
 (compensated Maclaurin summation) and is the slow-but-transparent reference
 path; the variational module deliberately uses an independent implementation
-so the two can cross-check each other.
+so the two can cross-check each other. Each root is refined by the package's
+own Brent's method, `model.brent_root`.
 
 Also provides the zero-well-limit (flat box) levels.
 """
@@ -16,9 +17,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .model import DomainError, Eigenpair, Grid, simpson
+from .model import DomainError, Eigenpair, Grid, brent_root, simpson
 
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
@@ -54,7 +54,7 @@ def _series_1f1(a, b: float, z):
         t = total + y
         comp = (t - total) - y
         total = t
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)):
+        if (np.abs(term) <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)).all():
             quiet += 1
             if quiet == 3:
                 break
@@ -72,9 +72,11 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     the reflection 1F1(a;b;z) = e^z 1F1(b-a; b; -z) so the series always runs
     on a non-negative argument.
     """
+    if not all(map(math.isfinite, (a, b, z))):
+        raise DomainError("a, b and z must be finite")
     if b <= 0 and float(b).is_integer():
         raise DomainError("second parameter must not be a non-positive integer")
-    if abs(z) > _Z_LIMIT:
+    if not abs(z) <= _Z_LIMIT:
         raise DomainError("|z| <= %g supported, got %g" % (_Z_LIMIT, z))
     if z < 0:
         return math.exp(z) * float(_series_1f1(b - a, b, -z))
@@ -106,7 +108,8 @@ def scho_eigenvalue(n: int, x_c: float) -> float:
     Located as the appropriate zero (in energy) of the wall value: for even n
     the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
     of the odd branch. One vectorised scan at step 0.1 up to the min-max bound
-    finds the sign changes; Brent's method refines the wanted one to 1e-12.
+    finds the sign changes; `model.brent_root` refines the wanted one to
+    1e-12.
     """
     z_edge = series_window(x_c)
     if n < 0:
@@ -127,7 +130,7 @@ def scho_eigenvalue(n: int, x_c: float) -> float:
                               "n=%d, x_c=%g" % (want, ceiling, n, x_c))
     k = flips[want - 1]
     f = lambda e: float(_boundary_values(even, e, z_edge))
-    return brentq(f, eps[k], eps[k + 1], xtol=_ROOT_TOL)
+    return brent_root(f, eps[k], eps[k + 1], _ROOT_TOL)
 
 
 def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:
@@ -152,6 +155,6 @@ def pib_energy(n: int, x_c: float) -> float:
     """Flat-box level (n+1)^2 pi^2 / (8 x_c^2); n is 0-based."""
     if n < 0:
         raise DomainError("state index must be >= 0")
-    if x_c <= 0:
-        raise DomainError("x_c must be positive")
+    if not 0 < x_c < math.inf:
+        raise DomainError("x_c must be positive and finite")
     return (n + 1) ** 2 * math.pi ** 2 / (8.0 * x_c ** 2)

@@ -1,6 +1,9 @@
 """Shared problem definitions: grids, hard-wall confined potentials, the two
-reduced problem builders, and the discrete Hamiltonian, Simpson rule and sign
-convention every route uses.
+reduced problem builders, the discrete Hamiltonian, Simpson rule and sign
+convention every route uses, and the bracketing root refiner (Brent's method)
+of the exact and variational routes. The refiner is SciPy's `brentq` step
+for step, kept here so that no run imports `scipy.optimize`, whose import
+loads several unused subpackages and costs about a quarter of start-up.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -37,6 +40,10 @@ class Grid:
                               "plus boundary rows, got %d" % self.n_points)
         if not self.x_max > self.x_min:
             raise DomainError("x_max must exceed x_min")
+        if not 0.0 < self.h < math.inf:
+            raise DomainError("the spacing of [%g, %g] over %d points is %g; "
+                              "it must be positive and finite"
+                              % (self.x_min, self.x_max, self.n_points, self.h))
 
     @property
     def h(self) -> float:
@@ -124,6 +131,83 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
+
+
+_BRENT_RTOL = 4.0 * math.ulp(1.0)     # the fixed rtol of brentq, 4 eps
+
+
+def brent_root(f, a: float, b: float, xtol: float,
+               maxiter: int = 100) -> float:
+    """Zero of `f` in the sign-changing bracket [a, b] by Brent's method
+    (Brent 1973, ch. 4), in the variant of SciPy's `brentq`: the same steps
+    in the same order, so the same float for the same calls of `f`.
+
+    The interval shrinks until half its width is below
+    (xtol + 4 eps |x|) / 2. An endpoint where f is exactly 0 is the root.
+    A NaN value of f or a bracket without a sign change raises ValueError;
+    no convergence within `maxiter` steps raises RuntimeError.
+    """
+    if not xtol > 0:
+        raise DomainError("xtol must be positive, got %g" % xtol)
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError("the function value at x=%r is NaN" % x)
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # an underflowed denominator: IEEE gives inf or nan, which
+                # never passes the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Brent's method did not converge in %d steps; last "
+                       "x=%r" % (maxiter, xcur))
 
 
 def hamiltonian_bands(pot: ConfinedPotential, grid: Grid,

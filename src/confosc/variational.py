@@ -16,8 +16,8 @@ Roots of the boundary equation are located by one vectorised scan in
 sqrt(eps), where consecutive same-parity levels are nearly equally spaced (the
 flat-box ladder gives exactly pi/(2b) spacing, and the quadratic term only
 compresses it mildly), so a fixed scan step cannot skip a level. The scan
-stops at the min-max bound on the highest wanted level, and Brent's method
-refines each sign change.
+stops at the min-max bound on the highest wanted level, and Brent's method,
+`model.brent_root`, refines each sign change.
 
 Every trial function is even or odd in x (DLMF 13.2), so the trial rows are
 evaluated on x >= 0 only, in one broadcast `hyp1f1` call per parity, and
@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import hyp1f1
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, hamiltonian_bands, simpson, simpson_weights)
+                    apply_bands, brent_root, hamiltonian_bands, simpson,
+                    simpson_weights)
 
 DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
 
@@ -90,7 +90,7 @@ def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
                          "(edge=%g, beta=%g)"
                          % (len(flips), count, "odd" if odd else "even",
                             s_max * s_max, math.sqrt(z_edge / beta), beta))
-    roots = [brentq(g, s_vals[k], s_vals[k + 1], xtol=1e-13, maxiter=200)
+    roots = [brent_root(g, s_vals[k], s_vals[k + 1], 1e-13, 200)
              for k in flips[:count]]
     return [s * s for s in roots]
 

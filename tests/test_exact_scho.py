@@ -80,6 +80,15 @@ def test_kummer_domain_cap():
         kummer_1f1(0.3, 0.5, -50.0001)
 
 
+def test_kummer_rejects_non_finite_input():
+    # a NaN parameter used to run all the terms and report an unsettled series
+    for args in ((math.nan, 0.5, 1.0), (0.3, math.nan, 1.0),
+                 (0.3, 0.5, math.nan), (math.inf, 0.5, 1.0),
+                 (0.3, -math.inf, 1.0), (0.3, 0.5, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            kummer_1f1(*args)
+
+
 @given(a=st.floats(-4.0, 2.0), z=st.floats(0.1, 10.0))
 def test_kummer_contiguous_identity(a, z):
     # a 1F1(a+1;b;z) = a 1F1(a;b;z) + z (a/b) 1F1(a+1;b+1;z) with b = 1/2:
@@ -237,3 +246,10 @@ def test_pib_entropy_form_against_quadrature():
 def test_pib_ground_energy_value():
     assert math.isclose(pib_energy(2, 1.0), 9.0 * math.pi ** 2 / 8.0,
                         rel_tol=1e-15)
+
+
+def test_pib_energy_needs_a_positive_finite_box():
+    # NaN used to come back as the level, and an infinite box as 0.0
+    for x_c in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            pib_energy(0, x_c)

@@ -1,11 +1,15 @@
 """Every name imported in the package modules and the tests is used, every
 private module-level function or constant of the package is read, and the
-package integrates with its own Simpson rule, not `scipy.integrate`.
+package integrates with its own Simpson rule and refines roots with its own
+Brent's method, so neither `scipy.integrate` nor `scipy.optimize` is loaded.
 
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,28 +98,76 @@ def test_no_unused_private_names():
     assert not found, "private names nothing reads:\n" + "\n".join(found)
 
 
-def imports_scipy_integrate(source: str) -> bool:
-    """Whether `source` imports `scipy.integrate` or a name from it."""
+# scipy subpackages the package does without: it integrates with its own
+# Simpson rule and refines roots with its own Brent's method
+FORBIDDEN_SCIPY = ("integrate", "optimize")
+
+
+def forbidden_scipy_imports(source: str) -> list[str]:
+    """The FORBIDDEN_SCIPY subpackages that `source` imports, itself or a
+    name from it."""
+    found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(a.name.startswith("scipy.integrate") for a in node.names):
-                return True
+            modules = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").startswith("scipy.integrate") or (
-                    node.module == "scipy"
-                    and any(a.name == "integrate" for a in node.names)):
-                return True
-    return False
+            modules = [node.module or ""]
+            if node.module == "scipy":
+                modules += ["scipy." + a.name for a in node.names]
+        else:
+            continue
+        for module in modules:
+            top, _, rest = module.partition(".")
+            sub = rest.partition(".")[0]
+            if top == "scipy" and sub in FORBIDDEN_SCIPY:
+                found.add(sub)
+    return sorted(found)
 
 
-def test_the_check_sees_scipy_integrate_imports():
-    assert imports_scipy_integrate("from scipy.integrate import simpson\n")
-    assert imports_scipy_integrate("import scipy.integrate as si\n")
-    assert imports_scipy_integrate("from scipy import integrate, linalg\n")
-    assert not imports_scipy_integrate("from scipy.linalg import eigh\n")
+def test_the_check_sees_forbidden_scipy_imports():
+    assert forbidden_scipy_imports("from scipy.integrate import simpson\n") \
+        == ["integrate"]
+    assert forbidden_scipy_imports("import scipy.integrate as si\n") \
+        == ["integrate"]
+    assert forbidden_scipy_imports("from scipy import integrate, linalg\n") \
+        == ["integrate"]
+    assert forbidden_scipy_imports("from scipy.optimize import brentq\n") \
+        == ["optimize"]
+    assert forbidden_scipy_imports("import numpy, scipy.optimize._zeros_py\n") \
+        == ["optimize"]
+    assert forbidden_scipy_imports("from scipy import optimize as so\n"
+                                   "from scipy.integrate import quad\n") \
+        == ["integrate", "optimize"]
+    assert not forbidden_scipy_imports("from scipy.linalg import eigh\n"
+                                       "import scipy.special\n"
+                                       "from scipy import fft\n")
 
 
-def test_package_has_one_simpson_rule():
-    found = [path.name for path in sorted(CHECKED[0].glob("*.py"))
-             if imports_scipy_integrate(path.read_text(encoding="utf-8"))]
-    assert not found, "modules importing scipy.integrate: " + ", ".join(found)
+def test_package_has_one_simpson_rule_and_one_root_refiner():
+    found = ["%s: scipy.%s" % (path.name, sub)
+             for path in sorted(CHECKED[0].glob("*.py"))
+             for sub in forbidden_scipy_imports(
+                 path.read_text(encoding="utf-8"))]
+    assert not found, "forbidden scipy imports:\n" + "\n".join(found)
+
+
+def test_a_fresh_run_loads_no_forbidden_scipy_subpackage():
+    # what the source check cannot see: a subpackage that comes in through
+    # another module (numpy, scipy.linalg, scipy.special) at import or at
+    # first use
+    script = (
+        "import sys\n"
+        "import confosc.cli_reports\n"
+        "from confosc.exact_scho import scho_eigenvalue\n"
+        "from confosc.model import box_grid\n"
+        "from confosc.variational import build_basis\n"
+        "scho_eigenvalue(0, 1.0)\n"
+        "build_basis(50, box_grid(-1.0, 1.0, 2001))\n"
+        "print(' '.join(sub for sub in %r if 'scipy.' + sub in sys.modules))\n"
+        % (FORBIDDEN_SCIPY,))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert run.stdout.split() == []

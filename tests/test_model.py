@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
+from scipy.optimize import brentq
 
+from confosc import exact_scho, variational
 from confosc.model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                           acho_unit_box, apply_bands, box_grid,
+                           acho_unit_box, apply_bands, box_grid, brent_root,
                            canonical_sign, hamiltonian_bands, scho_unit_box,
                            simpson, simpson_weights)
 
@@ -34,6 +36,15 @@ def test_grid_rejects_tiny_and_inverted():
         Grid(6, -1.0, 1.0)
     with pytest.raises(DomainError):
         Grid(50, 1.0, 1.0)
+
+
+def test_grid_needs_a_finite_positive_spacing():
+    # an infinite wall used to give a grid with h = inf
+    for x_min, x_max in ((0.0, math.inf), (-math.inf, 0.0),
+                         (-math.inf, math.inf), (math.nan, 1.0),
+                         (0.0, math.nan), (-1e308, 1e308), (0.0, 5e-324)):
+        with pytest.raises(DomainError):
+            Grid(11, x_min, x_max)
 
 
 def test_potential_constructor_guards():
@@ -160,3 +171,104 @@ def test_apply_bands_takes_one_state_or_a_block():
         assert np.array_equal(apply_bands(bands, row), got)
         assert np.allclose(got, dense @ row, rtol=0,
                            atol=1e-12 * np.abs(dense).max())
+
+
+# ---------------------------------------------------------------------------
+# Brent's method, against scipy.optimize.brentq as the independent reference
+# ---------------------------------------------------------------------------
+
+
+def recorded_brackets(module, monkeypatch, run):
+    """The arguments and the result, (f, a, b, xtol, maxiter, root), of every
+    `brent_root` call that `run()` makes through `module`."""
+    seen = []
+
+    def record(f, a, b, xtol, maxiter=100):
+        root = brent_root(f, a, b, xtol, maxiter)
+        seen.append((f, a, b, xtol, maxiter, root))
+        return root
+    monkeypatch.setattr(module, "brent_root", record)
+    run()
+    return seen
+
+
+def assert_same_roots(brackets):
+    for f, a, b, xtol, maxiter, root in brackets:
+        assert root == brentq(f, a, b, xtol=xtol, maxiter=maxiter), (a, b)
+
+
+def test_brent_root_is_brentq_on_the_exact_route(monkeypatch):
+    def run():
+        for n in range(10):
+            for x_c in np.linspace(0.25, 7.0, 34):
+                exact_scho.scho_eigenvalue.__wrapped__(n, float(x_c))
+    brackets = recorded_brackets(exact_scho, monkeypatch, run)
+    assert len(brackets) == 340
+    assert_same_roots(brackets)
+
+
+def test_brent_root_is_brentq_on_the_variational_levels(monkeypatch):
+    beta = 2.0 * math.sqrt(2.0) * variational.DEFAULT_ALPHA
+
+    def run():
+        for edge in np.arange(1, 41) * 0.25:
+            for odd in (False, True):
+                for count in (26, 61):
+                    variational._boundary_roots(beta, beta * edge * edge, odd,
+                                                count, 0.3 / edge)
+    brackets = recorded_brackets(variational, monkeypatch, run)
+    assert len(brackets) == 40 * 2 * (26 + 61)
+    assert_same_roots(brackets)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+def test_brent_root_is_brentq_on_random_smooth_functions(scale):
+    # at scale 1e-200 the denominator of the extrapolation step underflows
+    # to 0, where IEEE division gives inf or nan and Python raises
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 300:
+        c = rng.uniform(-3.0, 3.0, 4)
+        r = rng.uniform(-1.0, 1.0)
+
+        def f(x, c=c, r=r):
+            d = x - r
+            return scale * (d * (1.0 + c[0] ** 2) + c[1] * d * d
+                            + c[2] * d * math.sin(c[3] * d) ** 2)
+        a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+        if (f(a) < 0) == (f(b) < 0):
+            continue
+        for xtol in (1e-13, 2e-12, 1e-6):
+            assert brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+        checked += 1
+
+
+def test_brent_root_returns_an_exact_zero_at_an_endpoint():
+    assert brent_root(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+    assert brent_root(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+
+
+def test_brent_root_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+
+
+def test_brent_root_rejects_a_nan_value():
+    with pytest.raises(ValueError, match="NaN"):
+        brent_root(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    # also when the NaN comes up inside the bracket
+    with pytest.raises(ValueError, match="NaN"):
+        brent_root(lambda x: x if abs(x) == 1.0 else math.nan, -1.0, 1.0,
+                   1e-12)
+
+
+def test_brent_root_reports_an_exhausted_step_budget():
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        brent_root(math.atan, -1.0, 2.0, 1e-14, maxiter=3)
+    assert abs(brent_root(math.atan, -1.0, 2.0, 1e-14)) < 1e-14
+
+
+def test_brent_root_needs_a_positive_tolerance():
+    for xtol in (0.0, -1e-12, math.nan):
+        with pytest.raises(DomainError):
+            brent_root(math.atan, -1.0, 2.0, xtol)
