@@ -90,7 +90,8 @@ class SweepSpec:
             try:
                 pot, _mass = _PROBLEMS[self.mode](self, value)
                 if "exact" in self.solvers:
-                    exact_scho.series_window(_native_half_length(pot))
+                    exact_scho.scan_lanes(self.n_hi,
+                                          _native_half_length(pot))
             except DomainError as exc:
                 raise DomainError("%s value %g: %s"
                                   % (self.mode, value, exc)) from None

@@ -24,6 +24,11 @@ _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
 _Z_LIMIT = 50.0
 _ROOT_TOL = 1e-12   # Brent root tolerance; one value, so one cache key per level
+_SCAN_STEP = 0.1
+# energies one root scan may evaluate: about 12.3 (n+1)^2 / x_c^2 of them in
+# a small box, so this admits x_c >= 0.0112 (n+1), each scan a few MiB and
+# tens of ms
+_MAX_SCAN_LANES = 100_000
 
 
 class RootSearchError(RuntimeError):
@@ -32,21 +37,34 @@ class RootSearchError(RuntimeError):
 
 
 def _series_1f1(a, b: float, z):
-    """Maclaurin sum of 1F1(a; b; z), broadcast over arrays `a` and `z`.
+    """Maclaurin sum of 1F1(a; b; z) for scalar or array `a` and `z`.
 
     Term recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)); Kahan-compensated
     accumulation; stops after three consecutive terms below 1e-17 of the
     running sum (elementwise, all lanes).
-    """
-    a = np.asarray(a, dtype=float)
-    z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(a.shape, z.shape)
-    a = np.broadcast_to(a, shape)
-    z = np.broadcast_to(z, shape)
 
-    term = np.ones(shape)
-    total = np.ones(shape)
-    comp = np.zeros(shape)
+    The shape of the input picks the arithmetic. Two scalars (Brent's
+    method, `kummer_1f1`) are summed in Python floats, which is about ten
+    times faster than numpy scalar arithmetic per term; arrays (the root
+    scan, the wavefunctions) are broadcast and summed lane by lane. Both
+    run the same IEEE steps in the same order, so a scalar returns the bits
+    of a one-lane array.
+    """
+    if np.ndim(a) == 0 and np.ndim(z) == 0:
+        a, z = float(a), float(z)
+        term, total, comp = 1.0, 1.0, 0.0
+
+        def settled(term, total):
+            return abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300)
+    else:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(z))
+        a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+        z = np.broadcast_to(np.asarray(z, dtype=float), shape)
+        term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
+
+        def settled(term, total):
+            return (np.abs(term)
+                    <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)).all()
     quiet = 0
     for k in range(_MAX_TERMS):
         term = term * (a + k) * z / ((b + k) * (k + 1.0))
@@ -54,7 +72,7 @@ def _series_1f1(a, b: float, z):
         t = total + y
         comp = (t - total) - y
         total = t
-        if (np.abs(term) <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)).all():
+        if settled(term, total):
             quiet += 1
             if quiet == 3:
                 break
@@ -79,13 +97,13 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     if not abs(z) <= _Z_LIMIT:
         raise DomainError("|z| <= %g supported, got %g" % (_Z_LIMIT, z))
     if z < 0:
-        return math.exp(z) * float(_series_1f1(b - a, b, -z))
-    return float(_series_1f1(a, b, z))
+        return math.exp(z) * _series_1f1(b - a, b, -z)
+    return _series_1f1(a, b, z)
 
 
-def _boundary_values(n_parity_even: bool, eps, z_edge: float) -> np.ndarray:
-    """Wall value of the (unnormalized) candidate state at energies `eps`."""
-    eps = np.asarray(eps, dtype=float)
+def _boundary_values(n_parity_even: bool, eps, z_edge: float):
+    """Wall value of the (unnormalized) candidate state at the energy or
+    array of energies `eps`."""
     if n_parity_even:
         return _series_1f1(0.25 - eps / 2.0, 0.5, z_edge)
     return _series_1f1(0.75 - eps / 2.0, 1.5, z_edge)
@@ -101,36 +119,47 @@ def series_window(x_c: float) -> float:
     return z_edge
 
 
+def scan_lanes(n: int, x_c: float) -> int:
+    """Energies the root scan for level n evaluates: one every 0.1 up to the
+    min-max ceiling, the flat-box level plus x_c^2/2 (0 <= V <= x_c^2/2 on
+    the box, so the branch of level n has its zero below it).
+
+    A DomainError, before anything is allocated, outside the series window
+    or above _MAX_SCAN_LANES lanes, which a tiny box needs.
+    """
+    z_edge = series_window(x_c)
+    if n < 0:
+        raise DomainError("state index must be >= 0")
+    span = (pib_energy(n, x_c) + 0.5 * z_edge) / _SCAN_STEP
+    if not span <= _MAX_SCAN_LANES - 2:
+        raise DomainError("solver 'exact' scans at most %d energies; level "
+                          "n=%d in a box of half-length %g needs %.3g"
+                          % (_MAX_SCAN_LANES, n, x_c, span + 2))
+    return int(span) + 2
+
+
 @lru_cache(maxsize=None)
 def scho_eigenvalue(n: int, x_c: float) -> float:
     """Energy of state n of the centred well in a box of half-length x_c.
 
     Located as the appropriate zero (in energy) of the wall value: for even n
     the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
-    of the odd branch. One vectorised scan at step 0.1 up to the min-max bound
+    of the odd branch. One vectorised scan of `scan_lanes(n, x_c)` energies
     finds the sign changes; `model.brent_root` refines the wanted one to
-    1e-12.
+    1e-12, evaluating the series on Python floats.
     """
-    z_edge = series_window(x_c)
-    if n < 0:
-        raise DomainError("state index must be >= 0")
+    eps = 1e-9 + _SCAN_STEP * np.arange(scan_lanes(n, x_c))
+    z_edge = x_c * x_c
     even = (n % 2 == 0)
     want = n // 2 + 1
-
-    # 0 <= V <= x_c^2/2 on the box, so by min-max level n lies between its
-    # flat-box value and that plus x_c^2/2: its branch has at least `want`
-    # zeros below the ceiling
-    ceiling = pib_energy(n, x_c) + 0.5 * z_edge
-    step = 0.1
-    eps = 1e-9 + step * np.arange(int(ceiling / step) + 2)
     vals = _boundary_values(even, eps, z_edge)
     flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
     if len(flips) < want:
         raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
-                              "n=%d, x_c=%g" % (want, ceiling, n, x_c))
+                              "n=%d, x_c=%g" % (want, eps[-1], n, x_c))
     k = flips[want - 1]
-    f = lambda e: float(_boundary_values(even, e, z_edge))
-    return brent_root(f, eps[k], eps[k + 1], _ROOT_TOL)
+    return brent_root(lambda e: _boundary_values(even, e, z_edge),
+                      eps[k], eps[k + 1], _ROOT_TOL)
 
 
 def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:
@@ -157,4 +186,6 @@ def pib_energy(n: int, x_c: float) -> float:
         raise DomainError("state index must be >= 0")
     if not 0 < x_c < math.inf:
         raise DomainError("x_c must be positive and finite")
-    return (n + 1) ** 2 * math.pi ** 2 / (8.0 * x_c ** 2)
+    box = 8.0 * x_c ** 2
+    # inf, not a ZeroDivisionError, once x_c^2 underflows
+    return (n + 1) ** 2 * math.pi ** 2 / box if box else math.inf

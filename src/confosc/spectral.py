@@ -1,7 +1,9 @@
 """Momentum-space densities by zero-padded FFT of grid wavefunctions.
 
 phi(p) = (h / sqrt(2 pi)) * sum_j psi(x_j) exp(-i p x_j), evaluated on the
-FFT frequency comb p_k = 2 pi k / (M h). Hard-wall states have kinked edges
+FFT frequency comb p_k = 2 pi k / (M h). The states are real, so the
+transform is the real-input FFT (k = 0 .. M/2) and |phi(-p)|^2 = |phi(p)|^2
+fills in the negative half of the comb. Hard-wall states have kinked edges
 and therefore slowly decaying |phi|^2 tails, so the default padding is
 generous (pad_factor 16 on top of the next power of two).
 """
@@ -18,12 +20,12 @@ from .model import DomainError, Eigenpair
 
 @dataclass(frozen=True)
 class MomentumDensity:
-    p_values: np.ndarray = field(repr=False)
+    """|phi(p)|^2 at p = (i - M/2) dp for i = 0 .. M-1, M = len(density):
+    the comb runs from -M/2 dp, through p = 0 at index M/2, to (M/2-1) dp."""
     density: np.ndarray = field(repr=False)
     dp: float = 0.0
 
     def __post_init__(self):
-        self.p_values.setflags(write=False)
         self.density.setflags(write=False)
 
 
@@ -35,11 +37,13 @@ def _next_pow2(n: int) -> int:
 
 
 def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
-    """|phi(p)|^2 of a normalized grid state.
+    """|phi(p)|^2 of a normalized, real grid state.
 
-    Zero-pads to pad_factor times the next power of two, applies the discrete
-    transform with continuum normalization, and rolls the frequency comb so p
-    runs monotonically through zero. The grid not starting at the coordinate
+    Zero-pads to M = pad_factor times the next power of two and applies the
+    real-input transform with continuum normalization, which gives k = 0 ..
+    M/2. The density is even in p, so mirroring k = 1 .. M/2 onto the
+    negative side lays out the comb k = -M/2 .. M/2-1 (see MomentumDensity),
+    exactly symmetric about p = 0. The grid not starting at the coordinate
     origin only multiplies phi by the unit-modulus phase exp(-i p x_min),
     which |phi|^2 does not see, so the transform leaves it out.
     """
@@ -48,12 +52,10 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     psi = state.values
     h = state.grid.h
     m = pad_factor * _next_pow2(len(psi))
-    spectrum = np.fft.fft(psi, n=m)
-    p = 2.0 * math.pi * np.fft.fftfreq(m, d=h)
-    phi = (h / math.sqrt(2.0 * math.pi)) * spectrum
-    p = np.fft.fftshift(p)
-    rho = np.fft.fftshift(np.abs(phi) ** 2)
-    return MomentumDensity(p_values=p, density=rho, dp=2.0 * math.pi / (m * h))
+    phi = (h / math.sqrt(2.0 * math.pi)) * np.fft.rfft(psi, n=m)
+    half = np.abs(phi) ** 2                       # k = 0 .. M/2
+    rho = np.concatenate((half[:0:-1], half[:-1]))
+    return MomentumDensity(density=rho, dp=2.0 * math.pi / (m * h))
 
 
 def parseval_defect(md: MomentumDensity) -> float:

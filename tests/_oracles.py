@@ -321,5 +321,8 @@ ONICESCU_CEILING = 1.0 / (2.0 * math.pi)        # product bound, saturated here
 
 def momentum_moments(md, order: int) -> float:
     """<p^order> of a momentum density by a plain Riemann sum over its comb,
-    which is uniform and on which the density decays."""
-    return float(np.sum(md.p_values ** order * md.density) * md.dp)
+    which is uniform, has p = 0 at index M/2 of M, and on which the density
+    decays."""
+    m = len(md.density)
+    p = md.dp * (np.arange(m) - m // 2)
+    return float(np.sum(p ** order * md.density) * md.dp)

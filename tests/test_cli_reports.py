@@ -149,6 +149,12 @@ def test_cli_rejects_exact_route_at_zero_strength(capsys):
      "finite at the walls"),
     (["--mode", "acho-eta", "--value", "1e308", "--solver", "itp"],
      "must be finite"),
+    (["--mode", "scho-xc", "--value", "1e-170", "--solver", "exact"],
+     "scans at most"),
+    (["--mode", "scho-xc", "--value", "1e-160", "--solver", "exact"],
+     "scans at most"),
+    (["--mode", "scho-xc", "--value", "1e-3", "--solver", "exact"],
+     "scans at most"),
 ])
 def test_cli_rejects_a_value_outside_the_route_domain(argv, fragment, capsys):
     # refused when the spec is built, before any route runs: no error row
@@ -156,6 +162,21 @@ def test_cli_rejects_a_value_outside_the_route_domain(argv, fragment, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "value" in captured.err and fragment in captured.err
+
+
+def test_exact_scan_budget_is_checked_at_the_highest_level(tmp_path, capsys):
+    # the scan grows as (n+1)^2 / x_c^2: at x_c = 0.03 level 0 fits the
+    # budget and level 4 does not, so the sweep exits before solving level 0
+    assert SweepSpec(mode="scho-xc", values=(0.03,), solvers=("exact",))
+    with pytest.raises(DomainError, match="n=4"):
+        SweepSpec(mode="scho-xc", values=(0.03,), n_hi=4, solvers=("exact",))
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("mode = scho-xc\nvalues = 1, 0.03\nstates = 0:4\n"
+                   "solver = exact\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "value 0.03" in captured.err and "scans at most" in captured.err
 
 
 # ------------------------------------------------------------ CSV round trip

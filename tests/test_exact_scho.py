@@ -8,8 +8,8 @@ from scipy.integrate import simpson
 import _oracles as O
 from confosc import exact_scho
 from confosc.exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                                scho_eigenvalue, scho_wavefunction,
-                                series_window)
+                                scan_lanes, scho_eigenvalue,
+                                scho_wavefunction, series_window)
 from confosc.model import DomainError, box_grid
 
 # Native-units quantization roots, frozen from tests/_oracles.mp_scho_eigenvalue
@@ -46,6 +46,30 @@ DIMENSIONLESS_TRUTHS = {
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b,shift", [(0.5, 0.25), (1.5, 0.75)])
+@pytest.mark.parametrize("z", [0.25, 4.0, 25.0, 50.0])
+def test_scalar_series_is_the_one_lane_array_series_bitwise(b, shift, z):
+    # Brent's method and kummer_1f1 sum in Python floats; a one-lane array
+    # takes the vectorised loop. Both parities' wall values, a in [-25, 1]
+    for a in np.linspace(-25.0, 1.0, 97):
+        scalar = exact_scho._series_1f1(float(a), b, z)
+        lane = exact_scho._series_1f1(np.array([a]), b, z)
+        assert type(scalar) is float
+        assert scalar == lane[0], (a, b, z)
+        # the wall value at one energy, as Brent's method asks for it
+        eps, even = 2.0 * (shift - a), b == 0.5
+        assert (exact_scho._boundary_values(even, eps, z)
+                == exact_scho._boundary_values(even, np.array([eps]), z)[0])
+
+
+@pytest.mark.parametrize("z", [-0.25, -4.0, -25.0, -50.0])
+def test_kummer_reflection_is_the_one_lane_array_series_bitwise(z):
+    for a in np.linspace(-25.0, 1.0, 97):
+        for b in (0.5, 1.5):
+            lane = exact_scho._series_1f1(np.array([b - a]), b, -z)
+            assert kummer_1f1(float(a), b, z) == math.exp(z) * lane[0]
 
 
 @given(a=st.floats(0.1, 2.0), b=st.floats(2.5, 5.0), z=st.floats(-3.0, 3.0))
@@ -160,6 +184,27 @@ def test_scan_without_enough_sign_changes_is_reported(monkeypatch):
                         lambda even, eps, z_edge: np.ones(np.shape(eps)))
     with pytest.raises(RootSearchError, match=r"n=3, x_c=1\.2345"):
         scho_eigenvalue(3, 1.2345)
+
+
+@pytest.mark.parametrize("x_c", (1e-170, 1e-160, 1e-3))
+def test_tiny_box_is_refused_before_the_scan(x_c):
+    # the scan needs about 12.3 (n+1)^2 / x_c^2 energies: x_c^2 underflows
+    # at 1e-170, the ceiling overflows at 1e-160, and 1e-3 would need 1.2e7
+    # lanes (about 0.9 GiB)
+    with pytest.raises(DomainError, match="scans at most"):
+        scan_lanes(0, x_c)
+    with pytest.raises(DomainError, match="scans at most"):
+        scho_eigenvalue(0, x_c)
+
+
+def test_scan_budget_admits_every_table_box():
+    # the smallest table box is eta = 0.001 at n_hi = 4: about 1e4 lanes
+    assert scan_lanes(4, 0.001 ** 0.25) < 10_100
+    # and every box from 0.0112 (n+1) up
+    for n in (0, 4):
+        assert scan_lanes(n, 0.0112 * (n + 1)) <= exact_scho._MAX_SCAN_LANES
+        with pytest.raises(DomainError):
+            scan_lanes(n, 0.0110 * (n + 1))
 
 
 def test_series_window_is_one_rule():

@@ -29,12 +29,18 @@ def test_pad_factor_guard():
 def test_comb_geometry():
     st = box_ground(500)
     md = to_momentum(st, pad_factor=4)
-    assert len(md.p_values) == 4 * 512
-    assert np.allclose(np.diff(md.p_values), md.dp, rtol=0, atol=1e-12)
-    assert math.isclose(md.dp, 2.0 * PI / (4 * 512 * st.grid.h), rel_tol=1e-14)
-    # comb runs monotonically through zero after the shift
-    assert md.p_values[0] < 0.0 < md.p_values[-1]
-    assert np.min(np.abs(md.p_values)) < 1e-12
+    m = 4 * 512
+    assert len(md.density) == m
+    assert math.isclose(md.dp, 2.0 * PI / (m * st.grid.h), rel_tol=1e-14)
+    # index M/2 + k holds |phi(k dp)|^2 for k = -M/2 .. M/2-1: p = 0 sits at
+    # M/2; checked against the transform summed directly at a few k
+    x = st.grid.points - st.grid.x_min
+    for k in (-m // 2, -7, -1, 0, 1, 7, m // 2 - 1):
+        phi = (st.grid.h / math.sqrt(2.0 * PI)) * np.sum(
+            st.values * np.exp(-1j * k * md.dp * x))
+        assert math.isclose(md.density[m // 2 + k], abs(phi) ** 2,
+                            rel_tol=1e-9, abs_tol=1e-15)
+    assert int(np.argmax(md.density)) == m // 2
 
 
 def test_parseval_for_smooth_and_kinked_states():
@@ -72,8 +78,8 @@ def test_density_is_even_for_parity_eigenstates(xc2_exact):
         md = to_momentum(st, pad_factor=8)
         rho = md.density
         mid = len(rho) // 2
-        folded = np.abs(rho[mid + 1:] - rho[mid - 1:0:-1])
-        assert float(folded.max()) <= 1e-12 * float(rho.max())
+        # the comb is mirrored about p = 0, so the two halves are equal
+        assert np.array_equal(rho[mid + 1:], rho[mid - 1:0:-1])
 
 
 def test_entropy_converges_under_extra_padding():
