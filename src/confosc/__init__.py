@@ -16,9 +16,9 @@ from .variational import (BasisError, BasisSet, DEFAULT_ALPHA,
                           VariationalResult, build_basis, diagonalize,
                           hamiltonian_matrix, solve_acho)
 from .spectral import MomentumDensity, parseval_defect, to_momentum
-from .infomeasures import (BOUND_SLACK, DensityProfile, FISHER_FLOOR,
-                           InfoReport, ONICESCU_CEILING, SHANNON_FLOOR,
-                           fisher, full_report, onicescu, shannon)
+from .infomeasures import (BOUND_SLACK, FISHER_FLOOR, InfoReport,
+                           ONICESCU_CEILING, SHANNON_FLOOR, fisher,
+                           full_report, onicescu, shannon)
 from .perturbation import (pib_energy_unit_box, pib_state_values,
                            pib_x2_element, pt_energy, pt_fisher_x,
                            pt_onicescu_x0, pt_shift, pt_wavefunction)

@@ -29,9 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import exact_scho, infomeasures, spectral, variational
-from .cli_reports import (TABLES, ReportRow, SweepSpec, _solve_with,
-                          rows_to_csv, run_sweep)
+from . import exact_scho, infomeasures, variational
+from .cli_reports import TABLES, ReportRow, SweepSpec, rows_to_csv, run_sweep
 from .model import DomainError
 from .perturbation import pt_energy, pt_fisher_x, pt_onicescu_x0
 
@@ -297,9 +296,9 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Closed-form first-order Fisher and Onicescu expressions against the
-    reference table, 1e-5. The ground-state Onicescu numerator reuses one
-    integer for both its quartic-limit and linear-in-strength terms; that
-    duplication is checked and reported explicitly either way."""
+    reference table, 1e-5. The ground-state Onicescu closed form must also
+    reach the flat-box value 3/4 at zero strength (1e-14 relative), which
+    its integer coefficients fix; that limit is reported either way."""
     worst = 0.0
     fails = []
     for n, per_eta in REF_PT_FISHER.items():
@@ -314,29 +313,26 @@ def criterion_5() -> CriterionResult:
         if dev > 1e-5:
             fails.append(("E_x", 0, eta, dev))
 
-    dup_ok = 68024448 == 2 * 5832 ** 2
-    dup_note = ("duplicated numerator coefficient 68024448 equals "
-                "2*5832^2, so the zero-strength limit is exactly 3/4 and "
-                "the linear term is consistent" if dup_ok else
-                "duplicated numerator coefficient is NOT 2*5832^2; "
-                "closed form inconsistent with its own limit")
-    ok = not fails and dup_ok
+    limit = pt_onicescu_x0(0.0)
+    limit_ok = math.isclose(limit, 0.75, rel_tol=1e-14)
+    limit_note = ("zero-strength Onicescu limit %.17g %s 3/4" % (
+        limit, "is" if limit_ok else "is NOT"))
+    ok = not fails and limit_ok
     if fails:
         bits = ", ".join("%s n=%d eta=%g off by %.2g" % f for f in fails)
         summary = "%d/12 entries beyond 1e-5 (%s); %s" % (
-            len(fails), bits, dup_note)
+            len(fails), bits, limit_note)
     else:
         summary = "all 12 entries within 1e-5 (worst %.2g); %s" % (
-            worst, dup_note)
+            worst, limit_note)
     return CriterionResult(5, _NAMES[5], ok, summary)
 
 
 def criterion_6() -> CriterionResult:
     """Every state of the three bound-suite sweeps satisfies the Shannon,
     Fisher, and Onicescu bounds within 1e-9 slack and conserves norm under
-    the momentum transform within 1e-8. Rows carry no norm defect, so the
-    states are solved again by the sweep's own route and transformed once
-    more."""
+    the momentum transform within 1e-8. Each row carries its state's norm
+    defect, so the criterion reads the cached sweeps and solves nothing."""
     n_states = 0
     violations = []
     margins = {"S": math.inf, "I": math.inf, "E": math.inf}
@@ -351,14 +347,10 @@ def criterion_6() -> CriterionResult:
             if not (r.shannon_ok and r.fisher_ok and r.onicescu_ok):
                 violations.append("bounds at %s %g n=%d"
                                   % (spec.mode, r.value, r.n))
-        for value in spec.values:
-            for st in _solve_with(spec, value, spec.solvers[0])[2]:
-                md = spectral.to_momentum(st, pad_factor=spec.pad_factor)
-                defect = spectral.parseval_defect(md)
-                worst_parseval = max(worst_parseval, defect)
-                if defect > 1e-8:
-                    violations.append("norm defect %.2g at %s %g n=%d"
-                                      % (defect, spec.mode, value, st.n))
+            worst_parseval = max(worst_parseval, r.norm_defect)
+            if not r.norm_defect <= 1e-8:
+                violations.append("norm defect %.2g at %s %g n=%d"
+                                  % (r.norm_defect, spec.mode, r.value, r.n))
     ok = not violations
     summary = ("%d states; smallest margins S %.3g, I %.3g, E %.3g "
                "(slack 1e-9); worst norm defect %.2g (tol 1e-8)"

@@ -15,8 +15,9 @@ solves each regime):
 
 Every successfully solved state yields one row carrying the energy, the
 position/momentum/joint information measures, the phase-plane area, the
-forbidden-region probability, the allowed-interval length, and the rigorous
-bound flags. Failures become error rows and the sweep continues.
+forbidden-region probability, the allowed-interval length, the rigorous
+bound flags, and the momentum density's norm defect (a row field, not a CSV
+column). Failures become error rows and the sweep continues.
 
 Output is deterministic: rows are ordered sweep-value major, state minor
 (solver innermost), floats print with 10 significant digits, the decimal
@@ -127,6 +128,8 @@ class ReportRow:
     fisher_ok: bool = False
     onicescu_ok: bool = False
     error: str = ""
+    # |integral of the momentum density - 1|; not a CSV column
+    norm_defect: float = math.nan
 
 
 # CSV header -> ReportRow field, in column order; the one map from the names
@@ -228,15 +231,10 @@ def _measured_row(spec: SweepSpec, value: float, solver: str,
     rep = infomeasures.full_report(state, md)
     energy = state.energy
     return ReportRow(
-        value=value, n=state.n, solver=solver, energy=energy,
-        s_x=rep.s_x, s_p=rep.s_p, s=rep.s,
-        i_x=rep.i_x, i_p=rep.i_p, i=rep.i,
-        e_x=rep.e_x, e_p=rep.e_p, e=rep.e,
+        value=value, n=state.n, solver=solver, energy=energy, **vars(rep),
         a_n=semiclassical.phase_area(pot, energy),
         t_n=semiclassical.tunneling_probability(state, pot),
-        l_cl=semiclassical.classical_region_lengths(pot, energy)[0],
-        shannon_ok=rep.shannon_bound_ok, fisher_ok=rep.fisher_bound_ok,
-        onicescu_ok=rep.onicescu_bound_ok)
+        l_cl=semiclassical.classical_region_lengths(pot, energy)[0])
 
 
 def _point_rows(spec: SweepSpec, value: float) -> list[ReportRow]:

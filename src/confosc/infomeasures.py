@@ -5,19 +5,23 @@ composite position-momentum quantities and their universal bounds:
     I = I_x * I_p >= 4
     E = E_x * E_p <= 1/(2 pi)
 
-Every integral is `model.simpson` over the uniform samples, whatever their
-count: the position mesh and the power-of-two momentum comb alike.
+Each functional takes the density samples rho and their spacing h: |psi|^2
+on the position mesh, or `MomentumDensity.density` on its comb of spacing
+`dp`. Every integral is `model.simpson` over the uniform samples, whatever
+their count: the position mesh and the power-of-two momentum comb alike.
+`full_report` returns one `InfoReport` per state: the nine measures, the
+three bound flags and the Parseval defect of the momentum density.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DomainError, Eigenpair, simpson
-from .spectral import MomentumDensity
+from .spectral import MomentumDensity, parseval_defect
 
 SHANNON_FLOOR = 1.0 + math.log(math.pi)
 FISHER_FLOOR = 4.0
@@ -30,50 +34,34 @@ BOUND_SLACK = 1e-9
 FISHER_DENSITY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    values: np.ndarray = field(repr=False)
-    spacing: float = 0.0
-    space: str = "position"
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        if self.space not in ("position", "momentum"):
-            raise DomainError("space must be 'position' or 'momentum'")
-        if self.spacing <= 0:
-            raise DomainError("spacing must be positive")
-        if np.any(self.values < 0):
-            raise DomainError("densities are non-negative")
-
-    @classmethod
-    def from_state(cls, state: Eigenpair) -> "DensityProfile":
-        return cls(values=state.values ** 2, spacing=state.grid.h,
-                   space="position")
-
-    @classmethod
-    def from_momentum(cls, md: MomentumDensity) -> "DensityProfile":
-        return cls(values=md.density, spacing=md.dp, space="momentum")
+def _check_density(rho: np.ndarray, h: float) -> None:
+    """The guard of every functional: samples >= 0 at a positive spacing."""
+    if h <= 0:
+        raise DomainError("spacing must be positive")
+    if np.any(rho < 0):
+        raise DomainError("densities are non-negative")
 
 
-def shannon(d: DensityProfile) -> float:
+def shannon(rho: np.ndarray, h: float) -> float:
     """-integral rho ln rho, with the 0*ln(0) = 0 convention."""
-    rho = d.values
+    _check_density(rho, h)
     integrand = np.where(rho < 1e-300, 0.0, -rho * np.log(np.maximum(rho, 1e-300)))
-    return simpson(integrand, d.spacing)
+    return simpson(integrand, h)
 
 
-def fisher(d: DensityProfile) -> float:
+def fisher(rho: np.ndarray, h: float) -> float:
     """integral |rho'|^2 / rho, central-difference gradient, floor-clipped."""
-    rho = d.values
-    grad = np.gradient(rho, d.spacing)
+    _check_density(rho, h)
+    grad = np.gradient(rho, h)
     floor = FISHER_DENSITY_FLOOR * float(rho.max())
     integrand = np.where(rho < floor, 0.0, grad ** 2 / np.maximum(rho, floor))
-    return simpson(integrand, d.spacing)
+    return simpson(integrand, h)
 
 
-def onicescu(d: DensityProfile) -> float:
+def onicescu(rho: np.ndarray, h: float) -> float:
     """integral rho^2 (larger for more localized densities)."""
-    return simpson(d.values ** 2, d.spacing)
+    _check_density(rho, h)
+    return simpson(rho ** 2, h)
 
 
 @dataclass(frozen=True)
@@ -87,24 +75,25 @@ class InfoReport:
     e_x: float
     e_p: float
     e: float
-    shannon_bound_ok: bool
-    fisher_bound_ok: bool
-    onicescu_bound_ok: bool
+    shannon_ok: bool
+    fisher_ok: bool
+    onicescu_ok: bool
+    norm_defect: float
 
 
 def full_report(state: Eigenpair, md: MomentumDensity) -> InfoReport:
-    """All nine measures of a state and its momentum density, plus flags
+    """All nine measures of a state and its momentum density, flags
     recording whether each composite respects its bound (with 1e-9 slack
-    absorbing quadrature error)."""
-    dx = DensityProfile.from_state(state)
-    dp = DensityProfile.from_momentum(md)
-    s_x, s_p = shannon(dx), shannon(dp)
-    i_x, i_p = fisher(dx), fisher(dp)
-    e_x, e_p = onicescu(dx), onicescu(dp)
+    absorbing quadrature error), and the momentum density's norm defect."""
+    rho_x, h = state.values ** 2, state.grid.h
+    s_x, s_p = shannon(rho_x, h), shannon(md.density, md.dp)
+    i_x, i_p = fisher(rho_x, h), fisher(md.density, md.dp)
+    e_x, e_p = onicescu(rho_x, h), onicescu(md.density, md.dp)
     s, i, e = s_x + s_p, i_x * i_p, e_x * e_p
     return InfoReport(
         s_x=s_x, s_p=s_p, s=s, i_x=i_x, i_p=i_p, i=i, e_x=e_x, e_p=e_p, e=e,
-        shannon_bound_ok=bool(s >= SHANNON_FLOOR - BOUND_SLACK),
-        fisher_bound_ok=bool(i >= FISHER_FLOOR - BOUND_SLACK),
-        onicescu_bound_ok=bool(e <= ONICESCU_CEILING + BOUND_SLACK),
+        shannon_ok=bool(s >= SHANNON_FLOOR - BOUND_SLACK),
+        fisher_ok=bool(i >= FISHER_FLOOR - BOUND_SLACK),
+        onicescu_ok=bool(e <= ONICESCU_CEILING + BOUND_SLACK),
+        norm_defect=parseval_defect(md),
     )

@@ -66,28 +66,12 @@ def pt_energy(n: int, eta: float) -> float:
     return pib_energy_unit_box(n + 1) + shift
 
 
-def _mixing_partners(q: int, num_terms: int) -> list[int]:
-    """Same-parity flat-box partners closest to q (ties go to the lower one)."""
-    partners = []
-    offset = 2
-    while len(partners) < num_terms:
-        lower = q - offset
-        upper = q + offset
-        if lower >= 1:
-            partners.append(lower)
-        if len(partners) < num_terms:
-            partners.append(upper)
-        offset += 2
-    return sorted(partners[:num_terms])
-
-
-def pt_wavefunction(n: int, eta: float, grid: Grid,
-                    num_terms: int = 2) -> Eigenpair:
-    """First-order mixed state for level n, normalized on the grid."""
+def pt_wavefunction(n: int, eta: float, grid: Grid) -> Eigenpair:
+    """First-order mixed state for level n, normalized on the grid: the
+    flat-box state q = n + 1 mixed with its two nearest same-parity
+    partners, (q+2, q+4) for q <= 2 and (q-2, q+2) above."""
     if n < 0:
         raise DomainError("state index must be >= 0")
-    if num_terms < 0:
-        raise DomainError("num_terms must be >= 0")
     if not (math.isclose(grid.x_min, -1.0, rel_tol=0, abs_tol=1e-12)
             and math.isclose(grid.x_max, 1.0, rel_tol=0, abs_tol=1e-12)):
         raise DomainError("first-order states live on the unit box [-1, 1]")
@@ -96,7 +80,7 @@ def pt_wavefunction(n: int, eta: float, grid: Grid,
     x = grid.points
     vals = pib_state_values(q, x)
     e_q = pib_energy_unit_box(q)
-    for m in _mixing_partners(q, num_terms):
+    for m in (q + 2, q + 4) if q <= 2 else (q - 2, q + 2):
         coeff = 0.5 * eta * pib_x2_element(m, q) / (e_q - pib_energy_unit_box(m))
         vals = vals + coeff * pib_state_values(m, x)
 

@@ -20,7 +20,7 @@ import _oracles as O
 from confosc import acceptance
 from confosc.cli_reports import TABLES, ReportRow
 from confosc.exact_scho import scho_wavefunction
-from confosc.infomeasures import DensityProfile, full_report, shannon
+from confosc.infomeasures import full_report, shannon
 from confosc.model import acho_unit_box, box_grid
 from confosc.spectral import to_momentum
 from confosc.variational import solve_acho
@@ -108,6 +108,25 @@ def test_an_error_row_fails_its_criterion_and_names_the_row(monkeypatch,
                            "RootSearchError: no bracket")
 
 
+@pytest.mark.parametrize("defect", [1e-6, math.nan])
+def test_a_norm_defect_fails_criterion_6_and_names_the_row(monkeypatch,
+                                                           defect):
+    # the bounds hold; only the row's norm defect is out of tolerance
+    rows = [ReportRow(value=2.0, n=1, solver="exact", s=3.0, i=5.0, e=0.1,
+                      shannon_ok=True, fisher_ok=True, onicescu_ok=True,
+                      norm_defect=defect)]
+    monkeypatch.setattr(acceptance, "run_sweep",
+                        lambda spec, workers=1: rows)
+    acceptance._bound_rows.cache_clear()
+    try:
+        (res,) = acceptance.run_all([6])
+    finally:
+        acceptance._bound_rows.cache_clear()
+    assert not res.passed
+    assert ("violations: norm defect %.2g at scho-xc 2 n=1" % defect
+            in res.summary)
+
+
 # ------------------------------------------ corrected references vs oracles
 
 def test_small_strength_references_are_the_mpmath_roots():
@@ -161,7 +180,7 @@ def test_wide_box_ground_entropy_is_the_open_line_value():
     # Gaussian to O(e^-25), so S_x must equal (1 + ln pi)/2 to print precision
     grid = box_grid(-5.0, 5.0, 4001)
     state = scho_wavefunction(0, 5.0, grid)
-    s_x = shannon(DensityProfile.from_state(state))
+    s_x = shannon(state.values ** 2, grid.h)
     assert abs(s_x - O.GAUSS_S_X) < 2e-6
 
 

@@ -19,6 +19,7 @@ from confosc.cli_reports import (TABLES, ConfigError, ReportRow, SchemaError,
 from confosc.exact_scho import (RootSearchError, scho_eigenvalue,
                                 scho_wavefunction)
 from confosc.model import DomainError, canonical_sign
+from confosc.spectral import parseval_defect, to_momentum
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
 
@@ -196,6 +197,21 @@ def test_csv_serialization_is_a_fixed_point():
     parsed = rows_from_csv(text)
     assert [r.n for r in parsed] == [0, 1, 0, 1]
     assert all(not r.error for r in parsed)
+
+
+def test_swept_rows_carry_the_norm_defect_outside_the_csv():
+    spec, rows = small_rows()
+    states = [st for value in spec.values
+              for st in _solve_with(spec, value, "exact")[2]]
+    assert [r.norm_defect for r in rows] == [
+        parseval_defect(to_momentum(st, pad_factor=spec.pad_factor))
+        for st in states]
+    assert all(r.norm_defect < 1e-8 for r in rows)
+    text = rows_to_csv(rows)
+    assert "norm_defect" not in text
+    parsed = rows_from_csv(text)
+    assert rows_to_csv(parsed) == text
+    assert all(math.isnan(r.norm_defect) for r in parsed)
 
 
 def test_rows_from_csv_schema_errors():

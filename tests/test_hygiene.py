@@ -4,6 +4,10 @@ package integrates with its own Simpson rule and refines roots with its own
 Brent's method, so neither `scipy.integrate` nor `scipy.optimize` is loaded;
 nor is `scipy.fft`, since the momentum transform is numpy's.
 
+No package module takes an underscore name from a sibling module, so
+each module's private helpers stay its own and the gate reaches the
+solvers only through their public entry points.
+
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
 
@@ -97,6 +101,51 @@ def test_no_unused_private_names():
                for path in sorted(package.glob("*.py"))}
     found = unused_private_names(sources)
     assert not found, "private names nothing reads:\n" + "\n".join(found)
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names that `source`, a package module, takes from a
+    sibling module: imported by name, or read as an attribute of a sibling
+    module it imported."""
+    tree = ast.parse(source)
+    siblings, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("confosc")):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            found.update(private)
+            if not node.module or node.module == "confosc":
+                siblings.update(a.asname or a.name for a in node.names
+                                if a.name not in private)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            found.add("%s.%s" % (node.value.id, node.attr))
+    return sorted(found)
+
+
+def test_the_check_sees_private_sibling_imports():
+    source = ("from __future__ import annotations\n"
+              "from . import spectral, model as m\n"
+              "from .cli_reports import ReportRow, _solve_with\n"
+              "from confosc.model import _helper\n"
+              "from numpy import _globals\n"
+              "def f(x):\n"
+              "    return (m._check(x), spectral.to_momentum(x), x._own,\n"
+              "            spectral.__name__, ReportRow)\n")
+    assert private_sibling_imports(source) == [
+        "_helper", "_solve_with", "m._check"]
+
+
+def test_no_module_takes_a_private_name_from_a_sibling():
+    found = ["%s: %s" % (path.name, name)
+             for path in sorted(CHECKED[0].glob("*.py"))
+             for name in private_sibling_imports(
+                 path.read_text(encoding="utf-8"))]
+    assert not found, "private names taken from a sibling:\n" + "\n".join(
+        found)
 
 
 # scipy subpackages the package does without: it integrates with its own

@@ -138,7 +138,7 @@ def test_onicescu_closed_form():
 
 def test_mixed_state_is_normalized_eigenpair():
     grid = odd_grid()
-    state = pt_wavefunction(1, 0.2, grid, num_terms=3)
+    state = pt_wavefunction(1, 0.2, grid)
     w = simpson_weights(grid.n_points, grid.h)
     assert math.isclose(float(w @ (state.values ** 2)), 1.0, abs_tol=1e-13)
     assert state.values[0] == 0.0 and state.values[-1] == 0.0
@@ -151,8 +151,6 @@ def test_mixed_state_guards():
     with pytest.raises(DomainError):
         pt_wavefunction(0, 0.1, box_grid(-2.0, 2.0, 1201))
     with pytest.raises(DomainError):
-        pt_wavefunction(0, 0.1, odd_grid(), num_terms=-1)
-    with pytest.raises(DomainError):
         pt_wavefunction(-1, 0.1, odd_grid())
 
 
@@ -160,22 +158,24 @@ def test_weak_well_state_matches_relaxation():
     grid = odd_grid()
     pot, mass = scho_unit_box(0.001)
     ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
-    state = pt_wavefunction(0, 0.001, grid, num_terms=2)
+    state = pt_wavefunction(0, 0.001, grid)
     w = simpson_weights(grid.n_points, grid.h)
     overlap = abs(float(w @ (state.values * ref.values)))
     assert overlap > 1.0 - 1e-12
 
 
-def test_each_extra_partner_improves_the_state():
-    # measured 1 - overlap at strength 0.5: 7.4e-6 -> 2.8e-8 -> 1.1e-9 -> 2e-10
+def test_two_partner_state_beats_the_flat_box_state():
+    # measured 1 - overlap with the relaxed ground state at strength 0.5:
+    # 7.4e-6 for the bare flat-box state, 1.1e-9 with its two partners
     grid = odd_grid()
     pot, mass = scho_unit_box(0.5)
     ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
     w = simpson_weights(grid.n_points, grid.h)
-    overlaps = []
-    for terms in (0, 1, 2, 4):
-        state = pt_wavefunction(0, 0.5, grid, num_terms=terms)
-        overlaps.append(abs(float(w @ (state.values * ref.values))))
-    assert overlaps == sorted(overlaps)
-    assert overlaps[0] < 1.0 - 1e-6
-    assert overlaps[-1] > 1.0 - 1e-9
+    bare = pib_state_values(1, grid.points)
+    bare = bare / math.sqrt(float(w @ bare ** 2))
+    mixed = pt_wavefunction(0, 0.5, grid).values
+    bare_overlap = abs(float(w @ (bare * ref.values)))
+    mixed_overlap = abs(float(w @ (mixed * ref.values)))
+    assert mixed_overlap > 1.0 - 2e-9
+    assert bare_overlap < 1.0 - 1e-6
+    assert mixed_overlap > bare_overlap

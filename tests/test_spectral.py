@@ -5,7 +5,7 @@ import pytest
 
 import _oracles as O
 from confosc.exact_scho import scho_wavefunction
-from confosc.infomeasures import DensityProfile, shannon
+from confosc.infomeasures import shannon
 from confosc.model import DomainError, Eigenpair, box_grid
 from confosc.spectral import parseval_defect, to_momentum
 
@@ -88,9 +88,9 @@ def test_entropy_converges_under_extra_padding():
     # 2.1e-4 -> 2.1e-5 -> 3.4e-6 here), so check the contraction, not a
     # fixed-tolerance match
     st = scho_wavefunction(1, 2.0, box_grid(-2.0, 2.0, 1500))
-    s8 = shannon(DensityProfile.from_momentum(to_momentum(st, pad_factor=8)))
-    s16 = shannon(DensityProfile.from_momentum(to_momentum(st, pad_factor=16)))
-    s32 = shannon(DensityProfile.from_momentum(to_momentum(st, pad_factor=32)))
+    s8, s16, s32 = (shannon(md.density, md.dp)
+                    for md in (to_momentum(st, pad_factor=pad)
+                               for pad in (8, 16, 32)))
     assert abs(s16 - s32) < abs(s8 - s16) / 4.0
     assert abs(s16 - s32) < 1e-4
 
