@@ -25,10 +25,9 @@ from .perturbation import (pib_energy_unit_box, pib_state_values,
 from .semiclassical import (PhaseOrbit, classical_region_lengths,
                             phase_area, phase_orbit, tunneling_probability,
                             turning_points)
-from .cli_reports import (ConfigError, CrossReport, ReportRow, SchemaError,
-                          SweepSpec, cross_check, emit_table, main,
-                          parse_config, rows_from_csv, rows_to_csv,
-                          run_sweep)
+from .sweep import CrossReport, ReportRow, SweepSpec, cross_check, run_sweep
+from .cli_reports import (ConfigError, SchemaError, emit_table, main,
+                          parse_config, rows_from_csv, rows_to_csv)
 
 __version__ = "0.1.0"
 

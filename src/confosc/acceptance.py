@@ -3,7 +3,7 @@ rigorous information bounds, semiclassical limits, trend properties,
 oracle equivalence, and output determinism.
 
 The gate measures every state through the sweep engine
-(`cli_reports.run_sweep`): criteria 1-4 run the sweeps of the report tables
+(`sweep.run_sweep`): criteria 1-4 run the sweeps of the report tables
 (`TABLES`, at a finer grid where a criterion says so), and criteria 6,
 7, 8 and 10 share three cached bound-suite sweeps. So the gate checks the
 same routes, grids and measures that `confosc table` prints. A criterion
@@ -30,9 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact_scho, infomeasures, variational
-from .cli_reports import TABLES, ReportRow, SweepSpec, rows_to_csv, run_sweep
+from .cli_reports import TABLES, rows_to_csv
 from .model import DomainError
 from .perturbation import pt_energy, pt_fisher_x, pt_onicescu_x0
+from .sweep import ReportRow, SweepSpec, run_sweep
 
 
 @dataclass(frozen=True)
@@ -552,10 +553,11 @@ _CRITERIA = {
 
 def run_all(criteria=None) -> list[CriterionResult]:
     picks = sorted(_CRITERIA) if not criteria else list(criteria)
+    unknown = [idx for idx in picks if idx not in _CRITERIA]
+    if unknown:
+        raise DomainError("no criterion %d" % unknown[0])
     out = []
     for idx in picks:
-        if idx not in _CRITERIA:
-            raise DomainError("no criterion %d" % idx)
         t0 = time.perf_counter()
         try:
             res = _CRITERIA[idx]()

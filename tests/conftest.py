@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from confosc import itp_solver
-from confosc.exact_scho import scho_wavefunction
+from confosc import exact_scho, itp_solver
+from confosc.exact_scho import RootSearchError, scho_wavefunction
 from confosc.itp_solver import solve_spectrum
 from confosc.model import ConfinedPotential, box_grid
 
@@ -44,3 +44,15 @@ def route_system(monkeypatch):
         monkeypatch.setattr(itp_solver, "solve_state", solve_state)
         return seen[0]
     return build
+
+
+@pytest.fixture
+def exact_fails_at_three(monkeypatch):
+    """The exact route raises at half-length 3 and solves elsewhere."""
+    solve = exact_scho.scho_wavefunction
+
+    def flaky(n, x_c, grid):
+        if x_c == 3.0:
+            raise RootSearchError("no bracket at x_c=3")
+        return solve(n, x_c, grid)
+    monkeypatch.setattr(exact_scho, "scho_wavefunction", flaky)

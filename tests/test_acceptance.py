@@ -18,11 +18,12 @@ import pytest
 
 import _oracles as O
 from confosc import acceptance
-from confosc.cli_reports import TABLES, ReportRow
+from confosc.cli_reports import TABLES
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import full_report, shannon
 from confosc.model import acho_unit_box, box_grid
 from confosc.spectral import to_momentum
+from confosc.sweep import ReportRow
 from confosc.variational import solve_acho
 
 DOCUMENTED_RED = set()

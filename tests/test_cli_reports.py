@@ -5,21 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import _oracles as O
 import confosc
-from confosc import exact_scho
-from confosc.cli_reports import (TABLES, ConfigError, ReportRow, SchemaError,
-                                 SweepSpec, _solve_with, cross_check,
+from confosc import acceptance
+from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
-                                 parse_config, rows_from_csv, rows_to_csv,
-                                 run_sweep)
-from confosc.exact_scho import (RootSearchError, scho_eigenvalue,
-                                scho_wavefunction)
-from confosc.model import DomainError, canonical_sign
+                                 parse_config, rows_from_csv, rows_to_csv)
+from confosc.model import DomainError
 from confosc.spectral import parseval_defect, to_momentum
+from confosc.sweep import ReportRow, SweepSpec, run_sweep, solve_point
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
 
@@ -81,52 +77,6 @@ def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
-
-
-# ----------------------------------------------------------- spec validation
-
-@pytest.mark.parametrize("kw", [
-    dict(mode="square-well", values=(1.0,)),
-    dict(mode="scho-xc", values=()),
-    dict(mode="scho-xc", values=(1.0,), n_lo=3, n_hi=1),
-    dict(mode="scho-xc", values=(1.0,), solvers=("itp", "exact", "pt")),
-    dict(mode="scho-xc", values=(1.0,), solvers=("itp", "itp")),
-    dict(mode="scho-xc", values=(1.0,), solvers=("shooting",)),
-    dict(mode="acho-dm", values=(1.0,), solvers=("exact",)),
-    dict(mode="scho-xc", values=(1.0,), solvers=("pt",)),
-    dict(mode="scho-xc", values=(0.0,)),
-    dict(mode="scho-eta", values=(-0.5,)),
-    dict(mode="scho-xc", values=(1.0,), grid_points=4),
-    dict(mode="scho-xc", values=(1.0,), pad_factor=0),
-    dict(mode="scho-xc", values=(1.0,), n_lo=-1, n_hi=0),
-    dict(mode="acho-eta", values=(-1.0,)),
-    dict(mode="scho-xc", values=(1.0,), cross_tol=0.0),
-    dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
-    dict(mode="scho-xc", values=(1.0,), solvers=()),
-    dict(mode="scho-xc", values=(1.0,), solvers=("itp", "exact"),
-         cross_tol=0.0),
-    dict(mode="scho-xc", values=(1.0,), solvers=("exact",), cross_tol=1e-6),
-    dict(mode="acho-dm", values=(math.nan,), solvers=("variational",)),
-    dict(mode="acho-dm", values=(1.0, math.inf), solvers=("variational",)),
-    dict(mode="scho-xc", values=(math.inf,)),
-    dict(mode="scho-eta", values=(math.nan,)),
-    dict(mode="acho-dm", values=(1.0,), eta=math.nan),
-    dict(mode="acho-dm", values=(1.0,), eta=math.inf),
-    dict(mode="acho-eta", values=(1.0,), d_m=math.nan),
-    dict(mode="acho-eta", values=(1.0,), d_m=-math.inf),
-    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
-         cross_tol=math.nan),
-    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
-         cross_tol=math.inf),
-    dict(mode="acho-dm", values=(1.0,), eta=-1.0),
-    dict(mode="scho-xc", values=(2.0, 7.5), solvers=("itp", "exact")),
-    dict(mode="scho-eta", values=(2501.0,), solvers=("exact",)),
-    dict(mode="acho-dm", values=(1e200,), solvers=("variational",)),
-    dict(mode="acho-eta", values=(1e308,)),
-])
-def test_spec_rejects(kw):
-    with pytest.raises(DomainError):
-        SweepSpec(**kw)
 
 
 def test_cli_rejects_exact_route_at_zero_strength(capsys):
@@ -202,7 +152,7 @@ def test_csv_serialization_is_a_fixed_point():
 def test_swept_rows_carry_the_norm_defect_outside_the_csv():
     spec, rows = small_rows()
     states = [st for value in spec.values
-              for st in _solve_with(spec, value, "exact")[2]]
+              for st in solve_point(spec, value, "exact")[2]]
     assert [r.norm_defect for r in rows] == [
         parseval_defect(to_momentum(st, pad_factor=spec.pad_factor))
         for st in states]
@@ -222,6 +172,8 @@ def test_rows_from_csv_schema_errors():
     body = text.split("\n")
     with pytest.raises(SchemaError):
         rows_from_csv("\n".join([body[0], body[1] + ",extra"]))
+    with pytest.raises(SchemaError):
+        rows_from_csv("")
 
 
 def test_error_text_cannot_break_the_csv():
@@ -332,112 +284,6 @@ def test_every_registry_column_is_a_csv_header():
     header = rows_to_csv([]).rstrip("\n").split(",")
     for table in TABLES.values():
         assert set(table.columns) <= set(header)
-
-
-# ------------------------------------------------------------ sweep behavior
-
-def test_sweep_is_deterministic_and_worker_invariant():
-    spec, rows = small_rows()
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec))
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec, workers=3))
-    with pytest.raises(DomainError):
-        run_sweep(spec, workers=0)
-
-
-def test_exact_scho_eta_route_solves_each_level_once():
-    # the state carries its energy, so no second root search is needed
-    scho_eigenvalue.cache_clear()
-    spec = SweepSpec(mode="scho-eta", values=(3.0,), n_hi=2,
-                     solvers=("exact",), grid_points=400)
-    rows = run_sweep(spec)
-    assert [r.n for r in rows] == [0, 1, 2]
-    assert not any(r.error for r in rows)
-    assert scho_eigenvalue.cache_info().misses == 3
-
-
-@pytest.fixture
-def exact_fails_at_three(monkeypatch):
-    """The exact route raises at half-length 3 and solves elsewhere."""
-    solve = exact_scho.scho_wavefunction
-
-    def flaky(n, x_c, grid):
-        if x_c == 3.0:
-            raise RootSearchError("no bracket at x_c=3")
-        return solve(n, x_c, grid)
-    monkeypatch.setattr(exact_scho, "scho_wavefunction", flaky)
-
-
-def test_sweep_records_errors_and_continues(exact_fails_at_three):
-    # a route that fails at one value yields an error row there while the
-    # rest solve fine
-    spec = SweepSpec(mode="scho-xc", values=(2.0, 3.0), n_hi=0,
-                     solvers=("exact",), grid_points=300)
-    rows = run_sweep(spec)
-    good = [r for r in rows if not r.error]
-    bad = [r for r in rows if r.error]
-    assert [r.value for r in good] == [2.0]
-    assert [r.value for r in bad] == [3.0]
-    assert bad[0].error == "RootSearchError: no bracket at x_c=3"
-    assert math.isnan(bad[0].energy)
-
-
-def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
-    for mode, value, solvers in (
-            ("scho-eta", 2.0, ("itp", "exact", "variational", "pt")),
-            ("acho-dm", 0.5, ("itp", "variational"))):
-        for solver in solvers:
-            spec = SweepSpec(mode=mode, values=(value,), n_hi=3,
-                             solvers=(solver,), grid_points=400)
-            for state in _solve_with(spec, value, solver)[2]:
-                assert np.array_equal(state.values,
-                                      canonical_sign(state.values))
-    # so the relaxation and exact states overlap at +1, never -1
-    _pot, grid, ladder = xc2_itp_ladder
-    for state in ladder:
-        exact = scho_wavefunction(state.n, 2.0, grid)
-        assert abs(grid.h * float(state.values @ exact.values) - 1.0) < 1e-6
-
-
-def test_cross_check_semantics():
-    spec = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=1,
-                     solvers=("itp", "exact"), cross_tol=None)
-
-    def fake(value, n, solver, energy):
-        return ReportRow(value=value, n=n, solver=solver, energy=energy)
-
-    rows = [fake(1.0, 0, "itp", 1.0), fake(1.0, 0, "exact", 1.0 + 2e-7),
-            fake(1.0, 1, "itp", 3.0), fake(1.0, 1, "exact", 3.0 - 1e-8)]
-    rep = cross_check(rows, spec)
-    assert rep.n_pairs == 2
-    assert math.isclose(rep.max_delta, 2e-7, rel_tol=1e-9)
-    assert rep.tol == 1e-6 and rep.ok          # route-pair default
-
-    tight = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=1,
-                      solvers=("itp", "exact"), cross_tol=1e-8)
-    assert not cross_check(rows, tight).ok
-
-    # unpaired rows are skipped, not counted
-    rep2 = cross_check(rows[:-1], spec)
-    assert rep2.n_pairs == 1
-
-    # a route pair without a default tolerance reports but never fails
-    free = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=0,
-                     solvers=("exact", "variational"))
-    frows = [fake(1.0, 0, "exact", 1.0), fake(1.0, 0, "variational", 2.0)]
-    frep = cross_check(frows, free)
-    assert frep.tol is None and frep.ok
-
-    with pytest.raises(DomainError):
-        cross_check(rows, SweepSpec(mode="scho-xc", values=(1.0,),
-                                    solvers=("itp",)))
-
-
-def test_cross_check_small_grids_agree_end_to_end():
-    spec = SweepSpec(mode="scho-xc", values=(2.0,), n_hi=1,
-                     solvers=("itp", "exact"), grid_points=600)
-    rep = cross_check(run_sweep(spec), spec)
-    assert rep.n_pairs == 2
-    assert rep.ok and rep.max_delta < 1e-6
 
 
 # -------------------------------------------------------------- CLI surface
@@ -632,6 +478,17 @@ def test_cli_validate_prints_one_timed_verdict_per_criterion(capsys):
     for line, idx in zip(lines, (5, 9)):
         assert line.startswith("PASS  criterion %d (" % idx)
         assert " s): " in line
+
+
+def test_cli_validate_rejects_an_unknown_criterion_before_running_any(
+        monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(acceptance._CRITERIA, 5, lambda: calls.append(5))
+    assert main(["validate", "5", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no criterion 11" in captured.err
+    assert calls == []
 
 
 def test_cli_offset_orbit_uses_the_route_mass(tmp_path):

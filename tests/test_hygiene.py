@@ -6,7 +6,9 @@ nor is `scipy.fft`, since the momentum transform is numpy's.
 
 No package module takes an underscore name from a sibling module, so
 each module's private helpers stay its own and the gate reaches the
-solvers only through their public entry points.
+solvers only through their public entry points. The sweep engine parses
+no arguments, the CLI reaches the solvers only through it, and the gate
+takes it from `sweep`, not from the CLI.
 
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
@@ -146,6 +148,54 @@ def test_no_module_takes_a_private_name_from_a_sibling():
                  path.read_text(encoding="utf-8"))]
     assert not found, "private names taken from a sibling:\n" + "\n".join(
         found)
+
+
+def imported_names(source: str) -> dict[str, set[str]]:
+    """Module -> names that `source` imports from it; a module imported
+    whole maps to the empty set. Package-relative modules are named without
+    the package prefix."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                found.setdefault(a.name, set())
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("confosc."):
+                module = module[len("confosc."):]
+            if (node.level and not module) or module == "confosc":
+                for a in node.names:      # `from . import sibling`
+                    found.setdefault(a.name, set())
+            else:
+                found.setdefault(module, set()).update(
+                    a.name for a in node.names)
+    return found
+
+
+def test_the_check_sees_imported_modules_and_names():
+    source = ("import sys, os.path\n"
+              "from . import spectral\n"
+              "from .sweep import SweepSpec, run_sweep\n"
+              "from confosc.model import DomainError\n")
+    assert imported_names(source) == {
+        "sys": set(), "os.path": set(), "spectral": set(),
+        "sweep": {"SweepSpec", "run_sweep"}, "model": {"DomainError"}}
+
+
+SOLVER_LAYERS = {"itp_solver", "exact_scho", "variational", "perturbation",
+                 "spectral", "infomeasures"}
+
+
+def test_the_sweep_engine_is_not_part_of_the_cli():
+    def imports(name):
+        return imported_names((CHECKED[0] / name).read_text(encoding="utf-8"))
+    # the engine parses no arguments and writes nothing
+    assert not {"argparse", "sys", "cli_reports"} & set(imports("sweep.py"))
+    # the CLI reaches the solvers and measures only through the engine
+    assert not SOLVER_LAYERS & set(imports("cli_reports.py"))
+    # the gate measures states through the same engine as the CLI
+    assert {"run_sweep", "SweepSpec", "ReportRow"} <= imports(
+        "acceptance.py").get("sweep", set())
 
 
 # scipy subpackages the package does without: it integrates with its own
