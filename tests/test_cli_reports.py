@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import _oracles as O
@@ -13,9 +14,11 @@ from confosc import acceptance
 from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv)
-from confosc.model import DomainError
+from confosc.exact_scho import scho_wavefunction
+from confosc.model import DomainError, canonical_sign
 from confosc.spectral import parseval_defect, to_momentum
-from confosc.sweep import ReportRow, SweepSpec, run_sweep, solve_point
+from confosc.sweep import (ReportRow, SweepSpec, cross_check, run_sweep,
+                           solve_point)
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
 
@@ -284,6 +287,55 @@ def test_every_registry_column_is_a_csv_header():
     header = rows_to_csv([]).rstrip("\n").split(",")
     for table in TABLES.values():
         assert set(table.columns) <= set(header)
+
+
+# ------------------------------------------------------------ sweep behavior
+
+def test_sweep_is_deterministic_and_worker_invariant():
+    spec, rows = small_rows()
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec))
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec, workers=3))
+    with pytest.raises(DomainError):
+        run_sweep(spec, workers=0)
+
+
+def test_sweep_records_errors_and_continues(exact_fails_at_three):
+    # a route that fails at one value yields an error row there while the
+    # rest solve fine
+    spec = SweepSpec(mode="scho-xc", values=(2.0, 3.0), n_hi=0,
+                     solvers=("exact",), grid_points=300)
+    rows = run_sweep(spec)
+    good = [r for r in rows if not r.error]
+    bad = [r for r in rows if r.error]
+    assert [r.value for r in good] == [2.0]
+    assert [r.value for r in bad] == [3.0]
+    assert bad[0].error == "RootSearchError: no bracket at x_c=3"
+    assert math.isnan(bad[0].energy)
+
+
+def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
+    for mode, value, solvers in (
+            ("scho-eta", 2.0, ("itp", "exact", "variational", "pt")),
+            ("acho-dm", 0.5, ("itp", "variational"))):
+        for solver in solvers:
+            spec = SweepSpec(mode=mode, values=(value,), n_hi=3,
+                             solvers=(solver,), grid_points=400)
+            for state in solve_point(spec, value, solver)[2]:
+                assert np.array_equal(state.values,
+                                      canonical_sign(state.values))
+    # so the relaxation and exact states overlap at +1, never -1
+    _pot, grid, ladder = xc2_itp_ladder
+    for state in ladder:
+        exact = scho_wavefunction(state.n, 2.0, grid)
+        assert abs(grid.h * float(state.values @ exact.values) - 1.0) < 1e-6
+
+
+def test_cross_check_small_grids_agree_end_to_end():
+    spec = SweepSpec(mode="scho-xc", values=(2.0,), n_hi=1,
+                     solvers=("itp", "exact"), grid_points=600)
+    rep = cross_check(run_sweep(spec), spec)
+    assert rep.n_pairs == 2
+    assert rep.ok and rep.max_delta < 1e-6
 
 
 # -------------------------------------------------------------- CLI surface

@@ -1,16 +1,15 @@
-"""The sweep engine: spec validation, row order, routes, error rows and
-the two-route cross check."""
+"""The sweep engine: spec validation, the exact route's root searches and
+the two-route cross check. Row order, error rows, the sign convention and
+the end-to-end cross check are checked on what the CLI prints, in
+test_cli_reports."""
 
 import math
 
-import numpy as np
 import pytest
 
-from confosc.cli_reports import rows_to_csv
-from confosc.exact_scho import scho_eigenvalue, scho_wavefunction
-from confosc.model import DomainError, canonical_sign
-from confosc.sweep import (ReportRow, SweepSpec, cross_check, run_sweep,
-                           solve_point)
+from confosc.exact_scho import scho_eigenvalue
+from confosc.model import DomainError
+from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
 
 
 # ----------------------------------------------------------- spec validation
@@ -60,17 +59,7 @@ def test_spec_rejects(kw):
         SweepSpec(**kw)
 
 
-# ------------------------------------------------------------ sweep behavior
-
-def test_sweep_is_deterministic_and_worker_invariant():
-    spec = SweepSpec(mode="scho-xc", values=(0.75, 1.5), n_hi=1,
-                     solvers=("exact",), grid_points=400)
-    rows = run_sweep(spec)
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec))
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec, workers=3))
-    with pytest.raises(DomainError):
-        run_sweep(spec, workers=0)
-
+# ------------------------------------------------------------ routes
 
 def test_exact_scho_eta_route_solves_each_level_once():
     # the state carries its energy, so no second root search is needed
@@ -81,37 +70,6 @@ def test_exact_scho_eta_route_solves_each_level_once():
     assert [r.n for r in rows] == [0, 1, 2]
     assert not any(r.error for r in rows)
     assert scho_eigenvalue.cache_info().misses == 3
-
-
-def test_sweep_records_errors_and_continues(exact_fails_at_three):
-    # a route that fails at one value yields an error row there while the
-    # rest solve fine
-    spec = SweepSpec(mode="scho-xc", values=(2.0, 3.0), n_hi=0,
-                     solvers=("exact",), grid_points=300)
-    rows = run_sweep(spec)
-    good = [r for r in rows if not r.error]
-    bad = [r for r in rows if r.error]
-    assert [r.value for r in good] == [2.0]
-    assert [r.value for r in bad] == [3.0]
-    assert bad[0].error == "RootSearchError: no bracket at x_c=3"
-    assert math.isnan(bad[0].energy)
-
-
-def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
-    for mode, value, solvers in (
-            ("scho-eta", 2.0, ("itp", "exact", "variational", "pt")),
-            ("acho-dm", 0.5, ("itp", "variational"))):
-        for solver in solvers:
-            spec = SweepSpec(mode=mode, values=(value,), n_hi=3,
-                             solvers=(solver,), grid_points=400)
-            for state in solve_point(spec, value, solver)[2]:
-                assert np.array_equal(state.values,
-                                      canonical_sign(state.values))
-    # so the relaxation and exact states overlap at +1, never -1
-    _pot, grid, ladder = xc2_itp_ladder
-    for state in ladder:
-        exact = scho_wavefunction(state.n, 2.0, grid)
-        assert abs(grid.h * float(state.values @ exact.values) - 1.0) < 1e-6
 
 
 def test_cross_check_semantics():
@@ -146,11 +104,3 @@ def test_cross_check_semantics():
     with pytest.raises(DomainError):
         cross_check(rows, SweepSpec(mode="scho-xc", values=(1.0,),
                                     solvers=("itp",)))
-
-
-def test_cross_check_small_grids_agree_end_to_end():
-    spec = SweepSpec(mode="scho-xc", values=(2.0,), n_hi=1,
-                     solvers=("itp", "exact"), grid_points=600)
-    rep = cross_check(run_sweep(spec), spec)
-    assert rep.n_pairs == 2
-    assert rep.ok and rep.max_delta < 1e-6
