@@ -465,7 +465,8 @@ def main(argv=None) -> int:
                        help="FFT zero-padding factor")
     for p in (p_sweep, p_table):
         p.add_argument("--workers", type=int, default=1,
-                       help="sweep worker threads")
+                       help="threads that measure the solved states; "
+                            "solving is serial (default 1)")
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
     p_val.add_argument("criteria", nargs="*", type=int,

@@ -19,6 +19,10 @@ forbidden-region probability, the allowed-interval length, the rigorous
 bound flags, and the momentum density's norm defect. Failures become error
 rows and the sweep continues. Rows are ordered sweep-value major, state
 minor, solver innermost, whatever the worker count.
+
+Solving is serial: `run_sweep` solves every point on the calling thread,
+and its ``workers`` are threads that measure the solved states, work that
+makes no BLAS call.
 """
 
 from __future__ import annotations
@@ -212,44 +216,52 @@ def _measured_row(spec: SweepSpec, value: float, solver: str,
         l_cl=semiclassical.classical_region_lengths(pot, energy)[0])
 
 
-def _point_rows(spec: SweepSpec, value: float) -> list[ReportRow]:
-    def failed(n: int, solver: str, exc: Exception) -> ReportRow:
-        return ReportRow(value=value, n=n, solver=solver,
-                         error="%s: %s" % (type(exc).__name__, exc))
-
-    rows: list[ReportRow] = []
-    for solver in spec.solvers:
-        try:
-            pot, _mass, states = solve_point(spec, value, solver)
-        except Exception as exc:      # recorded, sweep continues
-            n_fail = getattr(exc, "state_index", spec.n_lo)
-            rows.append(failed(max(n_fail, 0), solver, exc))
-            continue
-        for state in states:
-            if state.n < spec.n_lo:
-                continue
-            try:
-                rows.append(_measured_row(spec, value, solver, pot, state))
-            except Exception as exc:
-                rows.append(failed(state.n, solver, exc))
-    order = {s: k for k, s in enumerate(spec.solvers)}
-    rows.sort(key=lambda r: (r.n, order[r.solver]))
-    return rows
+def _error_row(value: float, n: int, solver: str,
+               exc: Exception) -> ReportRow:
+    return ReportRow(value=value, n=n, solver=solver,
+                     error="%s: %s" % (type(exc).__name__, exc))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ReportRow]:
     """All rows of the sweep, value major / n minor / solver innermost.
-    Points are dispatched to a thread pool and reassembled in spec order, so
-    the result does not depend on the worker count."""
+
+    `workers` are threads that measure the solved states; solving is
+    serial. Every point is solved first, in spec order, on the calling
+    thread, so the dense algebra of the routes (the basis products, `eigh`,
+    the banded solves) and its BLAS threads never compete with the pool,
+    whose measures make no BLAS call. The rows are reassembled in spec
+    order, so the result does not depend on the worker count."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    rows: list[ReportRow] = []
+    solved = []
+    for value in spec.values:
+        for solver in spec.solvers:
+            try:
+                pot, _mass, states = solve_point(spec, value, solver)
+            except Exception as exc:      # recorded, sweep continues
+                n_fail = getattr(exc, "state_index", spec.n_lo)
+                rows.append(_error_row(value, max(n_fail, 0), solver, exc))
+                continue
+            solved += [(value, solver, pot, state) for state in states
+                       if state.n >= spec.n_lo]
+
+    def measure(job) -> ReportRow:
+        value, solver, pot, state = job
+        try:
+            return _measured_row(spec, value, solver, pot, state)
+        except Exception as exc:
+            return _error_row(value, state.n, solver, exc)
+
     if workers == 1:
-        chunks = [_point_rows(spec, v) for v in spec.values]
+        rows += map(measure, solved)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda v: _point_rows(spec, v),
-                                   spec.values))
-    return [row for chunk in chunks for row in chunk]
+            rows += pool.map(measure, solved)
+    position = {value: k for k, value in enumerate(spec.values)}
+    order = {solver: k for k, solver in enumerate(spec.solvers)}
+    rows.sort(key=lambda r: (position[r.value], r.n, order[r.solver]))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 import _oracles as O
 import confosc
-from confosc import acceptance
+from confosc import acceptance, spectral
 from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv)
@@ -311,6 +311,32 @@ def test_sweep_records_errors_and_continues(exact_fails_at_three):
     assert [r.value for r in bad] == [3.0]
     assert bad[0].error == "RootSearchError: no bracket at x_c=3"
     assert math.isnan(bad[0].energy)
+
+
+def test_error_rows_keep_their_place_at_any_worker_count(
+        monkeypatch, exact_fails_at_three):
+    # a route failure at x_c = 3 and a failed measurement of state 1 at
+    # x_c = 2 each leave error rows in value / n / solver order
+    transform = spectral.to_momentum
+
+    def flaky(state, pad_factor=16):
+        if state.n == 1 and state.grid.x_max == 2.0:
+            raise FloatingPointError("no transform at x_c=2")
+        return transform(state, pad_factor=pad_factor)
+    monkeypatch.setattr(spectral, "to_momentum", flaky)
+    spec = SweepSpec(mode="scho-xc", values=(2.0, 3.0, 1.5), n_hi=1,
+                     solvers=("itp", "exact"), grid_points=300)
+    rows = run_sweep(spec)
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(spec, workers=3))
+    assert [(r.value, r.n, r.solver) for r in rows] == [
+        (2.0, 0, "itp"), (2.0, 0, "exact"), (2.0, 1, "itp"),
+        (2.0, 1, "exact"), (3.0, 0, "itp"), (3.0, 0, "exact"),
+        (3.0, 1, "itp"), (1.5, 0, "itp"), (1.5, 0, "exact"),
+        (1.5, 1, "itp"), (1.5, 1, "exact")]
+    assert {(r.value, r.n, r.solver): r.error for r in rows if r.error} == {
+        (2.0, 1, "itp"): "FloatingPointError: no transform at x_c=2",
+        (2.0, 1, "exact"): "FloatingPointError: no transform at x_c=2",
+        (3.0, 0, "exact"): "RootSearchError: no bracket at x_c=3"}
 
 
 def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):

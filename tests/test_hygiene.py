@@ -8,7 +8,8 @@ No package module takes an underscore name from a sibling module, so
 each module's private helpers stay its own and the gate reaches the
 solvers only through their public entry points. The sweep engine parses
 no arguments, the CLI reaches the solvers only through it, and the gate
-takes it from `sweep`, not from the CLI.
+takes it from `sweep`, not from the CLI. The measure layer, which the
+sweep's worker threads run, makes no BLAS call.
 
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
@@ -196,6 +197,64 @@ def test_the_sweep_engine_is_not_part_of_the_cli():
     # the gate measures states through the same engine as the CLI
     assert {"run_sweep", "SweepSpec", "ReportRow"} <= imports(
         "acceptance.py").get("sweep", set())
+
+
+# the measure layer: what the sweep's worker threads run. It makes no BLAS
+# or LAPACK call, so the threads never contend with the BLAS library's own
+MEASURE_LAYERS = ("spectral.py", "infomeasures.py", "semiclassical.py")
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum",
+              "linalg"}
+
+
+def blas_calls(source: str) -> list[str]:
+    """The matrix-product operator, the BLAS-backed numpy functions and the
+    linear-algebra modules that `source` uses or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.add("@")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for a in node.names:
+                name = "%s.%s" % (module, a.name) if module else a.name
+                if a.name in BLAS_NAMES or any(
+                        part == "linalg" for part in name.split(".")):
+                    found.add(name)
+    return sorted(found)
+
+
+def test_the_check_sees_blas_calls():
+    source = ("import numpy as np\n"
+              "from numpy import einsum\n"
+              "from scipy.linalg import eigh\n"
+              "import scipy.linalg as sl\n"
+              "def f(a, b, c):\n"
+              "    c @= a\n"
+              "    return (a @ b, np.dot(a, b), a.dot(b), np.linalg.norm(a),\n"
+              "            np.matmul(a, b), np.inner(a, b), np.vdot(a, b),\n"
+              "            np.tensordot(a, b), einsum('i,i', a, b))\n")
+    assert blas_calls(source) == [
+        "@", "dot", "einsum", "inner", "linalg", "matmul", "numpy.einsum",
+        "scipy.linalg", "scipy.linalg.eigh", "tensordot", "vdot"]
+    assert blas_calls("from scipy import linalg\n") == ["scipy.linalg"]
+    assert not blas_calls("import numpy as np\n"
+                          "from dataclasses import dataclass\n"
+                          "@dataclass\nclass A:\n    x: int\n"
+                          "def f(a, b):\n"
+                          "    return np.sum(a * b), np.fft.rfft(a)\n")
+
+
+def test_the_measure_layer_makes_no_blas_call():
+    found = ["%s: %s" % (name, call) for name in MEASURE_LAYERS
+             for call in blas_calls(
+                 (CHECKED[0] / name).read_text(encoding="utf-8"))]
+    assert not found, "BLAS calls in the measure layer:\n" + "\n".join(
+        found)
 
 
 # scipy subpackages the package does without: it integrates with its own

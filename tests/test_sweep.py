@@ -1,12 +1,14 @@
-"""The sweep engine: spec validation, the exact route's root searches and
-the two-route cross check. Row order, error rows, the sign convention and
-the end-to-end cross check are checked on what the CLI prints, in
-test_cli_reports."""
+"""The sweep engine: spec validation, the exact route's root searches,
+where the points are solved, and the two-route cross check. Row order,
+error rows, the sign convention and the end-to-end cross check are checked
+on what the CLI prints, in test_cli_reports."""
 
 import math
+import threading
 
 import pytest
 
+from confosc import sweep, variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.model import DomainError
 from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
@@ -70,6 +72,24 @@ def test_exact_scho_eta_route_solves_each_level_once():
     assert [r.n for r in rows] == [0, 1, 2]
     assert not any(r.error for r in rows)
     assert scho_eigenvalue.cache_info().misses == 3
+
+
+def test_every_point_is_solved_on_the_calling_thread(monkeypatch):
+    # the pool threads only measure, so the routes' dense algebra never
+    # competes with them, and the points share one basis build
+    threads = []
+    for solver, (route, modes) in sweep._ROUTES.items():
+        def spy(spec, pot, mass, route=route):
+            threads.append(threading.get_ident())
+            return route(spec, pot, mass)
+        monkeypatch.setitem(sweep._ROUTES, solver, (spy, modes))
+    variational.build_basis.cache_clear()
+    spec = SweepSpec(mode="acho-dm", values=(0.0, 0.5, 1.0), n_hi=2,
+                     solvers=("variational",), grid_points=300)
+    rows = run_sweep(spec, workers=2)
+    assert len(rows) == 9 and not any(r.error for r in rows)
+    assert threads == [threading.get_ident()] * 3
+    assert variational.build_basis.cache_info().misses == 1
 
 
 def test_cross_check_semantics():
