@@ -96,12 +96,16 @@ class ConfinedPotential:
         if not all(map(math.isfinite, walls)):
             raise DomainError("the well must be finite at the walls")
 
-    def interior_values(self, grid: Grid) -> np.ndarray:
-        """V sampled on grid interior points. The grid must span the box."""
+    def require_span(self, grid: Grid) -> None:
+        """Raise DomainError unless `grid` runs from wall to wall."""
         if not (math.isclose(grid.x_min, self.b1, abs_tol=1e-12)
                 and math.isclose(grid.x_max, self.b2, abs_tol=1e-12)):
             raise DomainError("grid [%g, %g] does not span the box [%g, %g]"
                               % (grid.x_min, grid.x_max, self.b1, self.b2))
+
+    def interior_values(self, grid: Grid) -> np.ndarray:
+        """V sampled on grid interior points. The grid must span the box."""
+        self.require_span(grid)
         x = grid.interior
         return 0.5 * self.k * (x - self.d_m) ** 2
 

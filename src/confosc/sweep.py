@@ -90,6 +90,13 @@ class SweepSpec:
                                   % (self.mode, value, exc)) from None
         if self.grid_points < 8:
             raise DomainError("grid_points too small")
+        if "variational" in self.solvers:
+            size = _basis_size(self.n_hi)
+            points = _odd_interior(self.grid_points)
+            if points < size:
+                raise DomainError("the variational basis of %d functions "
+                                  "needs at least as many interior grid "
+                                  "points, got %d" % (size, points))
         if self.pad_factor < 1:
             raise DomainError("pad_factor must be >= 1")
         if self.cross_tol is not None and self.cross_tol <= 0:
@@ -163,10 +170,15 @@ def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
     return states
 
 
+def _basis_size(n_hi: int) -> int:
+    """Trial functions the variational route expands states 0..n_hi in."""
+    return max(50, 2 * (n_hi + 1) + 10)
+
+
 def _variational_states(spec: SweepSpec, pot: ConfinedPotential,
                         mass: float) -> list[Eigenpair]:
     grid = box_grid(pot.b1, pot.b2, _odd_interior(spec.grid_points))
-    size = max(50, 2 * (spec.n_hi + 1) + 10)
+    size = _basis_size(spec.n_hi)
     res = variational.solve_acho(pot, size=size, grid=grid, mass=mass,
                                  n_states=spec.n_hi + 1)
     return list(res.states)

@@ -23,14 +23,18 @@ Every trial function is even or odd in x (DLMF 13.2), so the trial rows are
 evaluated on x >= 0 only, in one broadcast `hyp1f1` call per parity, and
 mirrored with their parity's sign onto x < 0.
 
-The Hamiltonian matrix applies the shared discrete Hamiltonian
-`model.hamiltonian_bands`, the operator the relaxation route propagates with,
-to the interior samples of the trial rows; its odd-reflection wall closure is
-fourth-order exact here because every trial function has u(wall) = 0 and
-u''(wall) = 0 (the boundary equation forces the latter). The Gram-Schmidt
-overlaps and the matrix elements are matrix products with the Simpson
-weights, which need an odd number of grid points; a state's norm is
-`model.simpson`.
+The matrix pieces are built once per basis, when `build_basis` makes it:
+the kinetic matrix applies the kinetic part of the shared discrete
+Hamiltonian `model.hamiltonian_bands`, the operator the relaxation route
+propagates with, to the interior samples of the trial rows; its
+odd-reflection wall closure is fourth-order exact here because every trial
+function has u(wall) = 0 and u''(wall) = 0 (the boundary equation forces the
+latter). Beside it sit the moment matrices of 1, x and x^2. A well's
+Hamiltonian matrix is then a sum of these four small matrices, so a sweep
+over the offset or the strength in one basis never touches the grid again.
+The Gram-Schmidt overlaps and the matrix elements are matrix products with
+the Simpson weights, which need an odd number of grid points; a state's norm
+is `model.simpson`.
 """
 
 from __future__ import annotations
@@ -56,12 +60,35 @@ class BasisError(RuntimeError):
 @dataclass(frozen=True)
 class BasisSet:
     """Orthonormal trial functions sampled on a grid, ordered by the energy
-    they carry in the auxiliary centred problem."""
+    they carry in the auxiliary centred problem, with the Simpson matrices
+    that every well's Hamiltonian matrix is assembled from:
+
+    * `kinetic`, the trial rows against the zero-well `hamiltonian_bands`
+      at unit kinetic coefficient (mass 1/2), that is against -d2/dx2;
+    * `moments[p]`, the trial rows against x**p on the interior, p = 0, 1, 2.
+
+    Both are built here, once, so they live and die with the basis in
+    `build_basis`'s cache."""
     grid: Grid
     values: np.ndarray = field(repr=False)         # (size, n_points)
+    kinetic: np.ndarray = field(init=False, repr=False)
+    moments: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        grid = self.grid
+        rows = self.values[:, 1:-1]      # the wall samples are zero
+        w_rows = rows * simpson_weights(grid.n_points, grid.h)[1:-1]
+        free = ConfinedPotential(k=0.0, b1=grid.x_min, b2=grid.x_max)
+        kinetic = w_rows @ apply_bands(hamiltonian_bands(free, grid, 0.5),
+                                       rows).T
+        x = grid.interior
+        moments = (w_rows @ rows.T, (w_rows * x) @ rows.T,
+                   (w_rows * (x * x)) @ rows.T)
+        for mat in (kinetic, *moments):
+            mat.setflags(write=False)
+        object.__setattr__(self, "kinetic", kinetic)
+        object.__setattr__(self, "moments", moments)
 
 
 def _kummer_args(eps, beta: float, odd: bool):
@@ -163,12 +190,26 @@ def build_basis(size: int, grid: Grid) -> BasisSet:
 def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
                        mass: float = 1.0) -> np.ndarray:
     """Matrix of the well Hamiltonian in the trial set (Simpson quadrature),
-    symmetrized after checking that the raw asymmetry is at round-off scale."""
-    grid = basis.grid
-    rows = basis.values[:, 1:-1]      # the wall samples are zero
-    h_rows = apply_bands(hamiltonian_bands(pot, grid, mass), rows)
-    w = simpson_weights(grid.n_points, grid.h)[1:-1]
-    mat = (rows * w) @ h_rows.T
+    symmetrized after checking that the raw asymmetry is at round-off scale.
+
+    `ConfinedPotential` is always the quadratic well (k/2)(x - d_m)^2, so
+    V = (k/2)(x^2 - 2 d_m x + d_m^2) and the matrix is
+
+        kinetic / (2 mass) + (k/2)(M2 - 2 d_m M1 + d_m^2 M0)
+
+    from the basis's own matrices: O(size^2) work, with no pass over the
+    grid. It agrees with the Simpson matrix of `hamiltonian_bands(pot)`
+    applied to the trial rows up to round-off."""
+    if not mass > 0:
+        raise DomainError("mass must be positive")
+    pot.require_span(basis.grid)
+    m0, m1, m2 = basis.moments
+    half_k = 0.5 * pot.k
+    # the products run left to right, as in the potential's own wall check,
+    # so every coefficient is finite whenever the well is finite at the walls
+    mat = (basis.kinetic / (2.0 * mass) + half_k * m2
+           - (2.0 * half_k * pot.d_m) * m1
+           + (half_k * pot.d_m * pot.d_m) * m0)
     asym = float(np.max(np.abs(mat - mat.T)))
     scale = max(1.0, float(np.max(np.abs(mat))))
     if not asym <= 1e-8 * scale:

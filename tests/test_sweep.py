@@ -55,6 +55,10 @@ from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
     dict(mode="acho-dm", values=(1e200,), solvers=("variational",)),
     dict(mode="acho-eta", values=(1e308,)),
     dict(mode="scho-xc", values=(1.0, 1.0), solvers=("itp", "exact")),
+    dict(mode="acho-dm", values=(5.0,), solvers=("variational",),
+         grid_points=49),
+    dict(mode="acho-dm", values=(5.0,), n_hi=30, solvers=("variational",),
+         grid_points=71),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
@@ -90,6 +94,34 @@ def test_every_point_is_solved_on_the_calling_thread(monkeypatch):
     assert len(rows) == 9 and not any(r.error for r in rows)
     assert threads == [threading.get_ident()] * 3
     assert variational.build_basis.cache_info().misses == 1
+
+
+def test_variational_grid_must_hold_the_basis():
+    # fewer interior points than trial functions cannot hold an orthonormal
+    # set, so the spec refuses it instead of leaving an error row
+    with pytest.raises(DomainError, match="basis of 50 functions needs at "
+                       "least as many interior grid points, got 9"):
+        SweepSpec(mode="acho-dm", values=(5.0,), solvers=("variational",),
+                  grid_points=8)
+    SweepSpec(mode="acho-dm", values=(5.0,), solvers=("itp",), grid_points=8)
+    SweepSpec(mode="acho-dm", values=(5.0,), solvers=("variational",),
+              grid_points=50)
+
+
+def test_an_offset_sweep_applies_the_operator_once_per_basis(monkeypatch):
+    # each offset's matrix is assembled from the basis's kinetic and moment
+    # matrices, so only the basis build passes the trial rows through H
+    calls = []
+    apply_bands = variational.apply_bands
+    monkeypatch.setattr(variational, "apply_bands",
+                        lambda bands, psi: calls.append(psi.shape)
+                        or apply_bands(bands, psi))
+    variational.build_basis.cache_clear()
+    spec = SweepSpec(mode="acho-dm", values=(0.0, 2.5, 5.0), n_hi=1,
+                     solvers=("variational",), grid_points=300)
+    rows = run_sweep(spec)
+    assert len(rows) == 6 and not any(r.error for r in rows)
+    assert len(calls) == 1
 
 
 def test_cross_check_semantics():

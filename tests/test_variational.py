@@ -8,8 +8,9 @@ from scipy.special import hyp1f1
 from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
-from confosc.model import (DomainError, acho_unit_box, apply_bands, box_grid,
-                           simpson_weights)
+from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
+                           apply_bands, box_grid, hamiltonian_bands,
+                           scho_unit_box, simpson_weights)
 from confosc.variational import (DEFAULT_ALPHA, BasisError, BasisSet,
                                  _boundary_roots, _trial_rows, build_basis,
                                  diagonalize, hamiltonian_matrix, solve_acho)
@@ -184,18 +185,49 @@ def test_hamiltonian_matrix_is_symmetric():
     assert np.array_equal(h, h.T)
 
 
-def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
-    # both routes see one discrete Hamiltonian: the matrix is the symmetrised
-    # Simpson matrix of the relaxation route's H applied to the trial rows
-    pot, mass = acho_unit_box(1.0, 0.36)
+def test_kinetic_matrix_is_the_zero_well_operator():
+    # the basis carries the Simpson matrix of the shared discrete Hamiltonian
+    # of the empty box at unit kinetic coefficient, bit for bit
     grid = unit_grid(1001)
     basis = build_basis(14, grid)
     rows = basis.values[:, 1:-1]
-    h_rows = apply_bands(route_system(pot, grid, mass).bands, rows)
+    free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0)
+    h_rows = apply_bands(hamiltonian_bands(free, grid, 0.5), rows)
     w = simpson_weights(grid.n_points, grid.h)[1:-1]
-    mat = (rows * w) @ h_rows.T
-    assert np.array_equal(hamiltonian_matrix(basis, pot, mass=mass),
-                          0.5 * (mat + mat.T))
+    assert np.array_equal(basis.kinetic, (rows * w) @ h_rows.T)
+
+
+# every well the sweeps and tables put on the variational route's unit box
+MATRIX_WELLS = ([acho_unit_box(1.0, d_m) for d_m in (0.0, 0.36, 5.0, 10.0)]
+                + [acho_unit_box(eta, 1.0) for eta in (5.0, 20.0)]
+                + [scho_unit_box(eta) for eta in (0.001, 100.0)])
+
+
+def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
+    # both routes see one discrete Hamiltonian: the matrix assembled from the
+    # basis's kinetic and moment matrices is the symmetrised Simpson matrix
+    # of the relaxation route's H applied to the trial rows, up to the
+    # round-off of summing V's three terms separately
+    for n_interior in (1001, 2001, 4001):
+        grid = unit_grid(n_interior)
+        basis = build_basis(50, grid)
+        rows = basis.values[:, 1:-1]
+        w = simpson_weights(grid.n_points, grid.h)[1:-1]
+        for pot, mass in MATRIX_WELLS:
+            h_rows = apply_bands(route_system(pot, grid, mass).bands, rows)
+            mat = (rows * w) @ h_rows.T
+            direct = 0.5 * (mat + mat.T)
+            h = hamiltonian_matrix(basis, pot, mass=mass)
+            assert (np.max(np.abs(h - direct))
+                    <= 1e-12 * np.max(np.abs(direct))), (pot, n_interior)
+
+
+def test_hamiltonian_matrix_needs_a_spanning_grid_and_a_positive_mass():
+    basis = build_basis(8, unit_grid(501))
+    with pytest.raises(DomainError, match="does not span"):
+        hamiltonian_matrix(basis, ConfinedPotential(k=1.0, b1=-2.0, b2=2.0))
+    with pytest.raises(DomainError, match="mass must be positive"):
+        hamiltonian_matrix(basis, ConfinedPotential(k=1.0), mass=0.0)
 
 
 def test_diagonalize_orders_eigenvalues():
