@@ -1,20 +1,20 @@
 """Confined-oscillator toolkit: a quadratic well between hard walls.
 
 Solvers (imaginary-time relaxation, boundary-quantized closed forms, a
-confined-oscillator variational basis, first-order flat-box mixing),
+box-mode variational basis, first-order flat-box mixing),
 position/momentum information measures with their rigorous bounds, a
 semiclassical phase-plane view, and a deterministic sweep/report CLI.
 """
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     acho_unit_box, box_grid, brent_root, scho_unit_box,
-                    simpson, simpson_weights)
+                    simpson)
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          scho_eigenvalue, scho_wavefunction)
-from .variational import (BasisError, BasisSet, DEFAULT_ALPHA,
-                          VariationalResult, build_basis, diagonalize,
-                          hamiltonian_matrix, solve_acho)
+from .variational import (BasisError, BasisSet, VariationalResult,
+                          build_basis, diagonalize, hamiltonian_matrix,
+                          solve_acho)
 from .spectral import MomentumDensity, parseval_defect, to_momentum
 from .infomeasures import (BOUND_SLACK, FISHER_FLOOR, InfoReport,
                            ONICESCU_CEILING, SHANNON_FLOOR, fisher,

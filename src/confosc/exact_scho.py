@@ -4,9 +4,9 @@ The bound-state energies are the zeros, in energy, of a confluent
 hypergeometric boundary value; the wavefunctions are the corresponding
 Gaussian-damped 1F1 profiles. The hypergeometric series here is hand-rolled
 (compensated Maclaurin summation) and is the slow-but-transparent reference
-path; the variational module deliberately uses an independent implementation
-so the two can cross-check each other. Each root is refined by the package's
-own Brent's method, `model.brent_root`.
+path; the variational route expands in box sines and evaluates no 1F1, so
+the two cross-check each other independently. Each root is refined by the
+package's own Brent's method, `model.brent_root`.
 
 Also provides the zero-well-limit (flat box) levels.
 """

@@ -1,9 +1,9 @@
 """Shared problem definitions: grids, hard-wall confined potentials, the two
 reduced problem builders, the discrete Hamiltonian, Simpson rule and sign
 convention every route uses, and the bracketing root refiner (Brent's method)
-of the exact and variational routes. The refiner is SciPy's `brentq` step
-for step, kept here so that no run imports `scipy.optimize`, whose import
-loads several unused subpackages and costs about a quarter of start-up.
+of the exact route. The refiner is SciPy's `brentq` step for step, kept
+here so that no run imports `scipy.optimize`, whose import loads several
+unused subpackages and costs about a quarter of start-up.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -124,17 +124,6 @@ def simpson(f: np.ndarray, h: float) -> float:
     if m < n:
         total += float(h * (5.0 * f[-1] + 8.0 * f[-2] - f[-3]) / 12.0)
     return total
-
-
-def simpson_weights(n_points: int, h: float) -> np.ndarray:
-    """The weights of `simpson` at an odd `n_points`, for integrals taken as
-    a matrix product."""
-    if n_points < 3 or n_points % 2 == 0:
-        raise DomainError("composite Simpson needs an odd point count >= 3")
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
 
 
 _BRENT_RTOL = 4.0 * math.ulp(1.0)     # the fixed rtol of brentq, 4 eps

@@ -132,11 +132,10 @@ class ReportRow:
 
 
 def _odd_interior(n_interior: int) -> int:
-    """Interior count bumped so the full grid has an odd point count. The
-    variational basis needs one for its Simpson weights; the first-order
-    route no longer does, but keeps the odd grid that the published tables
-    and the benchmark goldens were made on. Moving it to the even grid is a
-    declared output change."""
+    """Interior count bumped so the full grid has an odd point count.
+    Neither the variational nor the first-order route needs one; both keep
+    the odd grid that the published tables and the benchmark goldens were
+    made on. Moving them to the even grid is a declared output change."""
     return n_interior if n_interior % 2 else n_interior + 1
 
 

@@ -1,40 +1,24 @@
 """Rayleigh-Ritz treatment of the (possibly off-centre) quadratic well in a
-hard symmetric box.
+hard box, in the particle-in-a-box modes of the box [a, b], L = b - a,
 
-Trial space: eigenfunctions of an auxiliary *centred* confined oscillator,
+    u_k(x) = sqrt(2/L) sin(k pi (x - a)/L),  k = 1..size,
 
-    -u'' + beta^2 x^2 u = eps u,  u(+-b) = 0,  beta = 2*sqrt(2)*alpha,
+the eta -> 0 limit of the problem, sampled on the full grid.
 
-i.e. Gaussian-envelope functions exp(-beta x^2 / 2) times a confluent
-hypergeometric factor, with the boundary condition enforced through the
-hypergeometric parameter. They form a complete orthogonal set on the box,
-decay like the target states do, and reduce to the exact answer when the well
-is centred and alpha matches it. The envelope width alpha is fixed at
-DEFAULT_ALPHA, the width of the unit well.
+Matrices are taken in the plain inner product h * sum over the interior
+points, the one in which the shared pentadiagonal Hamiltonian
+`model.hamiltonian_bands`, the relaxation route's operator, is symmetric.
+In it the sampled modes are orthonormal (DST-I orthogonality), so nothing is
+orthogonalised, and the Ritz values are upper bounds on the eigenvalues of
+that discrete Hamiltonian, the levels relaxation converges to (Poincare
+separation; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+ch. 10-11). A state's norm is `model.simpson`.
 
-Roots of the boundary equation are located by one vectorised scan in
-sqrt(eps), where consecutive same-parity levels are nearly equally spaced (the
-flat-box ladder gives exactly pi/(2b) spacing, and the quadratic term only
-compresses it mildly), so a fixed scan step cannot skip a level. The scan
-stops at the min-max bound on the highest wanted level, and Brent's method,
-`model.brent_root`, refines each sign change.
-
-Every trial function is even or odd in x (DLMF 13.2), so the trial rows are
-evaluated on x >= 0 only, in one broadcast `hyp1f1` call per parity, and
-mirrored with their parity's sign onto x < 0.
-
-The matrix pieces are built once per basis, when `build_basis` makes it:
-the kinetic matrix applies the kinetic part of the shared discrete
-Hamiltonian `model.hamiltonian_bands`, the operator the relaxation route
-propagates with, to the interior samples of the trial rows; its
-odd-reflection wall closure is fourth-order exact here because every trial
-function has u(wall) = 0 and u''(wall) = 0 (the boundary equation forces the
-latter). Beside it sit the moment matrices of 1, x and x^2. A well's
-Hamiltonian matrix is then a sum of these four small matrices, so a sweep
-over the offset or the strength in one basis never touches the grid again.
-The Gram-Schmidt overlaps and the matrix elements are matrix products with
-the Simpson weights, which need an odd number of grid points; a state's norm
-is `model.simpson`.
+Each basis builds its matrix pieces once: the kinetic matrix, the zero-well
+bands applied to the modes (the five-point stencil with odd-reflection wall
+rows has the sampled sines as exact eigenvectors, so it is diagonal up to
+round-off), and the moment matrices of 1, x and x^2. A well's matrix is a
+sum of these four, so a sweep in one basis never touches the grid again.
 """
 
 from __future__ import annotations
@@ -44,31 +28,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, brent_root, hamiltonian_bands, simpson,
-                    simpson_weights)
-
-DEFAULT_ALPHA = math.sqrt(1.0 / 8.0)   # envelope exp(-x^2/2), the unit-well width
+                    apply_bands, hamiltonian_bands, simpson)
 
 
 class BasisError(RuntimeError):
-    """The trial set could not be built or lost its numerical guarantees."""
+    """The Ritz matrices lost their numerical guarantees."""
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Orthonormal trial functions sampled on a grid, ordered by the energy
-    they carry in the auxiliary centred problem, with the Simpson matrices
-    that every well's Hamiltonian matrix is assembled from:
-
-    * `kinetic`, the trial rows against the zero-well `hamiltonian_bands`
-      at unit kinetic coefficient (mass 1/2), that is against -d2/dx2;
-    * `moments[p]`, the trial rows against x**p on the interior, p = 0, 1, 2.
-
-    Both are built here, once, so they live and die with the basis in
-    `build_basis`'s cache."""
+    """Box modes sampled on a grid, with their h * sum matrices that every
+    well's Hamiltonian matrix is assembled from: `kinetic`, against the
+    zero-well `hamiltonian_bands` at mass 1/2 (that is, -d2/dx2), and
+    `moments[p]`, against x**p, p = 0, 1, 2. They are built once, so they
+    live and die with the basis in `build_basis`'s cache."""
     grid: Grid
     values: np.ndarray = field(repr=False)         # (size, n_points)
     kinetic: np.ndarray = field(init=False, repr=False)
@@ -78,128 +53,53 @@ class BasisSet:
         self.values.setflags(write=False)
         grid = self.grid
         rows = self.values[:, 1:-1]      # the wall samples are zero
-        w_rows = rows * simpson_weights(grid.n_points, grid.h)[1:-1]
+        h_rows = grid.h * rows
         free = ConfinedPotential(k=0.0, b1=grid.x_min, b2=grid.x_max)
-        kinetic = w_rows @ apply_bands(hamiltonian_bands(free, grid, 0.5),
+        kinetic = h_rows @ apply_bands(hamiltonian_bands(free, grid, 0.5),
                                        rows).T
         x = grid.interior
-        moments = (w_rows @ rows.T, (w_rows * x) @ rows.T,
-                   (w_rows * (x * x)) @ rows.T)
+        moments = (h_rows @ rows.T, (h_rows * x) @ rows.T,
+                   (h_rows * (x * x)) @ rows.T)
         for mat in (kinetic, *moments):
             mat.setflags(write=False)
         object.__setattr__(self, "kinetic", kinetic)
         object.__setattr__(self, "moments", moments)
 
 
-def _kummer_args(eps, beta: float, odd: bool):
-    """Parameters (a, b) of the Kummer factor M(a, b, beta x^2) of the
-    auxiliary level(s) `eps` of one parity."""
-    if odd:
-        return (3.0 - eps / beta) / 4.0, 1.5
-    return (1.0 - eps / beta) / 4.0, 0.5
-
-
-def _boundary_roots(beta: float, z_edge: float, odd: bool, count: int,
-                    s_step: float) -> list[float]:
-    """First `count` eigenvalues of the auxiliary problem for one parity,
-    found as zeros (in eps) of the hypergeometric boundary factor."""
-    def g(s):
-        return hyp1f1(*_kummer_args(s * s, beta, odd), z_edge)
-
-    # 0 <= beta^2 x^2 <= beta z_edge on the box, so by min-max the wanted
-    # level 2 count - 1 lies below its flat-box value plus beta z_edge
-    s_max = math.sqrt((count * math.pi) ** 2 * beta / z_edge + beta * z_edge)
-    s_vals = 1e-9 + s_step * np.arange(int(s_max / s_step) + 2)
-    g_vals = g(s_vals)
-    flips = np.nonzero((g_vals[:-1] < 0) != (g_vals[1:] < 0))[0]
-    if len(flips) < count:
-        raise BasisError("found %d of %d %s boundary zeros below eps=%.3g "
-                         "(edge=%g, beta=%g)"
-                         % (len(flips), count, "odd" if odd else "even",
-                            s_max * s_max, math.sqrt(z_edge / beta), beta))
-    roots = [brent_root(g, s_vals[k], s_vals[k + 1], 1e-13, 200)
-             for k in flips[:count]]
-    return [s * s for s in roots]
-
-
-def _trial_rows(levels: list[tuple[float, bool]], grid: Grid,
-                beta: float) -> np.ndarray:
-    """Raw trial functions of the auxiliary `levels` ((eps, odd) pairs),
-    one row each, zero at the walls. Each row is even or odd in x, so it is
-    evaluated on x >= 0, the centre sample to the wall, in one broadcast
-    `hyp1f1` call per parity, and mirrored with its sign onto x < 0."""
-    c = grid.n_points // 2
-    # measured from the centre sample, which is x = 0 up to round-off, so
-    # the odd rows vanish there exactly
-    x = grid.points[c:] - grid.points[c]
-    zx = beta * x * x
-    env = np.exp(-0.5 * zx)
-    eps = np.array([e for e, _ in levels])
-    odd = np.array([o for _, o in levels])
-    rows = np.empty((len(levels), grid.n_points))
-    for parity, factor, sign in ((False, env, 1.0), (True, x * env, -1.0)):
-        idx = np.flatnonzero(odd == parity)
-        a, b = _kummer_args(eps[idx, None], beta, parity)
-        half = factor * hyp1f1(a, b, zx)
-        rows[idx, c:] = half
-        rows[idx, :c] = sign * half[:, :0:-1]
-    rows[:, 0] = 0.0
-    rows[:, -1] = 0.0
-    return rows
-
-
 @lru_cache(maxsize=16)
 def build_basis(size: int, grid: Grid) -> BasisSet:
-    """Orthonormal Gaussian-envelope trial set of width DEFAULT_ALPHA on a
-    symmetric box."""
+    """Box modes k = 1..size of the grid's box. Beyond k = N, the number of
+    interior points, the sampled sines repeat."""
     if size < 1:
         raise DomainError("size must be >= 1")
-    if grid.n_points % 2 == 0:
-        raise DomainError("Simpson quadrature needs an odd grid point count")
-    edge = grid.x_max
-    if not math.isclose(grid.x_min, -edge, rel_tol=0, abs_tol=1e-12):
-        raise BasisError("trial set needs a symmetric box")
-
-    beta = 2.0 * math.sqrt(2.0) * DEFAULT_ALPHA
-    z_edge = beta * edge * edge
-    # sqrt-energy scan step: flat-box spacing is pi/(2*edge); stay well under
-    # the worst-case compression from the in-box quadratic term
-    s_step = 0.3 / edge
-    per_parity = size // 2 + 1
-    levels = []
-    for odd in (False, True):
-        for eps in _boundary_roots(beta, z_edge, odd, per_parity, s_step):
-            levels.append((eps, odd))
-    levels.sort()
-    levels = levels[:size]
-
-    rows = _trial_rows(levels, grid, beta)
-    w = simpson_weights(grid.n_points, grid.h)
-    for j in range(size):
-        for i in range(j):
-            rows[j] -= float(w @ (rows[i] * rows[j])) * rows[i]
-        nrm = math.sqrt(float(w @ (rows[j] * rows[j])))
-        if nrm < 1e-12:
-            raise BasisError("trial function %d degenerated during "
-                             "orthogonalization" % j)
-        rows[j] /= nrm
-
+    if size > grid.n_interior:
+        raise DomainError("a basis of %d box modes needs at least as many "
+                          "interior grid points, got %d"
+                          % (size, grid.n_interior))
+    # sample j of mode k is sin(k j pi/(N+1)): index one period of the sine,
+    # tabulated with each argument folded into [0, pi/2], by the integer
+    # k j mod 2(N+1). So large k keeps full accuracy, and every mode is
+    # exactly 0 at the walls and has exact parity.
+    intervals = grid.n_points - 1
+    t = np.arange(2 * intervals)
+    folded = np.minimum(t % intervals, intervals - t % intervals)
+    wave = np.where(t < intervals, 1.0, -1.0) * np.sin(
+        folded * (math.pi / intervals))
+    wave *= math.sqrt(2.0 / (grid.x_max - grid.x_min))
+    turns = np.arange(1, size + 1)[:, None] * np.arange(grid.n_points)
+    rows = wave[turns % (2 * intervals)]
     return BasisSet(grid=grid, values=rows)
 
 
 def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
                        mass: float = 1.0) -> np.ndarray:
-    """Matrix of the well Hamiltonian in the trial set (Simpson quadrature),
-    symmetrized after checking that the raw asymmetry is at round-off scale.
+    """Matrix of the well Hamiltonian in the box modes, symmetrized after
+    checking that the raw asymmetry is at round-off scale.
 
     `ConfinedPotential` is always the quadratic well (k/2)(x - d_m)^2, so
-    V = (k/2)(x^2 - 2 d_m x + d_m^2) and the matrix is
-
-        kinetic / (2 mass) + (k/2)(M2 - 2 d_m M1 + d_m^2 M0)
-
-    from the basis's own matrices: O(size^2) work, with no pass over the
-    grid. It agrees with the Simpson matrix of `hamiltonian_bands(pot)`
-    applied to the trial rows up to round-off."""
+    the matrix is kinetic / (2 mass) + (k/2)(M2 - 2 d_m M1 + d_m^2 M0), from
+    the basis's own matrices with no pass over the grid. It agrees with the
+    h * sum matrix of `hamiltonian_bands(pot)` up to round-off."""
     if not mass > 0:
         raise DomainError("mass must be positive")
     pot.require_span(basis.grid)
@@ -246,7 +146,7 @@ class VariationalResult:
 def solve_acho(pot: ConfinedPotential, grid: Grid, size: int = 50,
                mass: float = 1.0, n_states: int = 6) -> VariationalResult:
     """Rayleigh-Ritz levels and states of a quadratic well in a hard box,
-    in the trial set of envelope width DEFAULT_ALPHA."""
+    in its first `size` box modes."""
     basis = build_basis(size, grid)
     energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass))
 

@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import simpson as scipy_simpson
 from scipy.optimize import brentq
 
-from confosc import exact_scho, variational
+from confosc import exact_scho
 from confosc.model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                            acho_unit_box, apply_bands, box_grid, brent_root,
                            canonical_sign, hamiltonian_bands, scho_unit_box,
-                           simpson, simpson_weights)
+                           simpson)
 
 
 def test_grid_endpoints_sit_on_walls():
@@ -122,8 +122,13 @@ def test_simpson_exact_for_low_degree(n):
 
 @pytest.mark.parametrize("n", [3, 5, 9, 2001, 4003])
 def test_simpson_weights_are_the_odd_count_rule(n):
+    # at an odd count the rule is composite Simpson, weights h/3 (1, 4, 2,
+    # 4, ..., 2, 4, 1)
     f, h = smooth_samples(n)
-    assert math.isclose(float(simpson_weights(n, h) @ f), simpson(f, h),
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    assert math.isclose(float((w * (h / 3.0)) @ f), simpson(f, h),
                         rel_tol=1e-14)
 
 
@@ -204,20 +209,6 @@ def test_brent_root_is_brentq_on_the_exact_route(monkeypatch):
                 exact_scho.scho_eigenvalue.__wrapped__(n, float(x_c))
     brackets = recorded_brackets(exact_scho, monkeypatch, run)
     assert len(brackets) == 340
-    assert_same_roots(brackets)
-
-
-def test_brent_root_is_brentq_on_the_variational_levels(monkeypatch):
-    beta = 2.0 * math.sqrt(2.0) * variational.DEFAULT_ALPHA
-
-    def run():
-        for edge in np.arange(1, 41) * 0.25:
-            for odd in (False, True):
-                for count in (26, 61):
-                    variational._boundary_roots(beta, beta * edge * edge, odd,
-                                                count, 0.3 / edge)
-    brackets = recorded_brackets(variational, monkeypatch, run)
-    assert len(brackets) == 40 * 2 * (26 + 61)
     assert_same_roots(brackets)
 
 

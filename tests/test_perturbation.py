@@ -8,7 +8,7 @@ from mpmath import mp
 
 import _oracles as O
 from confosc.itp_solver import solve_spectrum
-from confosc.model import DomainError, box_grid, scho_unit_box, simpson_weights
+from confosc.model import DomainError, box_grid, scho_unit_box, simpson
 from confosc.perturbation import (pib_energy_unit_box, pib_state_values,
                                   pib_x2_element, pt_energy, pt_fisher_x,
                                   pt_onicescu_x0, pt_shift, pt_wavefunction)
@@ -40,9 +40,8 @@ def test_flat_box_levels():
 
 def test_flat_box_states_orthonormal():
     grid = odd_grid()
-    w = simpson_weights(grid.n_points, grid.h)
     rows = np.array([pib_state_values(q, grid.points) for q in range(1, 7)])
-    gram = np.einsum("ip,p,jp->ij", rows, w, rows)
+    gram = np.array([[simpson(a * b, grid.h) for b in rows] for a in rows])
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     with pytest.raises(DomainError):
         pib_state_values(0, grid.points)
@@ -139,8 +138,8 @@ def test_onicescu_closed_form():
 def test_mixed_state_is_normalized_eigenpair():
     grid = odd_grid()
     state = pt_wavefunction(1, 0.2, grid)
-    w = simpson_weights(grid.n_points, grid.h)
-    assert math.isclose(float(w @ (state.values ** 2)), 1.0, abs_tol=1e-13)
+    assert math.isclose(simpson(state.values ** 2, grid.h), 1.0,
+                        abs_tol=1e-13)
     assert state.values[0] == 0.0 and state.values[-1] == 0.0
     assert state.provenance == "pt"
     assert state.n == 1
@@ -159,8 +158,7 @@ def test_weak_well_state_matches_relaxation():
     pot, mass = scho_unit_box(0.001)
     ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
     state = pt_wavefunction(0, 0.001, grid)
-    w = simpson_weights(grid.n_points, grid.h)
-    overlap = abs(float(w @ (state.values * ref.values)))
+    overlap = abs(simpson(state.values * ref.values, grid.h))
     assert overlap > 1.0 - 1e-12
 
 
@@ -170,12 +168,11 @@ def test_two_partner_state_beats_the_flat_box_state():
     grid = odd_grid()
     pot, mass = scho_unit_box(0.5)
     ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
-    w = simpson_weights(grid.n_points, grid.h)
     bare = pib_state_values(1, grid.points)
-    bare = bare / math.sqrt(float(w @ bare ** 2))
+    bare = bare / math.sqrt(simpson(bare ** 2, grid.h))
     mixed = pt_wavefunction(0, 0.5, grid).values
-    bare_overlap = abs(float(w @ (bare * ref.values)))
-    mixed_overlap = abs(float(w @ (mixed * ref.values)))
+    bare_overlap = abs(simpson(bare * ref.values, grid.h))
+    mixed_overlap = abs(simpson(mixed * ref.values, grid.h))
     assert mixed_overlap > 1.0 - 2e-9
     assert bare_overlap < 1.0 - 1e-6
     assert mixed_overlap > bare_overlap

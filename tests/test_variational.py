@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import hyp1f1
 
-from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
-from confosc.model import (ConfinedPotential, DomainError, acho_unit_box,
-                           apply_bands, box_grid, hamiltonian_bands,
-                           scho_unit_box, simpson_weights)
-from confosc.variational import (DEFAULT_ALPHA, BasisError, BasisSet,
-                                 _boundary_roots, _trial_rows, build_basis,
+from confosc.model import (ConfinedPotential, DomainError, Grid,
+                           acho_unit_box, apply_bands, box_grid,
+                           hamiltonian_bands, scho_unit_box)
+from confosc.variational import (BasisError, BasisSet, build_basis,
                                  diagonalize, hamiltonian_matrix, solve_acho)
 
 # Offset-well level references (reduced units, eta = 1): (d_m, n) -> energy.
@@ -34,126 +31,80 @@ def unit_grid(n=1001):
     return box_grid(-1.0, 1.0, n)
 
 
-def test_default_alpha_value():
-    assert math.isclose(DEFAULT_ALPHA, math.sqrt(0.125), rel_tol=1e-15)
-
-
-def test_auxiliary_levels_match_quantization_roots():
-    # at alpha = sqrt(1/8) the auxiliary envelope problem on [-1, 1] is the
-    # centred well in doubled units: eps_aux(n) = 2 * eps_native(n, x_c = 1);
-    # build_basis scans with beta = 1, z_edge = 1 and step 0.3 there
-    assert math.isclose(2.0 * math.sqrt(2.0) * DEFAULT_ALPHA, 1.0)
-    for odd in (False, True):
-        roots = _boundary_roots(1.0, 1.0, odd, 4, 0.3)
-        for j, eps in enumerate(roots):
-            assert math.isclose(eps, 2.0 * scho_eigenvalue(2 * j + odd, 1.0),
-                                abs_tol=1e-8)
-
-
-def test_scan_without_enough_sign_changes_is_reported(monkeypatch):
-    monkeypatch.setattr(variational, "hyp1f1",
-                        lambda a, b, z: np.ones(np.shape(a)))
-    with pytest.raises(BasisError, match=r"found 0 of 4 odd .*edge=1,"):
-        _boundary_roots(1.0, 1.0, True, 4, 0.3)
+# interior counts odd and even, from one more than the basis up; and a box
+# that is not centred on 0
+BASIS_GRIDS = [unit_grid(n) for n in (51, 100, 1999, 2000, 4001)] + [
+    box_grid(-0.5, 1.5, 1000), box_grid(-3.0, 3.0, 2001)]
 
 
 def test_basis_gram_identity():
-    grid = unit_grid()
-    basis = build_basis(10, grid)
-    w = simpson_weights(grid.n_points, grid.h)
-    gram = np.einsum("ip,p,jp->ij", basis.values, w, basis.values)
-    assert np.max(np.abs(gram - np.eye(10))) < 1e-9
+    # DST-I orthogonality: the sampled modes are orthonormal under h * sum
+    # over the interior, with no orthogonalisation step
+    for grid in BASIS_GRIDS:
+        basis = build_basis(50, grid)
+        rows = basis.values[:, 1:-1]
+        gram = (grid.h * rows) @ rows.T
+        assert np.max(np.abs(gram - np.eye(50))) <= 1e-14, grid
+        assert np.max(np.abs(basis.moments[0] - np.eye(50))) <= 1e-14, grid
 
 
-def fresh_build(monkeypatch, size, grid):
-    """An uncached `build_basis(size, grid)`, with the levels and the raw
-    trial rows it orthonormalised."""
-    seen = []
-
-    def spy(levels, grid, beta):
-        rows = _trial_rows(levels, grid, beta)
-        seen.append((levels, rows.copy()))
-        return rows
-
-    monkeypatch.setattr(variational, "_trial_rows", spy)
-    basis = build_basis.__wrapped__(size, grid)
-    (levels, raw), = seen
-    return levels, raw, basis
-
-
-def full_grid_rows(levels, grid, beta):
-    """The trial rows evaluated over the whole grid, one `hyp1f1` call per
-    row: the formula the half-line evaluation and its mirror replace."""
-    x = grid.points
-    zx = beta * x * x
-    env = np.exp(-0.5 * zx)
-    rows = np.empty((len(levels), grid.n_points))
-    for j, (eps, odd) in enumerate(levels):
-        if odd:
-            rows[j] = x * env * hyp1f1((3.0 - eps / beta) / 4.0, 1.5, zx)
-        else:
-            rows[j] = env * hyp1f1((1.0 - eps / beta) / 4.0, 0.5, zx)
-    rows[:, [0, -1]] = 0.0
-    return rows
-
-
-# the centre sample of the 1003-point grid is -1.1e-16, not 0
 @pytest.mark.parametrize("size", [10, 50])
 @pytest.mark.parametrize("n_interior", [1001, 4001])
-def test_trial_rows_have_exact_parity(monkeypatch, size, n_interior):
-    levels, raw, basis = fresh_build(monkeypatch, size, unit_grid(n_interior))
-    signs = [-1.0 if odd else 1.0 for _, odd in levels]
-    assert sorted(set(signs)) == [-1.0, 1.0]
-    for row, sign in zip(raw, signs):
-        assert np.array_equal(row[::-1], sign * row)
-    # the cross-parity Gram-Schmidt projections add round-off
-    for row, sign in zip(basis.values, signs):
-        assert np.max(np.abs(row[::-1] - sign * row)) <= 1e-13
+def test_trial_rows_have_exact_parity(size, n_interior):
+    # the sine argument is reduced on integers and folded, so mode k + 1 is
+    # even or odd under j -> N + 1 - j bit for bit, and 0 at both walls
+    basis = build_basis(size, unit_grid(n_interior))
+    for k, row in enumerate(basis.values):
+        assert np.array_equal(row[::-1], (-1.0) ** k * row)
+        assert row[0] == 0.0 and row[-1] == 0.0
 
 
 @pytest.mark.parametrize("size", [10, 50])
 @pytest.mark.parametrize("n_interior", [2001, 4001])
-def test_basis_matches_the_full_grid_build(monkeypatch, size, n_interior):
-    grid = unit_grid(n_interior)
-    levels, raw, basis = fresh_build(monkeypatch, size, grid)
-    # x >= 0 is evaluated as before, bit for bit; only the mirror moves
-    c = grid.n_points // 2
-    beta = 2.0 * math.sqrt(2.0) * DEFAULT_ALPHA
-    assert np.array_equal(raw[:, c:], full_grid_rows(levels, grid, beta)[:, c:])
-    monkeypatch.setattr(variational, "_trial_rows", full_grid_rows)
-    reference = build_basis.__wrapped__(size, grid)
-    assert np.max(np.abs(basis.values - reference.values)) <= 1e-12
+def test_basis_matches_the_full_grid_build(size, n_interior):
+    # the rows are sqrt(2/L) sin(k pi (x - a)/L) on the grid points; the
+    # direct float formula carries an argument error of k pi/L ulps of x;
+    # here L = 2, so sqrt(2/L) = 1
+    grid = box_grid(-0.5, 1.5, n_interior)
+    k = np.arange(1, size + 1)[:, None]
+    direct = np.sin(k * math.pi * (grid.points + 0.5) / 2.0)
+    basis = build_basis(size, grid)
+    assert np.max(np.abs(basis.values - direct)) <= 1e-13
 
 
-def test_basis_build_makes_one_grid_call_per_parity(monkeypatch):
-    # scalar-z calls come from the boundary-root scan and are not counted
-    grid = unit_grid(1001)
-    sizes = []
+@pytest.mark.parametrize("n_interior", [51, 100, 1001, 1999, 2000, 4001])
+def test_kinetic_matrix_is_diagonal(n_interior):
+    # the five-point stencil with odd-reflection wall rows has the sampled
+    # sines as exact eigenvectors
+    kinetic = build_basis(50, unit_grid(n_interior)).kinetic
+    off = kinetic - np.diag(np.diag(kinetic))
+    assert np.max(np.abs(off)) <= 1e-13 * np.max(np.abs(kinetic))
+    assert np.all(np.diff(np.diag(kinetic)) > 0)
 
-    def counting(a, b, z):
-        out = hyp1f1(a, b, z)
-        if np.ndim(z):
-            sizes.append(np.size(out))
-        return out
 
-    monkeypatch.setattr(variational, "hyp1f1", counting)
-    build_basis.__wrapped__(50, grid)
-    assert len(sizes) == 2
-    assert sum(sizes) <= 50 * (grid.n_points // 2 + 1)
+def test_smaller_basis_is_the_leading_block():
+    # the modes nest: size 30 is the leading block of size 50
+    grid = unit_grid(2001)
+    small, large = build_basis(30, grid), build_basis(50, grid)
+    assert np.array_equal(small.values, large.values[:30])
+    for a, b in zip((small.kinetic, *small.moments),
+                    (large.kinetic, *large.moments)):
+        assert np.max(np.abs(a - b[:30, :30])) <= 1e-14 * np.max(np.abs(b))
+
+
+def test_basis_needs_as_many_interior_points_as_modes():
+    # beyond k = N the sampled sines repeat
+    assert build_basis(9, unit_grid(9)).values.shape == (9, 11)
+    with pytest.raises(DomainError, match="10 box modes needs at least as "
+                       "many interior grid points, got 9"):
+        build_basis(10, unit_grid(9))
+    with pytest.raises(DomainError, match="size must be >= 1"):
+        build_basis(0, unit_grid(9))
 
 
 def test_basis_cache_returns_same_object():
     g = unit_grid(501)
     assert build_basis(8, g) is build_basis(8, g)
-
-
-def test_simpson_weights_need_odd_count():
-    w = simpson_weights(9, 0.125)
-    assert math.isclose(float(w.sum()), 1.0, rel_tol=1e-14)   # integral of 1
-    x = np.linspace(0.0, 1.0, 9)
-    assert math.isclose(float(w @ x ** 3), 0.25, rel_tol=1e-14)
-    with pytest.raises((DomainError, BasisError)):
-        simpson_weights(8, 0.125)
 
 
 def test_well_beyond_the_arithmetic_is_rejected():
@@ -186,15 +137,14 @@ def test_hamiltonian_matrix_is_symmetric():
 
 
 def test_kinetic_matrix_is_the_zero_well_operator():
-    # the basis carries the Simpson matrix of the shared discrete Hamiltonian
+    # the basis carries the h * sum matrix of the shared discrete Hamiltonian
     # of the empty box at unit kinetic coefficient, bit for bit
     grid = unit_grid(1001)
     basis = build_basis(14, grid)
     rows = basis.values[:, 1:-1]
     free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0)
     h_rows = apply_bands(hamiltonian_bands(free, grid, 0.5), rows)
-    w = simpson_weights(grid.n_points, grid.h)[1:-1]
-    assert np.array_equal(basis.kinetic, (rows * w) @ h_rows.T)
+    assert np.array_equal(basis.kinetic, (grid.h * rows) @ h_rows.T)
 
 
 # every well the sweeps and tables put on the variational route's unit box
@@ -205,17 +155,16 @@ MATRIX_WELLS = ([acho_unit_box(1.0, d_m) for d_m in (0.0, 0.36, 5.0, 10.0)]
 
 def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
     # both routes see one discrete Hamiltonian: the matrix assembled from the
-    # basis's kinetic and moment matrices is the symmetrised Simpson matrix
-    # of the relaxation route's H applied to the trial rows, up to the
-    # round-off of summing V's three terms separately
+    # basis's kinetic and moment matrices is the symmetrised h * sum matrix
+    # of the relaxation route's H applied to the modes, up to the round-off
+    # of summing V's three terms separately
     for n_interior in (1001, 2001, 4001):
         grid = unit_grid(n_interior)
         basis = build_basis(50, grid)
         rows = basis.values[:, 1:-1]
-        w = simpson_weights(grid.n_points, grid.h)[1:-1]
         for pot, mass in MATRIX_WELLS:
             h_rows = apply_bands(route_system(pot, grid, mass).bands, rows)
-            mat = (rows * w) @ h_rows.T
+            mat = (grid.h * rows) @ h_rows.T
             direct = 0.5 * (mat + mat.T)
             h = hamiltonian_matrix(basis, pot, mass=mass)
             assert (np.max(np.abs(h - direct))
@@ -297,7 +246,24 @@ def test_result_states_are_normalized_eigenpairs():
         assert abs(st.values[0]) < 1e-12 and abs(st.values[-1]) < 1e-12
 
 
-def test_even_point_grid_is_rejected():
-    pot, mass = acho_unit_box(1.0, 0.0)
-    with pytest.raises((DomainError, BasisError)):
-        solve_acho(pot, size=20, grid=box_grid(-1.0, 1.0, 1000), mass=mass)
+def test_ritz_levels_bound_the_relaxation_levels():
+    # in h * sum the Ritz values are upper bounds on the eigenvalues of the
+    # discrete H, the levels relaxation converges to on the same grid
+    grid = Grid(2001, -1.0, 1.0)
+    for d_m in (0.0, 0.36, 5.0, 10.0):
+        pot, mass = acho_unit_box(1.0, d_m)
+        ritz = solve_acho(pot, grid, mass=mass, n_states=3).energies
+        for state in solve_spectrum(pot, grid, 2, mass=mass):
+            e = state.energy
+            assert ritz[state.n] >= e - 1e-11 * abs(e), (d_m, state.n)
+
+
+def test_any_box_and_point_count_is_accepted():
+    # no odd point count and no centred box: an even grid on [-0.5, 1.5]
+    # matches relaxation on the same grid
+    pot = ConfinedPotential(k=3.0, d_m=0.2, b1=-0.5, b2=1.5)
+    grid = box_grid(-0.5, 1.5, 1000)
+    res = solve_acho(pot, grid, n_states=2)
+    for state in solve_spectrum(pot, grid, 1):
+        assert math.isclose(res.energies[state.n], state.energy,
+                            rel_tol=1e-10)
