@@ -203,6 +203,7 @@ _CONFIG_KEYS = ("mode", "values", "states", "solver", "eta", "dm",
 # mode -> the fixed parameter its problem reads, by config key and CLI flag;
 # a mode rejects the other one, and the centred-well modes read neither
 _FIXED = {"acho-dm": "eta", "acho-eta": "dm"}
+_MAX_RANGE_VALUES = 10 ** 6      # far beyond any sweep that could finish
 
 
 def _parse_values(token: str, line_no: int) -> tuple[float, ...]:
@@ -217,10 +218,17 @@ def _parse_values(token: str, line_no: int) -> tuple[float, ...]:
                 raise ConfigError("line %d: range must be lo:hi:step"
                                   % line_no)
             lo, hi, step = (float(p) for p in pieces)
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise ConfigError("line %d: range bounds and step must be "
+                                  "finite" % line_no)
             if step <= 0:
                 raise ConfigError("line %d: range step must be positive"
                                   % line_no)
-            count = int(round((hi - lo) / step))
+            span = (hi - lo) / step
+            if not span <= _MAX_RANGE_VALUES:
+                raise ConfigError("line %d: range holds more than %d values"
+                                  % (line_no, _MAX_RANGE_VALUES))
+            count = int(round(span))
             if count < 0 or abs(lo + count * step - hi) > 1e-6 * step:
                 raise ConfigError("line %d: range step does not reach hi"
                                   % line_no)
@@ -390,7 +398,11 @@ def _cmd_phase(args) -> int:
                      n_hi=args.n_max, solvers=solvers,
                      **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
-    pot, mass, states = solve_point(spec, args.value, spec.solvers[0])
+    try:
+        pot, mass, states = solve_point(spec, args.value, spec.solvers[0])
+    except Exception as exc:        # a route failure, as in a sweep's rows
+        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
+        return 1
     if args.orbit is not None:
         match = [s for s in states if s.n == args.orbit]
         if not match:

@@ -6,11 +6,13 @@ composite position-momentum quantities and their universal bounds:
     E = E_x * E_p <= 1/(2 pi)
 
 Each functional takes the density samples rho and their spacing h: |psi|^2
-on the position mesh, or `MomentumDensity.density` on its comb of spacing
-`dp`. Every integral is `model.simpson` over the uniform samples, whatever
-their count: the position mesh and the power-of-two momentum comb alike.
+on the position mesh, or `MomentumDensity.density` on its half comb p >= 0
+of spacing `dp`, where it gives the half-line integral. Every integral is
+`model.simpson` over the uniform samples, whatever their count.
 `full_report` returns one `InfoReport` per state: the nine measures, the
-three bound flags and the Parseval defect of the momentum density.
+three bound flags and the Parseval defect of the momentum density. The
+momentum density is even, so it takes S_p, I_p and E_p as twice their
+half-line integrals, with rho'(0) = 0 in the Fisher quotient.
 """
 
 from __future__ import annotations
@@ -51,8 +53,16 @@ def shannon(rho: np.ndarray, h: float) -> float:
 
 def fisher(rho: np.ndarray, h: float) -> float:
     """integral |rho'|^2 / rho, central-difference gradient, floor-clipped."""
+    return _fisher(rho, h, even=False)
+
+
+def _fisher(rho: np.ndarray, h: float, even: bool) -> float:
+    """`fisher`; with `even`, rho[0] sits at the centre of an even density,
+    where rho' is 0: the value the central difference across it gives."""
     _check_density(rho, h)
     grad = np.gradient(rho, h)
+    if even:
+        grad[0] = 0.0
     floor = FISHER_DENSITY_FLOOR * float(rho.max())
     integrand = np.where(rho < floor, 0.0, grad ** 2 / np.maximum(rho, floor))
     return simpson(integrand, h)
@@ -84,11 +94,13 @@ class InfoReport:
 def full_report(state: Eigenpair, md: MomentumDensity) -> InfoReport:
     """All nine measures of a state and its momentum density, flags
     recording whether each composite respects its bound (with 1e-9 slack
-    absorbing quadrature error), and the momentum density's norm defect."""
+    absorbing quadrature error), and the momentum density's norm defect.
+    Each momentum measure is twice its integral over the half comb p >= 0."""
     rho_x, h = state.values ** 2, state.grid.h
-    s_x, s_p = shannon(rho_x, h), shannon(md.density, md.dp)
-    i_x, i_p = fisher(rho_x, h), fisher(md.density, md.dp)
-    e_x, e_p = onicescu(rho_x, h), onicescu(md.density, md.dp)
+    rho_p, dp = md.density, md.dp
+    s_x, s_p = shannon(rho_x, h), 2.0 * shannon(rho_p, dp)
+    i_x, i_p = fisher(rho_x, h), 2.0 * _fisher(rho_p, dp, even=True)
+    e_x, e_p = onicescu(rho_x, h), 2.0 * onicescu(rho_p, dp)
     s, i, e = s_x + s_p, i_x * i_p, e_x * e_p
     return InfoReport(
         s_x=s_x, s_p=s_p, s=s, i_x=i_x, i_p=i_p, i=i, e_x=e_x, e_p=e_p, e=e,

@@ -82,12 +82,8 @@ def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:
     """Probability carried by the state outside the classically allowed
     interval for its own energy (Simpson sum over the masked density)."""
     grid = state.grid
-    x = grid.points
-    v = np.empty(grid.n_points)
-    v[1:-1] = pot.interior_values(grid)
-    # wall values only matter through the mask; the density vanishes there
-    v[0] = 0.5 * pot.k * (x[0] - pot.d_m) ** 2
-    v[-1] = 0.5 * pot.k * (x[-1] - pot.d_m) ** 2
+    pot.require_span(grid)
+    v = 0.5 * pot.k * (grid.points - pot.d_m) ** 2
     rho = state.values * state.values
     masked = np.where(v > state.energy, rho, 0.0)
     return simpson(masked, grid.h)

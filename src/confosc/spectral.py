@@ -2,10 +2,12 @@
 
 phi(p) = (h / sqrt(2 pi)) * sum_j psi(x_j) exp(-i p x_j), evaluated on the
 FFT frequency comb p_k = 2 pi k / (M h). The states are real, so the
-transform is the real-input FFT (k = 0 .. M/2) and |phi(-p)|^2 = |phi(p)|^2
-fills in the negative half of the comb. Hard-wall states have kinked edges
-and therefore slowly decaying |phi|^2 tails, so the default padding is
-generous (pad_factor 16 on top of the next power of two).
+transform is the real-input FFT and the density is even, |phi(-p)|^2 =
+|phi(p)|^2 (Press et al., Numerical Recipes, sec. 12.3): the half comb
+p >= 0, k = 0 .. M/2, holds all of it, and every momentum integral is twice
+its half-line value. Hard-wall states have kinked edges and therefore slowly
+decaying |phi|^2 tails, so the default padding is generous (pad_factor 16 on
+top of the next power of two).
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DomainError, Eigenpair
+from .model import DomainError, Eigenpair, simpson
 
 
 @dataclass(frozen=True)
 class MomentumDensity:
-    """|phi(p)|^2 at p = (i - M/2) dp for i = 0 .. M-1, M = len(density):
-    the comb runs from -M/2 dp, through p = 0 at index M/2, to (M/2-1) dp."""
+    """|phi(p)|^2 at p = k dp for k = 0 .. M/2, the half comb p >= 0 of an
+    M-point transform, M = 2 (len(density) - 1); the density is even, so
+    p < 0 holds the same values."""
     density: np.ndarray = field(repr=False)
     dp: float = 0.0
 
@@ -40,12 +43,11 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     """|phi(p)|^2 of a normalized, real grid state.
 
     Zero-pads to M = pad_factor times the next power of two and applies the
-    real-input transform with continuum normalization, which gives k = 0 ..
-    M/2. The density is even in p, so mirroring k = 1 .. M/2 onto the
-    negative side lays out the comb k = -M/2 .. M/2-1 (see MomentumDensity),
-    exactly symmetric about p = 0. The grid not starting at the coordinate
-    origin only multiplies phi by the unit-modulus phase exp(-i p x_min),
-    which |phi|^2 does not see, so the transform leaves it out.
+    real-input transform with continuum normalization, which gives the half
+    comb k = 0 .. M/2 (see MomentumDensity). The grid not starting at the
+    coordinate origin only multiplies phi by the unit-modulus phase
+    exp(-i p x_min), which |phi|^2 does not see, so the transform leaves it
+    out.
     """
     if pad_factor < 1:
         raise DomainError("pad_factor must be >= 1")
@@ -53,11 +55,11 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     h = state.grid.h
     m = pad_factor * _next_pow2(len(psi))
     phi = (h / math.sqrt(2.0 * math.pi)) * np.fft.rfft(psi, n=m)
-    half = np.abs(phi) ** 2                       # k = 0 .. M/2
-    rho = np.concatenate((half[:0:-1], half[:-1]))
-    return MomentumDensity(density=rho, dp=2.0 * math.pi / (m * h))
+    return MomentumDensity(density=np.abs(phi) ** 2,
+                           dp=2.0 * math.pi / (m * h))
 
 
 def parseval_defect(md: MomentumDensity) -> float:
-    """|integral of density - 1|; zero up to rounding for a normalized input."""
-    return abs(float(np.sum(md.density) * md.dp) - 1.0)
+    """|2 integral over p >= 0 of the density - 1| by Simpson's rule; zero up
+    to rounding and quadrature error for a normalized input."""
+    return abs(2.0 * simpson(md.density, md.dp) - 1.0)

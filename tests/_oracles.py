@@ -320,9 +320,11 @@ ONICESCU_CEILING = 1.0 / (2.0 * math.pi)        # product bound, saturated here
 
 
 def momentum_moments(md, order: int) -> float:
-    """<p^order> of a momentum density by a plain Riemann sum over its comb,
-    which is uniform, has p = 0 at index M/2 of M, and on which the density
-    decays."""
-    m = len(md.density)
-    p = md.dp * (np.arange(m) - m // 2)
-    return float(np.sum(p ** order * md.density) * md.dp)
+    """<p^order> of an even momentum density for an even `order`: twice the
+    trapezoid sum over its half comb p = k dp, k = 0 .. M/2, on which the
+    density decays. That equals the plain Riemann sum over one period
+    k = -M/2 .. M/2-1 of the two-sided comb."""
+    if order % 2:
+        raise ValueError("odd moments of an even density vanish")
+    f = (md.dp * np.arange(len(md.density))) ** order * md.density
+    return float(2.0 * (np.sum(f) - 0.5 * (f[0] + f[-1])) * md.dp)

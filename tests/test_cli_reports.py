@@ -75,11 +75,40 @@ def test_parse_config_range_expansion():
      "line 3: mode 'acho-eta' does not read 'eta'"),
     ("mode = scho-xc\nvalues = 1\ndtau = 1e-4", "line 3: unknown key 'dtau'"),
     ("mode = scho-xc\nvalues = 1\ntol = 1e-11", "line 3: unknown key 'tol'"),
+    ("mode = scho-xc\nvalues = 1:inf:1", "line 2: range bounds and step must be finite"),
+    ("mode = scho-xc\nvalues = -inf:1:1", "line 2: range bounds and step must be finite"),
+    ("mode = scho-xc\nvalues = 0:1:nan", "line 2: range bounds and step must be finite"),
+    ("mode = scho-xc\nvalues = 0:1e308:1e-300", "line 2: range holds more than 1000000 values"),
+    ("mode = scho-xc\nvalues = -1e308:1e308:1", "line 2: range holds more than 1000000 values"),
+    ("mode = scho-xc\nvalues = 0:1e300:1", "line 2: range holds more than 1000000 values"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+def test_cli_sweep_rejects_an_infinite_range(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("mode = scho-xc\nvalues = 1:inf:1\n"))
+    assert main(["sweep", "--config", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: line 2: range bounds and step must be finite" in captured.err
+
+
+def test_cli_phase_reports_a_route_failure(monkeypatch, capsys):
+    # a failing route is an error line and exit 1, as a failed sweep point
+    # is an error row
+    def failing(pot, grid, n_hi, mass=1.0):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+    monkeypatch.setattr("confosc.sweep.solve_spectrum", failing)
+    assert main(["phase", "--mode", "scho-eta", "--value", "2",
+                 "--solver", "itp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: LinAlgError: leading minor not positive "
+                            "definite\n")
 
 
 def test_cli_rejects_exact_route_at_zero_strength(capsys):

@@ -31,7 +31,7 @@ def test_position_and_momentum_densities_normalized(xc2_exact):
     st0 = xc2_exact[0]
     assert abs(simpson(st0.values ** 2, st0.grid.h) - 1.0) < 1e-10
     md = to_momentum(st0)
-    assert abs(simpson(md.density, md.dp) - 1.0) < 1e-8
+    assert abs(2.0 * simpson(md.density, md.dp) - 1.0) < 1e-8
 
 
 def test_bound_constants():
@@ -68,6 +68,21 @@ def test_report_carries_the_parseval_defect(xc2_exact):
         rep = full_report(state, md)
         assert rep.norm_defect == parseval_defect(md)
         assert rep.norm_defect < 1e-8
+
+
+def test_momentum_measures_equal_the_mirrored_comb(xc2_exact):
+    # full_report doubles half-line integrals over p >= 0; the functionals on
+    # the comb k = -M/2 .. M/2, mirrored here, give the same numbers. The
+    # central difference across p = 0 of that comb is 0, so a one-sided
+    # derivative at p = 0 in the report moves every even state's I_p.
+    for state in xc2_exact:
+        md = to_momentum(state)
+        comb = np.concatenate((md.density[:0:-1], md.density))
+        rep = full_report(state, md)
+        for got, functional in ((rep.s_p, shannon), (rep.i_p, fisher),
+                                (rep.e_p, onicescu)):
+            want = functional(comb, md.dp)
+            assert abs(got - want) <= 1e-13 * abs(want), functional.__name__
 
 
 @pytest.mark.parametrize("n", range(4))

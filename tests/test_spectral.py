@@ -30,17 +30,18 @@ def test_comb_geometry():
     st = box_ground(500)
     md = to_momentum(st, pad_factor=4)
     m = 4 * 512
-    assert len(md.density) == m
+    assert len(md.density) == m // 2 + 1
     assert math.isclose(md.dp, 2.0 * PI / (m * st.grid.h), rel_tol=1e-14)
-    # index M/2 + k holds |phi(k dp)|^2 for k = -M/2 .. M/2-1: p = 0 sits at
-    # M/2; checked against the transform summed directly at a few k
+    # index k holds |phi(k dp)|^2 for k = 0 .. M/2, and |phi(-k dp)|^2 is the
+    # same value; checked against the transform summed directly at +-k
     x = st.grid.points - st.grid.x_min
-    for k in (-m // 2, -7, -1, 0, 1, 7, m // 2 - 1):
-        phi = (st.grid.h / math.sqrt(2.0 * PI)) * np.sum(
-            st.values * np.exp(-1j * k * md.dp * x))
-        assert math.isclose(md.density[m // 2 + k], abs(phi) ** 2,
-                            rel_tol=1e-9, abs_tol=1e-15)
-    assert int(np.argmax(md.density)) == m // 2
+    for k in (0, 1, 7, m // 2):
+        for sign in (1, -1):
+            phi = (st.grid.h / math.sqrt(2.0 * PI)) * np.sum(
+                st.values * np.exp(-1j * sign * k * md.dp * x))
+            assert math.isclose(md.density[k], abs(phi) ** 2,
+                                rel_tol=1e-9, abs_tol=1e-15)
+    assert int(np.argmax(md.density)) == 0
 
 
 def test_parseval_for_smooth_and_kinked_states():
@@ -67,19 +68,33 @@ def test_wide_well_momentum_width():
     assert abs(O.momentum_moments(to_momentum(st), 2) - 0.5) < 1e-6
 
 
+def two_sided(state, pad_factor):
+    """|phi(p)|^2 on the M-point comb k = -M/2 .. M/2-1 from the complex
+    transform, which does not assume the density is even."""
+    m = pad_factor * 2 ** (len(state.values) - 1).bit_length()
+    phi = (state.grid.h / math.sqrt(2.0 * PI)) * np.fft.fft(state.values, n=m)
+    return np.fft.fftshift(np.abs(phi) ** 2)
+
+
 def test_first_moment_vanishes_for_real_states(xc2_exact):
-    # odd states keep a ~1e-9 residual from the unpaired Nyquist sample
+    # <p> = 0 for a real state, whose density the half comb holds; odd
+    # states keep a ~1e-9 residual from the unpaired Nyquist sample
     for st in xc2_exact:
-        assert abs(O.momentum_moments(to_momentum(st), 1)) < 5e-9
+        md = to_momentum(st)
+        rho = two_sided(st, 16)
+        p = md.dp * (np.arange(len(rho)) - len(rho) // 2)
+        assert abs(float(np.sum(p * rho) * md.dp)) < 5e-9
 
 
 def test_density_is_even_for_parity_eigenstates(xc2_exact):
     for st in xc2_exact[:2]:
-        md = to_momentum(st, pad_factor=8)
-        rho = md.density
+        half = to_momentum(st, pad_factor=8).density
+        rho = two_sided(st, 8)
         mid = len(rho) // 2
-        # the comb is mirrored about p = 0, so the two halves are equal
-        assert np.array_equal(rho[mid + 1:], rho[mid - 1:0:-1])
+        # both halves of the complex transform's comb are the half comb
+        scale = float(half.max())
+        assert np.allclose(rho[mid:], half[:-1], rtol=0, atol=1e-13 * scale)
+        assert np.allclose(rho[mid::-1], half, rtol=0, atol=1e-13 * scale)
 
 
 def test_entropy_converges_under_extra_padding():
