@@ -2,11 +2,16 @@
 turning points, phase-plane area, orbit curves, and the quantum probability
 of sitting in the classically forbidden part of the box.
 
-The area integral measures x from the open well's turning points x_t with
-the substitution x = x_t +- u^2 on both halves, which turns the square-root
-edge of the integrand into a smooth one before composite Simpson is
-applied. An end cut off by a wall is treated the same way: it starts at
-u > 0, and its integrand stays smooth however close to the wall x_t lies.
+The area integral is evaluated from its antiderivative, with y = x - d_m
+and a^2 = 2E/k:
+
+    integral of sqrt(E - k y^2 / 2) dy
+        = sqrt(k/2) * (y w + a^2 atan2(y, w)) / 2,   w = sqrt(a^2 - y^2).
+
+An interior turning point is taken at y = +-a exactly, where atan2 gives
++-pi/2; a wall cuts the interval at its own y. The bracket is flat to first
+order in w, so the rounding of w near a turning point does not reach the
+area.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ConfinedPotential, DomainError, Eigenpair, simpson
-
-_SIMPSON_PANELS = 2000   # per half-segment of the area integral
 
 
 def turning_points(pot: ConfinedPotential, energy: float) -> tuple[float, ...]:
@@ -60,22 +63,17 @@ def phase_area(pot: ConfinedPotential, energy: float) -> float:
     if pot.k == 0.0:
         return (hi - lo) * math.sqrt(energy)
 
-    r = math.sqrt(2.0 * energy / pot.k)
-    left, right = pot.d_m - r, pot.d_m + r   # turning points of the open well
+    a2 = 2.0 * energy / pot.k
+    a = math.sqrt(a2)
 
-    def f(u):
-        # 2u * sqrt(energy - V) at depth u^2 inside either turning point
-        return 2.0 * u * u * np.sqrt(0.5 * pot.k
-                                     * np.maximum(2.0 * r - u * u, 0.0))
+    def antiderivative(y):
+        w = math.sqrt(max(a2 - y * y, 0.0))
+        return y * w + a2 * math.atan2(y, w)
 
-    mid = 0.5 * (lo + hi)
-    n = 2 * _SIMPSON_PANELS + 1
-    total = 0.0
-    for near, far in ((lo - left, mid - left), (right - hi, right - mid)):
-        # step from the ends: u[1] - u[0] loses digits when u0 >> the step
-        u0, u1 = math.sqrt(near), math.sqrt(far)
-        total += simpson(f(np.linspace(u0, u1, n)), (u1 - u0) / (n - 1))
-    return total
+    y_lo = max(pot.b1 - pot.d_m, -a)
+    y_hi = min(pot.b2 - pot.d_m, a)
+    return (0.5 * math.sqrt(0.5 * pot.k)
+            * (antiderivative(y_hi) - antiderivative(y_lo)))
 
 
 def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:

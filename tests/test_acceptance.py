@@ -12,18 +12,21 @@ on which two independent routes agree. The companion tests pin the same
 values against the solvers.
 """
 
+import dataclasses
+import functools
 import math
+import re
 
 import pytest
 
 import _oracles as O
-from confosc import acceptance
+from confosc import acceptance, exact_scho
 from confosc.cli_reports import TABLES
 from confosc.exact_scho import scho_wavefunction
 from confosc.infomeasures import full_report, shannon
 from confosc.model import acho_unit_box, box_grid
 from confosc.spectral import to_momentum
-from confosc.sweep import ReportRow
+from confosc.sweep import ReportRow, run_sweep
 from confosc.variational import solve_acho
 
 DOCUMENTED_RED = set()
@@ -112,10 +115,14 @@ def test_an_error_row_fails_its_criterion_and_names_the_row(monkeypatch,
 @pytest.mark.parametrize("defect", [1e-6, math.nan])
 def test_a_norm_defect_fails_criterion_6_and_names_the_row(monkeypatch,
                                                            defect):
-    # the bounds hold; only the row's norm defect is out of tolerance
-    rows = [ReportRow(value=2.0, n=1, solver="exact", s=3.0, i=5.0, e=0.1,
-                      shannon_ok=True, fisher_ok=True, onicescu_ok=True,
-                      norm_defect=defect)]
+    # the bounds hold and every cell is finite; only the row's norm defect
+    # is out of tolerance
+    cells = {f.name: 1.0 for f in dataclasses.fields(ReportRow)
+             if f.name not in ("n", "solver", "error")
+             and not f.name.endswith("_ok")}
+    cells.update(value=2.0, s=3.0, i=5.0, e=0.1, norm_defect=defect)
+    rows = [ReportRow(n=1, solver="exact", shannon_ok=True, fisher_ok=True,
+                      onicescu_ok=True, **cells)]
     monkeypatch.setattr(acceptance, "run_sweep",
                         lambda spec, workers=1: rows)
     acceptance._bound_rows.cache_clear()
@@ -126,6 +133,138 @@ def test_a_norm_defect_fails_criterion_6_and_names_the_row(monkeypatch,
     assert not res.passed
     assert ("violations: norm defect %.2g at scho-xc 2 n=1" % defect
             in res.summary)
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_sweep(spec):
+    return tuple(run_sweep(spec))
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Serve the gate's sweeps from one solve per spec for this module.
+    Calling the fixture with `change(spec, rows)` serves changed rows; the
+    bound-suite cache is cleared around the test so none outlives it."""
+    def serve(change=lambda spec, rows: rows):
+        monkeypatch.setattr(acceptance, "run_sweep", lambda spec, workers=1:
+                            change(spec, list(_clean_sweep(spec))))
+    serve()
+    acceptance._bound_rows.cache_clear()
+    yield serve
+    acceptance._bound_rows.cache_clear()
+
+
+def _nan_row_cell(mode, value, n, solver, cell):
+    """Inject a NaN into one cell of one sweep row; `_solved` must name it."""
+    def inject(monkeypatch, sweeps):
+        sweeps(lambda spec, rows: [
+            dataclasses.replace(r, **{cell: math.nan})
+            if (spec.mode, r.value, r.n, r.solver) == (mode, value, n, solver)
+            else r for r in rows])
+        return lambda: ("non-finite %s at value=%g n=%d solver=%s: nan"
+                        % (cell, value, n, solver))
+    return inject
+
+
+def _nan_fisher_closed_form(monkeypatch, sweeps):
+    real = acceptance.pt_fisher_x
+    monkeypatch.setattr(acceptance, "pt_fisher_x", lambda n, eta: (
+        math.nan if (n, eta) == (1, 0.01) else real(n, eta)))
+    return lambda: ("closed forms vs references: 1/12 beyond 1e-5; "
+                    "worst nan at I_x n=1 eta=0.01")
+
+
+def _nan_series_value(monkeypatch, sweeps):
+    real, calls = exact_scho.kummer_1f1, []
+
+    def poisoned(a, b, z):
+        calls.append((a, b, z))
+        return math.nan if len(calls) == 7 else real(a, b, z)
+    monkeypatch.setattr(exact_scho, "kummer_1f1", poisoned)
+    return lambda: ("series vs exact-rational oracle: 1/20 beyond 1e-12 "
+                    "relative; worst nan at a=%.4g b=%.4g z=%.4g" % calls[6])
+
+
+# criterion -> a NaN in one cell it reads; each case returns the text that
+# must name the cell
+_NAN_CELLS = {
+    1: _nan_row_cell("scho-eta", 0.01, 2, "exact", "energy"),
+    2: _nan_row_cell("scho-xc", 2.0, 1, "itp", "s_x"),
+    3: _nan_row_cell("acho-dm", 5.0, 3, "variational", "energy"),
+    4: _nan_row_cell("acho-dm", 8.0, 1, "variational", "s_x"),
+    5: _nan_fisher_closed_form,
+    6: _nan_row_cell("scho-xc", 2.0, 1, "exact", "i"),
+    7: _nan_row_cell("scho-xc", 6.0, 2, "exact", "a_n"),
+    8: _nan_row_cell("scho-xc", 6.0, 2, "exact", "e"),
+    9: _nan_series_value,
+    10: _nan_row_cell("scho-xc", 3.0, 0, "exact", "s_p"),
+}
+
+
+@pytest.mark.parametrize("idx", sorted(_NAN_CELLS),
+                         ids=["c%02d" % i for i in sorted(_NAN_CELLS)])
+def test_a_nan_cell_fails_its_criterion_and_names_it(monkeypatch, sweeps,
+                                                     idx):
+    named = _NAN_CELLS[idx](monkeypatch, sweeps)
+    (res,) = acceptance.run_all([idx])
+    assert not res.passed
+    assert named() in res.summary
+
+
+def _names_worst(summary, label, where):
+    """The check `label` has cells beyond its tolerance, and its worst
+    deviation is at `where`."""
+    return re.search(re.escape(label) + r": [1-9]\d*/\d+ beyond [^;]*; "
+                     r"worst \S+ at " + re.escape(where), summary)
+
+
+# (criterion, reference, key path to one cell, tolerance, relative, check
+# label, how the check names the cell)
+_REF_CELLS = [
+    (1, "REF_SMALL_ETA_EXACT", (0.1, 3), 1e-7, False,
+     "exact energies vs references", "eta=0.1 n=3"),
+    (2, "REF_BOX_MEASURES", (2.0, 1, 2), 1e-5, False,
+     "S_x and E_x vs references", "E_x x_c=2 n=2"),
+    (3, "REF_OFFSET_ENERGIES", (1.92, 4), 1e-8, True,
+     "basis-expansion energies vs references", "d_m=1.92 n=4"),
+    (4, "REF_OFFSET_ENTROPIES", (8.0, 1, 1), 5e-4, False,
+     "entropy triples vs references", "S_p d_m=8 n=1"),
+    (5, "REF_PT_FISHER", (2, 0.1), 1e-5, False,
+     "closed forms vs references", "I_x n=2 eta=0.1"),
+    (5, "REF_PT_ONICESCU0", (0.01,), 1e-5, False,
+     "closed forms vs references", "E_x n=0 eta=0.01"),
+    (7, "REF_FORBIDDEN_FRACTION_GROUND", (), 1e-3, False,
+     "forbidden fraction vs 1 - erf(1)", "n=0"),
+]
+
+
+def _nudged(entry, path, shift):
+    """A copy of `entry` (nested dicts and tuples) with the number at
+    `path` moved by `shift(number)`."""
+    if not path:
+        return entry + shift(entry)
+    head, rest = path[0], path[1:]
+    if isinstance(entry, dict):
+        return {**entry, head: _nudged(entry[head], rest, shift)}
+    return (entry[:head] + (_nudged(entry[head], rest, shift),)
+            + entry[head + 1:])
+
+
+@pytest.mark.parametrize("idx,table,path,tol,relative,label,where",
+                         _REF_CELLS, ids=[case[1] for case in _REF_CELLS])
+def test_a_reference_moved_by_twice_its_tolerance_fails_and_is_named(
+        monkeypatch, sweeps, idx, table, path, tol, relative, label, where):
+    def shift(ref):
+        return 2 * tol * (abs(ref) if relative else 1.0)
+    refs = getattr(acceptance, table)
+    if path:
+        monkeypatch.setitem(refs, path[0],
+                            _nudged(refs[path[0]], path[1:], shift))
+    else:
+        monkeypatch.setattr(acceptance, table, _nudged(refs, (), shift))
+    (res,) = acceptance.run_all([idx])
+    assert not res.passed
+    assert _names_worst(res.summary, label, where)
 
 
 # ------------------------------------------ corrected references vs oracles

@@ -178,6 +178,17 @@ def test_apply_bands_takes_one_state_or_a_block():
                            atol=1e-12 * np.abs(dense).max())
 
 
+@pytest.mark.parametrize("n", [2000, 2001, 3999, 4001])
+def test_flat_operator_sends_a_constant_below_one_ulp(n):
+    # the stencil weights sum to zero; in floating point H applied to a
+    # constant leaves only the rounding of the five-term row sum, which is
+    # below one ulp of the diagonal on every row away from the walls
+    bands = hamiltonian_bands(ConfinedPotential(k=0.0), box_grid(-1.0, 1.0, n),
+                              mass=0.5)
+    rows = apply_bands(bands, np.ones(n))[2:-2]
+    assert np.all(np.abs(rows) < np.spacing(bands[2, 2:-2]))
+
+
 # ---------------------------------------------------------------------------
 # Brent's method, against scipy.optimize.brentq as the independent reference
 # ---------------------------------------------------------------------------
