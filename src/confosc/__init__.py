@@ -11,7 +11,7 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     simpson)
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                         scho_eigenvalue, scho_wavefunction)
+                         scho_eigenvalue, scho_states)
 from .variational import (BasisError, BasisSet, VariationalResult,
                           build_basis, diagonalize, hamiltonian_matrix,
                           solve_acho)

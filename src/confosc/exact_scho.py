@@ -8,6 +8,11 @@ path; the variational route expands in box sines and evaluates no 1F1, so
 the two cross-check each other independently. Each root is refined by the
 package's own Brent's method, `model.brent_root`.
 
+`scho_states` builds the ladder 0..n_max of one box. Every state has
+definite parity, so it sums the series on the half grid only, from the
+centre sample to the wall, in one batch per parity (one row per level),
+and mirrors each row: psi(-x) = +-psi(x).
+
 Also provides the zero-well-limit (flat box) levels.
 """
 
@@ -45,10 +50,17 @@ def _series_1f1(a, b: float, z):
 
     The shape of the input picks the arithmetic. Two scalars (Brent's
     method, `kummer_1f1`) are summed in Python floats, which is about ten
-    times faster than numpy scalar arithmetic per term; arrays (the root
-    scan, the wavefunctions) are broadcast and summed lane by lane. Both
-    run the same IEEE steps in the same order, so a scalar returns the bits
-    of a one-lane array.
+    times faster than numpy scalar arithmetic per term; arrays are
+    broadcast and summed lane by lane: the root scan (a row of energies at
+    the wall argument) and the wavefunctions (a column of one parity's
+    levels against the half grid). Both run the same IEEE steps in the same
+    order, so a scalar returns the bits of a one-lane array.
+
+    The array stop test looks first at the last lane alone: the wall column
+    of the half grid, or the highest energy of a scan, which usually
+    settles last. Only once it has does the all-lanes test run. Both tests agree
+    whenever the last lane has not settled, so every term gets the answer
+    of the all-lanes test alone, and the stop index and sums are its own.
     """
     if np.ndim(a) == 0 and np.ndim(z) == 0:
         a, z = float(a), float(z)
@@ -57,14 +69,16 @@ def _series_1f1(a, b: float, z):
         def settled(term, total):
             return abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300)
     else:
-        shape = np.broadcast_shapes(np.shape(a), np.shape(z))
-        a = np.broadcast_to(np.asarray(a, dtype=float), shape)
-        z = np.broadcast_to(np.asarray(z, dtype=float), shape)
+        a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
+        shape = np.broadcast_shapes(a.shape, z.shape)
         term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
 
-        def settled(term, total):
+        def small(term, total):
             return (np.abs(term)
                     <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)).all()
+
+        def settled(term, total):
+            return small(term[..., -1], total[..., -1]) and small(term, total)
     quiet = 0
     for k in range(_MAX_TERMS):
         term = term * (a + k) * z / ((b + k) * (k + 1.0))
@@ -162,22 +176,44 @@ def scho_eigenvalue(n: int, x_c: float) -> float:
                       eps[k], eps[k + 1], _ROOT_TOL)
 
 
-def scho_wavefunction(n: int, x_c: float, grid: Grid) -> Eigenpair:
-    """Normalized grid samples of state n on a grid spanning [-x_c, x_c]."""
+def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
+    """Normalized grid samples of states 0..n_max on a grid spanning
+    [-x_c, x_c].
+
+    Each parity's levels are summed in one `_series_1f1` pass over the half
+    grid `points[N//2:]`, one row per level, and each row is mirrored:
+    psi(-x) = psi(x) for even n, -psi(x) for odd n. For an odd point count
+    the half grid starts at the centre sample, taken as exactly 0 (rounding
+    can leave `x_min + j h` an ulp or so off it), so odd states vanish there.
+    """
     if not (math.isclose(grid.x_min, -x_c, abs_tol=1e-12)
             and math.isclose(grid.x_max, x_c, abs_tol=1e-12)):
         raise DomainError("grid [%g, %g] must span [-%g, %g]"
                           % (grid.x_min, grid.x_max, x_c, x_c))
-    eps = scho_eigenvalue(n, x_c)
-    x = grid.points
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    eps = [scho_eigenvalue(n, x_c) for n in range(n_max + 1)]
+    count = grid.n_points
+    x = grid.points[count // 2:].copy()
+    if count % 2:
+        x[0] = 0.0
     z = x * x
-    if n % 2 == 0:
-        psi = np.exp(-z / 2.0) * _series_1f1(0.25 - eps / 2.0, 0.5, z)
-    else:
-        psi = x * np.exp(-z / 2.0) * _series_1f1(0.75 - eps / 2.0, 1.5, z)
-    norm = simpson(psi * psi, grid.h)
-    psi = psi / math.sqrt(norm)
-    return Eigenpair(n=n, energy=eps, values=psi, grid=grid, provenance="exact")
+    gauss = np.exp(-z / 2.0)
+    states = [None] * (n_max + 1)
+    for parity, b, shift, factor in ((0, 0.5, 0.25, gauss),
+                                     (1, 1.5, 0.75, x * gauss)):
+        levels = range(parity, n_max + 1, 2)
+        if not levels:
+            continue
+        a = np.array([[shift - eps[n] / 2.0] for n in levels])
+        half = factor * _series_1f1(a, b, z)
+        mirror = half[:, count % 2:][:, ::-1]
+        rows = np.concatenate((-mirror if parity else mirror, half), axis=1)
+        for n, psi in zip(levels, rows):
+            psi = psi / math.sqrt(simpson(psi * psi, grid.h))
+            states[n] = Eigenpair(n=n, energy=eps[n], values=psi, grid=grid,
+                                  provenance="exact")
+    return states
 
 
 def pib_energy(n: int, x_c: float) -> float:

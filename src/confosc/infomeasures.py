@@ -47,19 +47,23 @@ def _check_density(rho: np.ndarray, h: float) -> None:
 def shannon(rho: np.ndarray, h: float) -> float:
     """-integral rho ln rho, with the 0*ln(0) = 0 convention."""
     _check_density(rho, h)
+    return _shannon(rho, h)
+
+
+def _shannon(rho: np.ndarray, h: float) -> float:
     integrand = np.where(rho < 1e-300, 0.0, -rho * np.log(np.maximum(rho, 1e-300)))
     return simpson(integrand, h)
 
 
 def fisher(rho: np.ndarray, h: float) -> float:
     """integral |rho'|^2 / rho, central-difference gradient, floor-clipped."""
-    return _fisher(rho, h, even=False)
-
-
-def _fisher(rho: np.ndarray, h: float, even: bool) -> float:
-    """`fisher`; with `even`, rho[0] sits at the centre of an even density,
-    where rho' is 0: the value the central difference across it gives."""
     _check_density(rho, h)
+    return _fisher(rho, h)
+
+
+def _fisher(rho: np.ndarray, h: float, even: bool = False) -> float:
+    """With `even`, rho[0] sits at the centre of an even density, where
+    rho' is 0: the value the central difference across it gives."""
     grad = np.gradient(rho, h)
     if even:
         grad[0] = 0.0
@@ -71,6 +75,10 @@ def _fisher(rho: np.ndarray, h: float, even: bool) -> float:
 def onicescu(rho: np.ndarray, h: float) -> float:
     """integral rho^2 (larger for more localized densities)."""
     _check_density(rho, h)
+    return _onicescu(rho, h)
+
+
+def _onicescu(rho: np.ndarray, h: float) -> float:
     return simpson(rho ** 2, h)
 
 
@@ -98,9 +106,11 @@ def full_report(state: Eigenpair, md: MomentumDensity) -> InfoReport:
     Each momentum measure is twice its integral over the half comb p >= 0."""
     rho_x, h = state.values ** 2, state.grid.h
     rho_p, dp = md.density, md.dp
-    s_x, s_p = shannon(rho_x, h), 2.0 * shannon(rho_p, dp)
-    i_x, i_p = fisher(rho_x, h), 2.0 * _fisher(rho_p, dp, even=True)
-    e_x, e_p = onicescu(rho_x, h), 2.0 * onicescu(rho_p, dp)
+    _check_density(rho_x, h)
+    _check_density(rho_p, dp)
+    s_x, s_p = _shannon(rho_x, h), 2.0 * _shannon(rho_p, dp)
+    i_x, i_p = _fisher(rho_x, h), 2.0 * _fisher(rho_p, dp, even=True)
+    e_x, e_p = _onicescu(rho_x, h), 2.0 * _onicescu(rho_p, dp)
     s, i, e = s_x + s_p, i_x * i_p, e_x * e_p
     return InfoReport(
         s_x=s_x, s_p=s_p, s=s, i_x=i_x, i_p=i_p, i=i, e_x=e_x, e_p=e_p, e=e,

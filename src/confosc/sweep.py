@@ -160,13 +160,10 @@ def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
     s = x_c / pot.b2
     grid = box_grid(pot.b1, pot.b2, spec.grid_points)
     native = box_grid(-x_c, x_c, spec.grid_points)
-    states = []
-    for n in range(spec.n_hi + 1):
-        psi = exact_scho.scho_wavefunction(n, x_c, native)
-        states.append(Eigenpair(n=n, energy=s * s * psi.energy,
-                                values=math.sqrt(s) * psi.values, grid=grid,
-                                provenance="exact"))
-    return states
+    return [Eigenpair(n=psi.n, energy=s * s * psi.energy,
+                      values=math.sqrt(s) * psi.values, grid=grid,
+                      provenance="exact")
+            for psi in exact_scho.scho_states(spec.n_hi, x_c, native)]
 
 
 def _basis_size(n_hi: int) -> int:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from confosc import exact_scho, itp_solver
-from confosc.exact_scho import RootSearchError, scho_wavefunction
+from confosc.exact_scho import RootSearchError, scho_states
 from confosc.itp_solver import solve_spectrum
 from confosc.model import ConfinedPotential, box_grid
 
@@ -18,7 +18,7 @@ def xc2_grid():
 @pytest.fixture(scope="session")
 def xc2_exact(xc2_grid):
     """Exact states 0..3 of the centred well at x_c = 2."""
-    return [scho_wavefunction(n, 2.0, xc2_grid) for n in range(4)]
+    return scho_states(3, 2.0, xc2_grid)
 
 
 @pytest.fixture(scope="session")
@@ -49,10 +49,10 @@ def route_system(monkeypatch):
 @pytest.fixture
 def exact_fails_at_three(monkeypatch):
     """The exact route raises at half-length 3 and solves elsewhere."""
-    solve = exact_scho.scho_wavefunction
+    solve = exact_scho.scho_states
 
-    def flaky(n, x_c, grid):
+    def flaky(n_max, x_c, grid):
         if x_c == 3.0:
             raise RootSearchError("no bracket at x_c=3")
-        return solve(n, x_c, grid)
-    monkeypatch.setattr(exact_scho, "scho_wavefunction", flaky)
+        return solve(n_max, x_c, grid)
+    monkeypatch.setattr(exact_scho, "scho_states", flaky)

@@ -22,7 +22,7 @@ import pytest
 import _oracles as O
 from confosc import acceptance, exact_scho
 from confosc.cli_reports import TABLES
-from confosc.exact_scho import scho_wavefunction
+from confosc.exact_scho import scho_states
 from confosc.infomeasures import full_report, shannon
 from confosc.model import acho_unit_box, box_grid
 from confosc.spectral import to_momentum
@@ -319,7 +319,7 @@ def test_wide_box_ground_entropy_is_the_open_line_value():
     # the corrected two-route cell: at half-length 5 the ground state is
     # Gaussian to O(e^-25), so S_x must equal (1 + ln pi)/2 to print precision
     grid = box_grid(-5.0, 5.0, 4001)
-    state = scho_wavefunction(0, 5.0, grid)
+    state, = scho_states(0, 5.0, grid)
     s_x = shannon(state.values ** 2, grid.h)
     assert abs(s_x - O.GAUSS_S_X) < 2e-6
 
@@ -330,7 +330,7 @@ def test_ground_onicescu_product_rises_to_the_ceiling():
     products = {}
     for x_c in (0.25, 6.0):
         grid = box_grid(-x_c, x_c, 4001)
-        state = scho_wavefunction(0, x_c, grid)
+        state, = scho_states(0, x_c, grid)
         rep = full_report(state, to_momentum(state))
         products[x_c] = rep.e
     assert abs(products[0.25] - 0.140052) < 5e-4

@@ -14,7 +14,7 @@ from confosc import acceptance, spectral
 from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv)
-from confosc.exact_scho import scho_wavefunction
+from confosc.exact_scho import scho_states
 from confosc.model import DomainError, canonical_sign
 from confosc.spectral import parseval_defect, to_momentum
 from confosc.sweep import (ReportRow, SweepSpec, cross_check, run_sweep,
@@ -380,8 +380,7 @@ def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
                                       canonical_sign(state.values))
     # so the relaxation and exact states overlap at +1, never -1
     _pot, grid, ladder = xc2_itp_ladder
-    for state in ladder:
-        exact = scho_wavefunction(state.n, 2.0, grid)
+    for state, exact in zip(ladder, scho_states(3, 2.0, grid)):
         assert abs(grid.h * float(state.values @ exact.values) - 1.0) < 1e-6
 
 

@@ -8,9 +8,9 @@ from scipy.integrate import simpson
 import _oracles as O
 from confosc import exact_scho
 from confosc.exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                                scan_lanes, scho_eigenvalue,
-                                scho_wavefunction, series_window)
-from confosc.model import DomainError, box_grid
+                                scan_lanes, scho_eigenvalue, scho_states,
+                                series_window)
+from confosc.model import DomainError, box_grid, simpson as model_simpson
 
 # Native-units quantization roots, frozen from tests/_oracles.mp_scho_eigenvalue
 # (dps=40; dps=50 agrees on every printed digit).
@@ -62,6 +62,46 @@ def test_scalar_series_is_the_one_lane_array_series_bitwise(b, shift, z):
         eps, even = 2.0 * (shift - a), b == 0.5
         assert (exact_scho._boundary_values(even, eps, z)
                 == exact_scho._boundary_values(even, np.array([eps]), z)[0])
+
+
+def all_lanes_series(a, b, z):
+    """The array branch of `_series_1f1` with the stop test it had before
+    the last-lane check: every lane compared at every term."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(z))
+    a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+    z = np.broadcast_to(np.asarray(z, dtype=float), shape)
+    term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
+    quiet = 0
+    for k in range(exact_scho._MAX_TERMS):
+        term = term * (a + k) * z / ((b + k) * (k + 1.0))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if (np.abs(term) <= exact_scho._SERIES_RTOL
+                * np.maximum(np.abs(total), 1e-300)).all():
+            quiet += 1
+            if quiet == 3:
+                return total
+        else:
+            quiet = 0
+    raise AssertionError("series did not settle")
+
+
+@pytest.mark.parametrize("x_c", (0.1778, 2.0, 7.0))
+def test_last_lane_stop_test_keeps_the_all_lanes_sums_bitwise(x_c):
+    # the stop test looks at the last lane first; every sum must keep the
+    # bits of the all-lanes rule, also when that lane settles first
+    # (a scan with its lanes reversed puts the lowest energy last)
+    z_half = box_grid(-x_c, x_c, 601).points[301:] ** 2
+    levels = np.array([[scho_eigenvalue(n, x_c)] for n in (0, 2, 4)])
+    eps = 1e-9 + exact_scho._SCAN_STEP * np.arange(scan_lanes(4, x_c))
+    for a, b, z in ((0.25 - levels / 2.0, 0.5, z_half),
+                    (0.75 - levels[:2] / 2.0, 1.5, z_half),
+                    (0.25 - eps / 2.0, 0.5, x_c * x_c),
+                    (0.75 - eps[::-1] / 2.0, 1.5, x_c * x_c)):
+        assert np.array_equal(exact_scho._series_1f1(a, b, z),
+                              all_lanes_series(a, b, z))
 
 
 @pytest.mark.parametrize("z", [-0.25, -4.0, -25.0, -50.0])
@@ -243,8 +283,8 @@ def test_wavefunction_normalized_nodes_parity(xc2_grid, xc2_exact):
 @pytest.mark.parametrize("x_c", (6.0, 7.0))
 def test_wide_box_states_vanish_at_the_walls(x_c):
     grid = box_grid(-x_c, x_c, 4001)
-    for n in range(5):
-        vals = scho_wavefunction(n, x_c, grid).values
+    for state in scho_states(4, x_c, grid):
+        vals = state.values
         wall = max(abs(vals[0]), abs(vals[-1]))
         assert wall <= 1e-8 * np.max(np.abs(vals))
 
@@ -257,11 +297,58 @@ def test_wavefunction_gram_identity(xc2_grid, xc2_exact):
 
 
 def test_wavefunction_and_eigenvalue_share_one_cache_entry():
-    # the state's root search is the one a later eigenvalue call reuses
+    # each state's root search is the one a later eigenvalue call reuses
     scho_eigenvalue.cache_clear()
-    scho_wavefunction(1, 1.7, box_grid(-1.7, 1.7, 300))
+    scho_states(1, 1.7, box_grid(-1.7, 1.7, 300))
+    scho_eigenvalue(0, 1.7)
     scho_eigenvalue(1, 1.7)
-    assert scho_eigenvalue.cache_info().misses == 1
+    assert scho_eigenvalue.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("n_interior", (426, 427))
+@pytest.mark.parametrize("x_c", (0.1778, 2.0, 7.0))
+def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
+    # psi[j] = +-psi[N-1-j] exactly, and within 1e-12 max|psi| of
+    # x^p e^{-x^2/2} 1F1(a; b; x^2) summed at every point and normalized;
+    # on 429 points the centre sample of x_c = 2 and 7 rounds to +-1 ulp
+    grid = box_grid(-x_c, x_c, n_interior)
+    x = grid.points
+    for state in scho_states(4, x_c, grid):
+        psi, n = state.values, state.n
+        assert len(psi) == grid.n_points
+        assert np.array_equal(psi, (-1) ** n * psi[::-1])
+        a = (0.25 if n % 2 == 0 else 0.75) - state.energy / 2.0
+        ref = x ** (n % 2) * np.exp(-x * x / 2.0) * np.array(
+            [exact_scho._series_1f1(a, 0.5 + n % 2, xi * xi) for xi in x])
+        ref /= math.sqrt(model_simpson(ref * ref, grid.h))
+        ref *= np.sign(ref @ psi)
+        scale = np.max(np.abs(psi))
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * scale, (n, x_c)
+    with pytest.raises(DomainError, match="n_max"):
+        scho_states(-1, x_c, grid)
+    with pytest.raises(DomainError, match="must span"):
+        scho_states(0, 1.01 * x_c, grid)
+
+
+@pytest.mark.parametrize("n_interior", (300, 301))
+def test_a_ladder_sums_one_half_grid_series_per_parity(monkeypatch,
+                                                        n_interior):
+    # levels 0, 2, 4 in one pass and 1, 3 in another, each over the half
+    # grid; the root scans are cached first, so only the states are counted
+    grid = box_grid(-2.0, 2.0, n_interior)
+    for n in range(5):
+        scho_eigenvalue(n, 2.0)
+    shapes = []
+    series = exact_scho._series_1f1
+
+    def counted(a, b, z):
+        if np.ndim(a) or np.ndim(z):
+            shapes.append(np.broadcast_shapes(np.shape(a), np.shape(z)))
+        return series(a, b, z)
+    monkeypatch.setattr(exact_scho, "_series_1f1", counted)
+    scho_states(4, 2.0, grid)
+    half = grid.n_points - grid.n_points // 2
+    assert shapes == [(3, half), (2, half)]
 
 
 # ---------------------------------------------------------------------------

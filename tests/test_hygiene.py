@@ -324,13 +324,13 @@ def test_a_fresh_run_loads_no_forbidden_scipy_subpackage():
     script = (
         "import sys\n"
         "import confosc.cli_reports\n"
-        "from confosc.exact_scho import scho_eigenvalue, scho_wavefunction\n"
+        "from confosc.exact_scho import scho_eigenvalue, scho_states\n"
         "from confosc.model import box_grid\n"
         "from confosc.spectral import to_momentum\n"
         "from confosc.variational import build_basis\n"
         "scho_eigenvalue(0, 1.0)\n"
         "build_basis(50, box_grid(-1.0, 1.0, 2001))\n"
-        "to_momentum(scho_wavefunction(1, 1.0, box_grid(-1.0, 1.0, 201)))\n"
+        "to_momentum(scho_states(1, 1.0, box_grid(-1.0, 1.0, 201))[1])\n"
         "print(' '.join(sub for sub in %r if 'scipy.' + sub in sys.modules))\n"
         % (UNLOADED_SCIPY,))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -10,7 +10,7 @@ from confosc.infomeasures import (BOUND_SLACK, FISHER_FLOOR, ONICESCU_CEILING,
                                   SHANNON_FLOOR, fisher, full_report,
                                   onicescu, shannon)
 from confosc.model import DomainError, box_grid, simpson
-from confosc.spectral import parseval_defect, to_momentum
+from confosc.spectral import MomentumDensity, parseval_defect, to_momentum
 
 PI = math.pi
 
@@ -68,6 +68,25 @@ def test_report_carries_the_parseval_defect(xc2_exact):
         rep = full_report(state, md)
         assert rep.norm_defect == parseval_defect(md)
         assert rep.norm_defect < 1e-8
+
+
+def test_report_guards_once_and_keeps_the_functionals_bits(xc2_exact):
+    # full_report checks each density once, then calls the kernels the
+    # public functionals call; I_p alone differs, by rho'(0) = 0
+    for state in xc2_exact:
+        md = to_momentum(state)
+        rep = full_report(state, md)
+        rho, h = state.values ** 2, state.grid.h
+        assert (rep.s_x, rep.i_x, rep.e_x) == (
+            shannon(rho, h), fisher(rho, h), onicescu(rho, h))
+        assert (rep.s_p, rep.e_p) == (2.0 * shannon(md.density, md.dp),
+                                      2.0 * onicescu(md.density, md.dp))
+    negative = md.density.copy()
+    negative[3] = -1e-30
+    for bad in (MomentumDensity(negative, md.dp),
+                MomentumDensity(md.density.copy(), 0.0)):
+        with pytest.raises(DomainError):
+            full_report(state, bad)
 
 
 def test_momentum_measures_equal_the_mirrored_comb(xc2_exact):

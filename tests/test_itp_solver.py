@@ -7,7 +7,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
 from confosc import itp_solver
-from confosc.exact_scho import scho_wavefunction
+from confosc.exact_scho import scho_states
 from confosc.itp_solver import (LadderError, PentaSystem, _initial_guess,
                                 solve_spectrum)
 from confosc.model import (ConfinedPotential, acho_unit_box, apply_bands,
@@ -98,7 +98,7 @@ def test_step_contract_printed_centre(route_system):
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
-    vals = math.sqrt(2.0) * scho_wavefunction(0, 2.0, native).values
+    vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
     sys_ = route_system(pot, grid, mass=mass)
     _, after = relax_step(sys_, vals)
     assert abs(after - 1.76416) < 1e-4
@@ -109,7 +109,7 @@ def test_step_contract_true_value(route_system):
     pot, mass = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
-    vals = math.sqrt(2.0) * scho_wavefunction(0, 2.0, native).values
+    vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
     before = energy_expectation(vals, pot, grid, mass=mass)
     sys_ = route_system(pot, grid, mass=mass)
     _, after = relax_step(sys_, vals)
@@ -289,7 +289,7 @@ def test_guess_overlap_printed_threshold():
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-5.0, b2=5.0)
     grid = box_grid(-5.0, 5.0, 2000)
     guess = _initial_guess(0, grid, pot)
-    exact = scho_wavefunction(0, 5.0, grid)
+    exact, = scho_states(0, 5.0, grid)
     overlap = simpson(guess * exact.values, x=grid.points)
     assert overlap > 0.99
 
@@ -300,7 +300,7 @@ def test_guess_overlap_true_value():
     pot = ConfinedPotential(k=1.0, d_m=0.0, b1=-5.0, b2=5.0)
     grid = box_grid(-5.0, 5.0, 2000)
     guess = _initial_guess(0, grid, pot)
-    exact = scho_wavefunction(0, 5.0, grid)
+    exact, = scho_states(0, 5.0, grid)
     overlap = simpson(guess * exact.values, x=grid.points)
     closed = (2.0 * math.sqrt(0.5) / 1.5) ** 0.5
     assert math.isclose(overlap, closed, abs_tol=5e-6)
@@ -308,7 +308,7 @@ def test_guess_overlap_true_value():
 
 
 def test_energy_expectation_matches_eigvalue_for_exact_state(xc2_grid):
-    vals = scho_wavefunction(0, 2.0, xc2_grid).values
+    vals = scho_states(0, 2.0, xc2_grid)[0].values
     e = energy_expectation(vals, ConfinedPotential(k=1.0, b1=-2.0, b2=2.0),
                            xc2_grid)
     assert abs(e - EPS0_XC2) < 5e-10

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as O
-from confosc.exact_scho import scho_eigenvalue, scho_wavefunction
+from confosc.exact_scho import scho_eigenvalue, scho_states
 from confosc.model import ConfinedPotential, DomainError, box_grid
 from confosc.semiclassical import (classical_region_lengths, phase_area,
                                    phase_orbit, tunneling_probability,
@@ -141,10 +141,8 @@ def test_orbit_mass_scales_momenta():
 def test_forbidden_probability_ladder():
     grid = box_grid(-6.0, 6.0, 3000)
     pot = wide_pot()
-    probs = []
-    for n in range(5):
-        state = scho_wavefunction(n, 6.0, grid)
-        probs.append(tunneling_probability(state, pot))
+    probs = [tunneling_probability(state, pot)
+             for state in scho_states(4, 6.0, grid)]
     for p, ref in zip(probs, FORBIDDEN_REFS):
         assert abs(p - ref) < 1e-3
     assert all(a > b for a, b in zip(probs, probs[1:]))

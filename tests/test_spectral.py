@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles as O
-from confosc.exact_scho import scho_wavefunction
+from confosc.exact_scho import scho_states
 from confosc.infomeasures import shannon
 from confosc.model import DomainError, Eigenpair, box_grid
 from confosc.spectral import parseval_defect, to_momentum
@@ -45,7 +45,7 @@ def test_comb_geometry():
 
 
 def test_parseval_for_smooth_and_kinked_states():
-    smooth = scho_wavefunction(0, 6.0, box_grid(-6.0, 6.0, 2000))
+    smooth, = scho_states(0, 6.0, box_grid(-6.0, 6.0, 2000))
     assert parseval_defect(to_momentum(smooth)) < 1e-8
     kinked = box_ground(2000)
     assert parseval_defect(to_momentum(kinked)) < 1e-8
@@ -64,7 +64,7 @@ def test_box_second_moment_is_twice_the_energy():
 
 def test_wide_well_momentum_width():
     # x_c = 6 ground state is Gaussian to ~1e-15; <p^2> = 1/2 in native units
-    st = scho_wavefunction(0, 6.0, box_grid(-6.0, 6.0, 2000))
+    st, = scho_states(0, 6.0, box_grid(-6.0, 6.0, 2000))
     assert abs(O.momentum_moments(to_momentum(st), 2) - 0.5) < 1e-6
 
 
@@ -102,7 +102,7 @@ def test_entropy_converges_under_extra_padding():
     # comb spacing; each pad doubling shrinks the change ~10x (measured
     # 2.1e-4 -> 2.1e-5 -> 3.4e-6 here), so check the contraction, not a
     # fixed-tolerance match
-    st = scho_wavefunction(1, 2.0, box_grid(-2.0, 2.0, 1500))
+    st = scho_states(1, 2.0, box_grid(-2.0, 2.0, 1500))[1]
     s8, s16, s32 = (shannon(md.density, md.dp)
                     for md in (to_momentum(st, pad_factor=pad)
                                for pad in (8, 16, 32)))
