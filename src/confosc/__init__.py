@@ -12,9 +12,8 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
 from .itp_solver import LadderError, PentaSystem, solve_spectrum, solve_state
 from .exact_scho import (RootSearchError, kummer_1f1, pib_energy,
                          scho_eigenvalue, scho_states)
-from .variational import (BasisError, BasisSet, VariationalResult,
-                          build_basis, diagonalize, hamiltonian_matrix,
-                          solve_acho)
+from .variational import (BasisError, BasisSet, basis_size, build_basis,
+                          diagonalize, hamiltonian_matrix, solve_acho)
 from .spectral import MomentumDensity, parseval_defect, to_momentum
 from .infomeasures import (BOUND_SLACK, FISHER_FLOOR, InfoReport,
                            ONICESCU_CEILING, SHANNON_FLOOR, fisher,

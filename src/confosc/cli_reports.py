@@ -399,7 +399,7 @@ def _cmd_phase(args) -> int:
                      **_fixed_parameter(args))
     spec = _apply_overrides(spec, args)
     try:
-        pot, mass, states = solve_point(spec, args.value, spec.solvers[0])
+        pot, states = solve_point(spec, args.value, spec.solvers[0])
     except Exception as exc:        # a route failure, as in a sweep's rows
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 1
@@ -408,7 +408,7 @@ def _cmd_phase(args) -> int:
         if not match:
             sys.stderr.write("state %d not solved\n" % args.orbit)
             return 1
-        orbit = semiclassical.phase_orbit(pot, match[0].energy, mass=mass)
+        orbit = semiclassical.phase_orbit(pot, match[0].energy)
         cells = [[_fmt_cell(xi), _fmt_cell(pi)]
                  for xi, pi in zip(orbit.x, orbit.p)]
         _write_out(_render(["x", "p"], cells, args.format or "csv"),

@@ -37,9 +37,10 @@ FISHER_DENSITY_FLOOR = 1e-12
 
 
 def _check_density(rho: np.ndarray, h: float) -> None:
-    """The guard of every functional: samples >= 0 at a positive spacing."""
-    if h <= 0:
-        raise DomainError("spacing must be positive")
+    """The guard of every functional: samples >= 0 at a positive, finite
+    spacing."""
+    if not 0.0 < h < math.inf:
+        raise DomainError("spacing must be positive and finite, got %g" % h)
     if np.any(rho < 0):
         raise DomainError("densities are non-negative")
 

@@ -129,15 +129,15 @@ def solve_state(system: PentaSystem, pot: ConfinedPotential,
     return Eigenpair(n=n, energy=e, values=full, grid=grid, provenance="itp")
 
 
-def solve_spectrum(pot: ConfinedPotential, grid: Grid, n_max: int,
-                   mass: float = 1.0) -> list[Eigenpair]:
+def solve_spectrum(pot: ConfinedPotential, grid: Grid,
+                   n_max: int) -> list[Eigenpair]:
     """Relax the ladder 0..n_max bottom-up with one factored step operator;
     raises LadderError naming the failing index, and validates ordering
     plus mutual orthonormality."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    bands = hamiltonian_bands(pot, grid, mass)
-    dtau = 1.0 / (math.pi ** 2 / (2.0 * mass * (pot.b2 - pot.b1) ** 2))
+    bands = hamiltonian_bands(pot, grid)
+    dtau = 1.0 / (math.pi ** 2 / (2.0 * pot.mass * (pot.b2 - pot.b1) ** 2))
     ab = dtau * bands
     ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
     system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False))

@@ -9,8 +9,9 @@ Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
 so they can be shared freely between worker threads.
 
-Units are atomic-like: hbar = 1, and m = 1 except where a reduced problem
-builder below returns another mass.
+Units are atomic-like: hbar = 1. The mass is part of the problem: each
+`ConfinedPotential` carries the one its Hamiltonian is solved with, 1 unless
+stated otherwise (the offset-well builder below states 1/2).
 """
 
 from __future__ import annotations
@@ -74,13 +75,16 @@ def box_grid(b1: float, b2: float, n_interior: int = 2000) -> Grid:
 @dataclass(frozen=True)
 class ConfinedPotential:
     """Harmonic well 0.5*k*(x - d_m)**2 shut inside two impenetrable walls at
-    b1 < b2. Outside the open interval the potential is treated as infinite,
-    which the solvers realise as Dirichlet zeros on the wall grid points."""
+    b1 < b2, for a particle of mass `mass`: the problem
+    H = -(1/2 mass) d2/dx2 + V that every route solves. Outside the open
+    interval the potential is treated as infinite, which the solvers realise
+    as Dirichlet zeros on the wall grid points."""
 
     k: float = 1.0
     d_m: float = 0.0
     b1: float = -1.0
     b2: float = 1.0
+    mass: float = 1.0
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.k, self.d_m, self.b1, self.b2))):
@@ -89,6 +93,8 @@ class ConfinedPotential:
             raise DomainError("wall order: need b1 < b2")
         if self.k < 0:
             raise DomainError("force constant must be >= 0")
+        if not 0.0 < self.mass < math.inf:
+            raise DomainError("mass must be positive and finite")
         # the well is largest at a wall; products, not **, so that an
         # overflow gives inf instead of raising OverflowError
         walls = [0.5 * self.k * (b - self.d_m) * (b - self.d_m)
@@ -103,11 +109,15 @@ class ConfinedPotential:
             raise DomainError("grid [%g, %g] does not span the box [%g, %g]"
                               % (grid.x_min, grid.x_max, self.b1, self.b2))
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The well V(x) = 0.5*k*(x - d_m)**2 at the points `x`, walls aside:
+        the one formula of V that every sampled quantity uses."""
+        return 0.5 * self.k * (x - self.d_m) ** 2
+
     def interior_values(self, grid: Grid) -> np.ndarray:
         """V sampled on grid interior points. The grid must span the box."""
         self.require_span(grid)
-        x = grid.interior
-        return 0.5 * self.k * (x - self.d_m) ** 2
+        return self(grid.interior)
 
 
 def simpson(f: np.ndarray, h: float) -> float:
@@ -203,13 +213,12 @@ def brent_root(f, a: float, b: float, xtol: float,
                        "x=%r" % (maxiter, xcur))
 
 
-def hamiltonian_bands(pot: ConfinedPotential, grid: Grid,
-                      mass: float = 1.0) -> np.ndarray:
-    """The discrete Hamiltonian -(1/2m) d2/dx2 + V on the interior points, as
-    the three upper bands of a symmetric pentadiagonal matrix in LAPACK
-    banded storage: row 2 is the main diagonal, row 1 from column 1 the first
-    and row 0 from column 2 the second super-diagonal (rows 0 and 1 start
-    with zeros).
+def hamiltonian_bands(pot: ConfinedPotential, grid: Grid) -> np.ndarray:
+    """The discrete Hamiltonian -(1/2m) d2/dx2 + V of `pot`, m = `pot.mass`,
+    on the interior points, as the three upper bands of a symmetric
+    pentadiagonal matrix in LAPACK banded storage: row 2 is the main
+    diagonal, row 1 from column 1 the first and row 0 from column 2 the
+    second super-diagonal (rows 0 and 1 start with zeros).
 
     The kinetic part is the five-point stencil. At the first and last
     interior rows it needs a point beyond the wall; the odd reflection
@@ -219,10 +228,8 @@ def hamiltonian_bands(pot: ConfinedPotential, grid: Grid,
     entries by one ghost coefficient (the -30 + 1 = -29 wall row). Truncating
     the ghost to zero instead costs O(h) in the eigenvalue.
     """
-    if not mass > 0:
-        raise DomainError("mass must be positive")
     h = grid.h
-    kin = 1.0 / (2.0 * mass)
+    kin = 1.0 / (2.0 * pot.mass)
     c2 = kin / (12.0 * h**2)
     bands = np.zeros((3, grid.n_interior))
     bands[2] = kin * 2.5 / h**2 + pot.interior_values(grid)
@@ -281,7 +288,7 @@ class Eigenpair:
 # Reduced-form problem builders used by the sweep drivers.
 #
 # Two distinct unit-box conventions are in play and they differ in the
-# kinetic coefficient, so each builder returns the mass to solve with:
+# kinetic coefficient, so each builder sets the mass of its potential:
 #
 #  * symmetric well, strength eta:   -(1/2) psi'' + (1/2) eta x^2 psi = eps psi
 #       -> k = eta, mass = 1      (eta -> 0 limit: eps -> (n+1)^2 pi^2 / 8)
@@ -291,15 +298,15 @@ class Eigenpair:
 # Both live on the box [-1, 1] with hbar = 1.
 # ---------------------------------------------------------------------------
 
-def scho_unit_box(eta: float) -> tuple[ConfinedPotential, float]:
-    """Centred-well reduced problem; returns (potential, mass)."""
+def scho_unit_box(eta: float) -> ConfinedPotential:
+    """Centred-well reduced problem, at mass 1."""
     if eta < 0:
         raise DomainError("eta must be >= 0")
-    return ConfinedPotential(k=eta, d_m=0.0, b1=-1.0, b2=1.0), 1.0
+    return ConfinedPotential(k=eta, d_m=0.0, b1=-1.0, b2=1.0)
 
 
-def acho_unit_box(eta: float, d_m: float) -> tuple[ConfinedPotential, float]:
-    """Offset-well reduced problem; returns (potential, mass)."""
+def acho_unit_box(eta: float, d_m: float) -> ConfinedPotential:
+    """Offset-well reduced problem, at mass 1/2."""
     if eta < 0:
         raise DomainError("eta must be >= 0")
-    return ConfinedPotential(k=2.0 * eta, d_m=d_m, b1=-1.0, b2=1.0), 0.5
+    return ConfinedPotential(k=2.0 * eta, d_m=d_m, b1=-1.0, b2=1.0, mass=0.5)

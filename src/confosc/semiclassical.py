@@ -55,7 +55,8 @@ def classical_region_lengths(pot: ConfinedPotential,
 
 def phase_area(pot: ConfinedPotential, energy: float) -> float:
     """integral of sqrt(energy - V(x)) over the allowed interval; the full
-    phase-plane loop area for unit mass is 2*sqrt(2) times this."""
+    phase-plane loop area, p = +-sqrt(2 m (energy - V)), is
+    2*sqrt(2 m) times this, m = `pot.mass`."""
     tp = turning_points(pot, energy)
     if not tp:
         return 0.0
@@ -81,7 +82,7 @@ def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:
     interval for its own energy (Simpson sum over the masked density)."""
     grid = state.grid
     pot.require_span(grid)
-    v = 0.5 * pot.k * (grid.points - pot.d_m) ** 2
+    v = pot(grid.points)
     rho = state.values * state.values
     masked = np.where(v > state.energy, rho, 0.0)
     return simpson(masked, grid.h)
@@ -100,10 +101,11 @@ class PhaseOrbit:
         self.p.setflags(write=False)
 
 
-def phase_orbit(pot: ConfinedPotential, energy: float, mass: float = 1.0,
+def phase_orbit(pot: ConfinedPotential, energy: float,
                 n_samples: int = 1001) -> PhaseOrbit:
-    """Sample the closed orbit at the given energy: out along +p, back along
-    -p, with the joins forming the wall segments when clipping occurs."""
+    """Sample the closed orbit at the given energy, p = sqrt(2 m (E - V))
+    with m = `pot.mass`: out along +p, back along -p, with the joins forming
+    the wall segments when clipping occurs."""
     if n_samples < 2:
         raise DomainError("need at least two samples per leg")
     tp = turning_points(pot, energy)
@@ -111,8 +113,8 @@ def phase_orbit(pot: ConfinedPotential, energy: float, mass: float = 1.0,
         raise DomainError("no classically allowed interval at this energy")
     lo, hi = tp
     x_fwd = np.linspace(lo, hi, n_samples)
-    ke = energy - 0.5 * pot.k * (x_fwd - pot.d_m) ** 2
-    p_fwd = np.sqrt(np.maximum(2.0 * mass * ke, 0.0))
+    ke = energy - pot(x_fwd)
+    p_fwd = np.sqrt(np.maximum(2.0 * pot.mass * ke, 0.0))
     xs = np.concatenate((x_fwd, x_fwd[::-1], x_fwd[:1]))
     ps = np.concatenate((p_fwd, -p_fwd[::-1], p_fwd[:1]))
     return PhaseOrbit(x=xs, p=ps)

@@ -9,8 +9,8 @@ solves each regime):
                   eta^(1/4)) and rescales back.
 * ``scho-xc``   - natural-unit centred well (k = m = 1) in a box of
                   half-length x_c, swept over x_c.
-* ``acho-dm``   - offset well in the unit box, H = -d2 + eta (x - d_m)^2,
-                  swept over the offset d_m at fixed eta.
+* ``acho-dm``   - offset well in the unit box, H = -d2 + eta (x - d_m)^2
+                  (mass 1/2), swept over the offset d_m at fixed eta.
 * ``acho-eta``  - same operator swept over eta at fixed d_m.
 
 Every successfully solved state yields one row carrying the energy, the
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import solve_spectrum
-from .model import (ConfinedPotential, DomainError, Eigenpair, acho_unit_box,
-                    box_grid, scho_unit_box)
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                    acho_unit_box, box_grid, scho_unit_box)
 from .perturbation import pt_wavefunction
 
 
@@ -76,12 +76,12 @@ class SweepSpec:
         for s in self.solvers:
             if s not in _ROUTES:
                 raise DomainError("unknown solver '%s'" % s)
-            if self.mode not in _ROUTES[s][1]:
+            if self.mode not in _ROUTES[s][2]:
                 raise DomainError("solver '%s' not valid for mode '%s'"
                                   % (s, self.mode))
         for value in self.values:       # each point's problem, built once
             try:
-                pot, _mass = _PROBLEMS[self.mode](self, value)
+                pot = _PROBLEMS[self.mode](self, value)
                 if "exact" in self.solvers:
                     exact_scho.scan_lanes(self.n_hi,
                                           _native_half_length(pot))
@@ -91,7 +91,7 @@ class SweepSpec:
         if self.grid_points < 8:
             raise DomainError("grid_points too small")
         if "variational" in self.solvers:
-            size = _basis_size(self.n_hi)
+            size = variational.basis_size(self.n_hi)
             points = _odd_interior(self.grid_points)
             if points < size:
                 raise DomainError("the variational basis of %d functions "
@@ -139,77 +139,61 @@ def _odd_interior(n_interior: int) -> int:
     return n_interior if n_interior % 2 else n_interior + 1
 
 
-def _itp_states(spec: SweepSpec, pot: ConfinedPotential,
-                mass: float) -> list[Eigenpair]:
-    grid = box_grid(pot.b1, pot.b2, spec.grid_points)
-    return solve_spectrum(pot, grid, spec.n_hi, mass=mass)
-
-
 def _native_half_length(pot: ConfinedPotential) -> float:
     """The centred well of strength k on [-b, b] (unit mass) is the
     natural-unit well (k = 1) on [-x_c, x_c], x_c = b k^(1/4)."""
     return pot.b2 * pot.k ** 0.25
 
 
-def _exact_states(spec: SweepSpec, pot: ConfinedPotential,
-                  mass: float) -> list[Eigenpair]:
+def _exact_states(pot: ConfinedPotential, grid: Grid,
+                  n_max: int) -> list[Eigenpair]:
     """The natural-unit states stretched onto the report box by
     s = x_c / b: energies scale by s^2 and samples by sqrt(s). At k = 1,
     s is exactly 1 and the states pass through unchanged."""
     x_c = _native_half_length(pot)
     s = x_c / pot.b2
-    grid = box_grid(pot.b1, pot.b2, spec.grid_points)
-    native = box_grid(-x_c, x_c, spec.grid_points)
+    native = box_grid(-x_c, x_c, grid.n_interior)
     return [Eigenpair(n=psi.n, energy=s * s * psi.energy,
                       values=math.sqrt(s) * psi.values, grid=grid,
                       provenance="exact")
-            for psi in exact_scho.scho_states(spec.n_hi, x_c, native)]
+            for psi in exact_scho.scho_states(n_max, x_c, native)]
 
 
-def _basis_size(n_hi: int) -> int:
-    """Trial functions the variational route expands states 0..n_hi in."""
-    return max(50, 2 * (n_hi + 1) + 10)
+def _pt_states(pot: ConfinedPotential, grid: Grid,
+               n_max: int) -> list[Eigenpair]:
+    return [pt_wavefunction(n, pot.k, grid) for n in range(n_max + 1)]
 
 
-def _variational_states(spec: SweepSpec, pot: ConfinedPotential,
-                        mass: float) -> list[Eigenpair]:
-    grid = box_grid(pot.b1, pot.b2, _odd_interior(spec.grid_points))
-    size = _basis_size(spec.n_hi)
-    res = variational.solve_acho(pot, size=size, grid=grid, mass=mass,
-                                 n_states=spec.n_hi + 1)
-    return list(res.states)
-
-
-def _pt_states(spec: SweepSpec, pot: ConfinedPotential,
-               mass: float) -> list[Eigenpair]:
-    grid = box_grid(pot.b1, pot.b2, _odd_interior(spec.grid_points))
-    return [pt_wavefunction(n, pot.k, grid) for n in range(spec.n_hi + 1)]
-
-
-# mode -> (spec, sweep value) -> (potential in report units, mass)
+# mode -> (spec, sweep value) -> the potential in report units, with its mass
 _PROBLEMS = {
     "scho-eta": lambda spec, value: scho_unit_box(value),
-    "scho-xc": lambda spec, value: (
-        ConfinedPotential(k=1.0, d_m=0.0, b1=-value, b2=value), 1.0),
+    "scho-xc": lambda spec, value: ConfinedPotential(k=1.0, d_m=0.0,
+                                                     b1=-value, b2=value),
     "acho-dm": lambda spec, value: acho_unit_box(spec.eta, value),
     "acho-eta": lambda spec, value: acho_unit_box(value, spec.d_m),
 }
 MODES = tuple(_PROBLEMS)
-# solver -> (route (spec, pot, mass) -> states 0..n_hi, modes it serves): the
-# closed-form routes need a centred well, and the flat-box mixing route is
-# tied to the unit-box sweep
+# solver -> (route (pot, grid, n_max) -> states 0..n_max, whether it solves
+# on the `_odd_interior` grid, modes it serves): the closed-form routes need
+# a centred well, and the flat-box mixing route is tied to the unit-box
+# sweep. The solver modules' routes are reached through their bindings at
+# call time, so a patched binding reaches the sweep.
 _ROUTES = {
-    "itp": (_itp_states, frozenset(_PROBLEMS)),
-    "exact": (_exact_states, frozenset(("scho-eta", "scho-xc"))),
-    "variational": (_variational_states, frozenset(_PROBLEMS)),
-    "pt": (_pt_states, frozenset(("scho-eta",))),
+    "itp": (lambda *problem: solve_spectrum(*problem), False,
+            frozenset(_PROBLEMS)),
+    "exact": (_exact_states, False, frozenset(("scho-eta", "scho-xc"))),
+    "variational": (lambda *problem: variational.solve_acho(*problem), True,
+                    frozenset(_PROBLEMS)),
+    "pt": (_pt_states, True, frozenset(("scho-eta",))),
 }
 
 
 def solve_point(spec: SweepSpec, value: float, solver: str):
-    """-> (potential in report units, mass, states 0..n_hi)."""
-    pot, mass = _PROBLEMS[spec.mode](spec, value)
-    return pot, mass, _ROUTES[solver][0](spec, pot, mass)
+    """-> (potential in report units, states 0..n_hi)."""
+    pot = _PROBLEMS[spec.mode](spec, value)
+    route, odd, _modes = _ROUTES[solver]
+    points = _odd_interior(spec.grid_points) if odd else spec.grid_points
+    return pot, route(pot, box_grid(pot.b1, pot.b2, points), spec.n_hi)
 
 
 def _measured_row(spec: SweepSpec, value: float, solver: str,
@@ -246,7 +230,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ReportRow]:
     for value in spec.values:
         for solver in spec.solvers:
             try:
-                pot, _mass, states = solve_point(spec, value, solver)
+                pot, states = solve_point(spec, value, solver)
             except Exception as exc:      # recorded, sweep continues
                 n_fail = getattr(exc, "state_index", spec.n_lo)
                 rows.append(_error_row(value, max(n_fail, 0), solver, exc))

@@ -54,9 +54,9 @@ class BasisSet:
         grid = self.grid
         rows = self.values[:, 1:-1]      # the wall samples are zero
         h_rows = grid.h * rows
-        free = ConfinedPotential(k=0.0, b1=grid.x_min, b2=grid.x_max)
-        kinetic = h_rows @ apply_bands(hamiltonian_bands(free, grid, 0.5),
-                                       rows).T
+        free = ConfinedPotential(k=0.0, b1=grid.x_min, b2=grid.x_max,
+                                 mass=0.5)
+        kinetic = h_rows @ apply_bands(hamiltonian_bands(free, grid), rows).T
         x = grid.interior
         moments = (h_rows @ rows.T, (h_rows * x) @ rows.T,
                    (h_rows * (x * x)) @ rows.T)
@@ -91,8 +91,7 @@ def build_basis(size: int, grid: Grid) -> BasisSet:
     return BasisSet(grid=grid, values=rows)
 
 
-def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
-                       mass: float = 1.0) -> np.ndarray:
+def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential) -> np.ndarray:
     """Matrix of the well Hamiltonian in the box modes, symmetrized after
     checking that the raw asymmetry is at round-off scale.
 
@@ -100,14 +99,12 @@ def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential,
     the matrix is kinetic / (2 mass) + (k/2)(M2 - 2 d_m M1 + d_m^2 M0), from
     the basis's own matrices with no pass over the grid. It agrees with the
     h * sum matrix of `hamiltonian_bands(pot)` up to round-off."""
-    if not mass > 0:
-        raise DomainError("mass must be positive")
     pot.require_span(basis.grid)
     m0, m1, m2 = basis.moments
     half_k = 0.5 * pot.k
     # the products run left to right, as in the potential's own wall check,
     # so every coefficient is finite whenever the well is finite at the walls
-    mat = (basis.kinetic / (2.0 * mass) + half_k * m2
+    mat = (basis.kinetic / (2.0 * pot.mass) + half_k * m2
            - (2.0 * half_k * pot.d_m) * m1
            + (half_k * pot.d_m * pot.d_m) * m0)
     asym = float(np.max(np.abs(mat - mat.T)))
@@ -134,26 +131,24 @@ def diagonalize(h_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
-@dataclass(frozen=True)
-class VariationalResult:
-    energies: np.ndarray = field(repr=False)       # all Rayleigh-Ritz levels
-    states: tuple[Eigenpair, ...] = ()
-
-    def __post_init__(self):
-        self.energies.setflags(write=False)
+def basis_size(n_max: int) -> int:
+    """Box modes `solve_acho` expands states 0..n_max in."""
+    return max(50, 2 * (n_max + 1) + 10)
 
 
-def solve_acho(pot: ConfinedPotential, grid: Grid, size: int = 50,
-               mass: float = 1.0, n_states: int = 6) -> VariationalResult:
-    """Rayleigh-Ritz levels and states of a quadratic well in a hard box,
-    in its first `size` box modes."""
-    basis = build_basis(size, grid)
-    energies, vectors = diagonalize(hamiltonian_matrix(basis, pot, mass))
+def solve_acho(pot: ConfinedPotential, grid: Grid,
+               n_max: int) -> list[Eigenpair]:
+    """Rayleigh-Ritz states 0..n_max of a quadratic well in a hard box, in
+    its first `basis_size(n_max)` box modes."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    basis = build_basis(basis_size(n_max), grid)
+    energies, vectors = diagonalize(hamiltonian_matrix(basis, pot))
 
     states = []
-    for j in range(min(n_states, size)):
+    for j in range(n_max + 1):
         vals = vectors[:, j] @ basis.values
         vals /= math.sqrt(simpson(vals * vals, grid.h))
         states.append(Eigenpair(n=j, energy=float(energies[j]), values=vals,
                                 grid=grid, provenance="variational"))
-    return VariationalResult(energies=energies, states=tuple(states))
+    return states

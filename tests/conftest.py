@@ -32,15 +32,15 @@ def xc2_itp_ladder():
 
 @pytest.fixture
 def route_system(monkeypatch):
-    """`route_system(pot, grid, mass)` is the factored step operator that
+    """`route_system(pot, grid)` is the factored step operator that
     `solve_spectrum` builds for that problem, taken from a one-level ladder."""
-    def build(pot, grid, mass=1.0):
+    def build(pot, grid):
         seen = []
         solve_state = itp_solver.solve_state
         monkeypatch.setattr(itp_solver, "solve_state",
                             lambda system, *args: seen.append(system)
                             or solve_state(system, *args))
-        solve_spectrum(pot, grid, 0, mass=mass)
+        solve_spectrum(pot, grid, 0)
         monkeypatch.setattr(itp_solver, "solve_state", solve_state)
         return seen[0]
     return build

@@ -305,9 +305,8 @@ def test_free_onicescu_products_match_quadrature():
 def test_corrected_entropy_triples():
     grid = box_grid(-1.0, 1.0, 4001)
     for d_m in (5.0, 8.0, 10.0):
-        pot, mass = acho_unit_box(1.0, d_m)
-        res = solve_acho(pot, size=50, grid=grid, mass=mass, n_states=3)
-        for n, state in enumerate(res.states):
+        pot = acho_unit_box(1.0, d_m)
+        for n, state in enumerate(solve_acho(pot, grid, 2)):
             rep = full_report(state, to_momentum(state))
             s_x, s_p, s = VERIFIED_TRIPLES[(d_m, n)]
             assert abs(rep.s_x - s_x) < 2e-5

@@ -100,7 +100,7 @@ def test_cli_sweep_rejects_an_infinite_range(monkeypatch, capsys):
 def test_cli_phase_reports_a_route_failure(monkeypatch, capsys):
     # a failing route is an error line and exit 1, as a failed sweep point
     # is an error row
-    def failing(pot, grid, n_hi, mass=1.0):
+    def failing(pot, grid, n_max):
         raise np.linalg.LinAlgError("leading minor not positive definite")
     monkeypatch.setattr("confosc.sweep.solve_spectrum", failing)
     assert main(["phase", "--mode", "scho-eta", "--value", "2",
@@ -184,7 +184,7 @@ def test_csv_serialization_is_a_fixed_point():
 def test_swept_rows_carry_the_norm_defect_outside_the_csv():
     spec, rows = small_rows()
     states = [st for value in spec.values
-              for st in solve_point(spec, value, "exact")[2]]
+              for st in solve_point(spec, value, "exact")[1]]
     assert [r.norm_defect for r in rows] == [
         parseval_defect(to_momentum(st, pad_factor=spec.pad_factor))
         for st in states]
@@ -375,7 +375,7 @@ def test_every_route_returns_states_in_one_sign_convention(xc2_itp_ladder):
         for solver in solvers:
             spec = SweepSpec(mode=mode, values=(value,), n_hi=3,
                              solvers=(solver,), grid_points=400)
-            for state in solve_point(spec, value, solver)[2]:
+            for state in solve_point(spec, value, solver)[1]:
                 assert np.array_equal(state.values,
                                       canonical_sign(state.values))
     # so the relaxation and exact states overlap at +1, never -1

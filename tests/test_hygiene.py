@@ -11,6 +11,9 @@ no arguments, the CLI reaches the solvers only through it, and the gate
 takes it from `sweep`, not from the CLI. The measure layer, which the
 sweep's worker threads run, makes no BLAS call.
 
+The mass is part of the problem: it is a field of `ConfinedPotential` and
+nothing else, so no function takes one beside the potential it belongs to.
+
 Package `__init__.py` files re-export names and `from __future__` imports
 switch on language features, so neither counts."""
 
@@ -181,6 +184,45 @@ def test_the_check_sees_imported_modules_and_names():
     assert imported_names(source) == {
         "sys": set(), "os.path": set(), "spectral": set(),
         "sweep": {"SweepSpec", "run_sweep"}, "model": {"DomainError"}}
+
+
+def mass_parameters(source: str) -> list[str]:
+    """`function: mass` for each function or lambda in `source` with a
+    parameter called `mass`, and `class: mass` for each class that declares
+    a `mass` field, bar `ConfinedPotential`, the problem record."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                     *args.kwonlyargs, args.vararg,
+                                     args.kwarg) if a is not None]
+            if "mass" in names:
+                found.append("%s: mass" % getattr(node, "name", "lambda"))
+        elif (isinstance(node, ast.ClassDef)
+              and node.name != "ConfinedPotential"):
+            found.extend("%s: mass" % node.name for item in node.body
+                         if isinstance(item, ast.AnnAssign)
+                         and getattr(item.target, "id", None) == "mass")
+    return found
+
+
+def test_the_check_sees_mass_parameters():
+    source = ("class ConfinedPotential:\n    mass: float = 1.0\n"
+              "class Problem:\n    k: float\n    mass: float\n"
+              "def bands(pot, grid, mass=1.0):\n    return mass\n"
+              "def orbit(pot, *, mass):\n    return pot.mass\n"
+              "route = lambda pot, mass: pot\n"
+              "def solve(pot, grid):\n    return pot.mass\n")
+    assert mass_parameters(source) == [
+        "Problem: mass", "bands: mass", "orbit: mass", "lambda: mass"]
+
+
+def test_only_the_potential_carries_a_mass():
+    found = ["%s: %s" % (path.name, hit)
+             for path in sorted(CHECKED[0].glob("*.py"))
+             for hit in mass_parameters(path.read_text(encoding="utf-8"))]
+    assert not found, "a mass beside the potential:\n" + "\n".join(found)
 
 
 SOLVER_LAYERS = {"itp_solver", "exact_scho", "variational", "perturbation",

@@ -27,6 +27,19 @@ def test_profile_guards():
             functional(np.array([0.1, -0.1, 0.1]), 0.5)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_a_spacing_that_is_not_finite_is_rejected(h, xc2_exact):
+    # `h <= 0` let NaN through, and then every functional returned nan (or
+    # inf for an infinite spacing) with no error
+    for functional in (shannon, fisher, onicescu):
+        with pytest.raises(DomainError, match="positive and finite"):
+            functional(np.array([0.0, 0.5, 1.0, 0.5, 0.0]), h)
+    state = xc2_exact[0]
+    md = to_momentum(state)
+    with pytest.raises(DomainError, match="positive and finite"):
+        full_report(state, MomentumDensity(md.density.copy(), h))
+
+
 def test_position_and_momentum_densities_normalized(xc2_exact):
     st0 = xc2_exact[0]
     assert abs(simpson(st0.values ** 2, st0.grid.h) - 1.0) < 1e-10

@@ -18,10 +18,10 @@ EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho
 ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
 
 
-def energy_expectation(values, pot, grid, mass=1.0):
+def energy_expectation(values, pot, grid):
     """<psi|H|psi> / <psi|psi> on the shared discrete Hamiltonian."""
     psi = values[1:-1]
-    w = apply_bands(hamiltonian_bands(pot, grid, mass), psi)
+    w = apply_bands(hamiltonian_bands(pot, grid), psi)
     return float(psi @ w) / float(psi @ psi)
 
 
@@ -63,7 +63,7 @@ def test_free_particle_row_coefficients(route_system):
 
 
 def test_initial_guess_shape_norm_nodes():
-    pot, _ = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 500)
     for m in range(3):
         vals = _initial_guess(m, grid, pot)
@@ -76,11 +76,11 @@ def test_initial_guess_shape_norm_nodes():
 
 
 def test_step_preserves_norm_and_decreases_energy(route_system):
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 400)
-    sys_ = route_system(pot, grid, mass=mass)
+    sys_ = route_system(pot, grid)
     vals = _initial_guess(0, grid, pot)
-    energies = [energy_expectation(vals, pot, grid, mass=mass)]
+    energies = [energy_expectation(vals, pot, grid)]
     for _ in range(120):
         vals, e = relax_step(sys_, vals)
         energies.append(e)
@@ -95,40 +95,40 @@ def test_step_preserves_norm_and_decreases_energy(route_system):
                    reason="published example centre is defective: the open-"
                           "line bound forces the eta=16 ground above 2")
 def test_step_contract_printed_centre(route_system):
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
     vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
-    sys_ = route_system(pot, grid, mass=mass)
+    sys_ = route_system(pot, grid)
     _, after = relax_step(sys_, vals)
     assert abs(after - 1.76416) < 1e-4
 
 
 def test_step_contract_true_value(route_system):
     # companion to the xfail above: the correct centre is 4*eps0(x_c = 2)
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 2000)
     native = box_grid(-2.0, 2.0, 2000)
     vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
-    before = energy_expectation(vals, pot, grid, mass=mass)
-    sys_ = route_system(pot, grid, mass=mass)
+    before = energy_expectation(vals, pot, grid)
+    sys_ = route_system(pot, grid)
     _, after = relax_step(sys_, vals)
     assert abs(after - ETA16_GROUND) < 1e-9
     assert abs(after - before) < 1e-10
 
 
 def test_solve_state_weak_well_reference():
-    pot, mass = scho_unit_box(0.001)
+    pot = scho_unit_box(0.001)
     grid = box_grid(-1.0, 1.0, 1200)
-    st = solve_spectrum(pot, grid, 0, mass=mass)[0]
+    st = solve_spectrum(pot, grid, 0)[0]
     assert abs(st.energy - 1.2337658950) < 1e-7
     assert st.provenance == "itp"
 
 
 def test_solve_state_offset_well_reference():
-    pot, mass = acho_unit_box(1.0, 5.0)
+    pot = acho_unit_box(1.0, 5.0)
     grid = box_grid(-1.0, 1.0, 2000)
-    st = solve_spectrum(pot, grid, 0, mass=mass)[0]
+    st = solve_spectrum(pot, grid, 0)[0]
     assert abs(st.energy - 26.065225076) < 1e-6
 
 
@@ -154,10 +154,10 @@ def test_ladder_energies_orthonormal_and_match_roots(xc2_itp_ladder):
     assert np.max(np.abs(gram - np.eye(len(states)))) < 1e-9
 
 
-def banded_eigenpairs(pot, grid, count, mass=1.0):
+def banded_eigenpairs(pot, grid, count):
     """The `count` lowest eigenpairs of `hamiltonian_bands` by a direct
     shift-invert Lanczos solve, with the grid states' norm and sign."""
-    bands = hamiltonian_bands(pot, grid, mass)
+    bands = hamiltonian_bands(pot, grid)
     d1, d2 = bands[1, 1:], bands[0, 2:]
     mat = diags([d2, d1, bands[2], d1, d2], [-2, -1, 0, 1, 2], format="csc")
     vals, vecs = eigsh(mat, k=count, sigma=0.0,
@@ -166,25 +166,24 @@ def banded_eigenpairs(pot, grid, count, mass=1.0):
 
 
 def _box(x_c):
-    return ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c), 1.0
+    return ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
 
 
-@pytest.mark.parametrize("problem", [
+@pytest.mark.parametrize("pot", [
     pytest.param(_box(2.0), id="2.0"),
     pytest.param(_box(5.0), id="5.0"),
     pytest.param(_box(8.0), id="scho-xc-8"),
     pytest.param(scho_unit_box(2500.0), id="scho-eta-2500"),
     pytest.param(acho_unit_box(1.0, 10.0), id="acho-dm-10-eta-1"),
     pytest.param(acho_unit_box(100.0, 10.0), id="acho-dm-10-eta-100"),
-    pytest.param((ConfinedPotential(k=0.0), 1.0), id="flat-box"),
+    pytest.param(ConfinedPotential(k=0.0), id="flat-box"),
 ])
-def test_ladder_matches_a_direct_banded_eigensolve(problem):
+def test_ladder_matches_a_direct_banded_eigensolve(pot):
     # relaxation must reach the fixed point of its own operator: the
     # eigenvectors of the shared discrete H, not just their energies
-    pot, mass = problem
     grid = box_grid(pot.b1, pot.b2, 2000)
-    states = solve_spectrum(pot, grid, 4, mass=mass)
-    energies, vectors = banded_eigenpairs(pot, grid, 5, mass)
+    states = solve_spectrum(pot, grid, 4)
+    energies, vectors = banded_eigenpairs(pot, grid, 5)
     for st, e, v in zip(states, energies, vectors):
         assert abs(st.energy - e) <= 1e-10 * e
         assert np.max(np.abs(st.values[1:-1] - v)) <= 1e-10
@@ -197,8 +196,8 @@ def test_offset_ladder_takes_hundreds_of_steps(monkeypatch):
     solve = PentaSystem.solve
     monkeypatch.setattr(PentaSystem, "solve",
                         lambda self, rhs: calls.append(1) or solve(self, rhs))
-    pot, mass = acho_unit_box(100.0, 10.0)
-    solve_spectrum(pot, box_grid(-1.0, 1.0, 2000), 4, mass=mass)
+    pot = acho_unit_box(100.0, 10.0)
+    solve_spectrum(pot, box_grid(-1.0, 1.0, 2000), 4)
     assert len(calls) <= 1000
 
 
@@ -228,9 +227,9 @@ def test_stiff_mesh_ground_level():
 
 
 def test_convergence_error_reports_step_budget(route_system, monkeypatch):
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 300)
-    system = route_system(pot, grid, mass)
+    system = route_system(pot, grid)
     monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
     with pytest.raises(LadderError) as err:
         itp_solver.solve_state(system, pot, np.empty((0, grid.n_interior)))
@@ -240,24 +239,24 @@ def test_convergence_error_reports_step_budget(route_system, monkeypatch):
 
 def test_ladder_error_names_failing_state(monkeypatch):
     monkeypatch.setattr(itp_solver, "_MAX_STEPS", 10)
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 300)
     with pytest.raises(LadderError) as err:
-        solve_spectrum(pot, grid, 1, mass=mass)
+        solve_spectrum(pot, grid, 1)
     assert err.value.state_index == 0
     assert "10 steps" in str(err.value)
 
 
 def test_ladder_error_names_a_trial_state_in_the_lower_span(monkeypatch):
-    pot, mass = scho_unit_box(16.0)
+    pot = scho_unit_box(16.0)
     grid = box_grid(-1.0, 1.0, 300)
-    ground = solve_spectrum(pot, grid, 0, mass=mass)[0].values
+    ground = solve_spectrum(pot, grid, 0)[0].values
     # every trial state is the converged ground state: level 1 has nothing
     # left once the ladder below is projected out
     monkeypatch.setattr(itp_solver, "_initial_guess",
                         lambda m, grid, pot: ground.copy())
     with pytest.raises(LadderError) as err:
-        solve_spectrum(pot, grid, 1, mass=mass)
+        solve_spectrum(pot, grid, 1)
     assert err.value.state_index == 1
     assert "span of the lower ladder" in str(err.value)
 
@@ -276,8 +275,8 @@ def test_one_operator_and_one_factor_per_ladder(monkeypatch):
     calls = []
     count_calls(monkeypatch, "hamiltonian_bands", calls)
     count_calls(monkeypatch, "cholesky_banded", calls)
-    pot, mass = acho_unit_box(1.0, 5.0)
-    solve_spectrum(pot, box_grid(-1.0, 1.0, 300), 3, mass=mass)
+    pot = acho_unit_box(1.0, 5.0)
+    solve_spectrum(pot, box_grid(-1.0, 1.0, 300), 3)
     assert sorted(calls) == ["cholesky_banded", "hamiltonian_bands"]
 
 

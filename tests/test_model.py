@@ -53,6 +53,11 @@ def test_potential_constructor_guards():
                dict(b1=-math.inf), dict(b2=math.inf), dict(b1=math.nan)):
         with pytest.raises(DomainError):
             ConfinedPotential(**kw)
+    # the problem carries its mass, so every operator built on it has a
+    # positive, finite one
+    for mass in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="mass must be positive"):
+            ConfinedPotential(mass=mass)
 
 
 def test_potential_must_be_finite_at_the_walls():
@@ -69,10 +74,6 @@ def test_interior_values_requires_spanning_grid():
     pot = ConfinedPotential(b1=-1.0, b2=1.0)
     with pytest.raises(DomainError):
         pot.interior_values(box_grid(-2.0, 2.0, 100))
-    # the operator built on them also needs a positive mass
-    for mass in (0.0, -0.5, math.nan):
-        with pytest.raises(DomainError):
-            hamiltonian_bands(pot, box_grid(-1.0, 1.0, 100), mass)
     v = pot.interior_values(box_grid(-1.0, 1.0, 101))
     assert v.shape == (101,)
     assert v.min() >= 0.0
@@ -151,10 +152,11 @@ def test_canonical_sign_makes_the_largest_sample_positive():
 
 
 def test_reduced_builders():
-    pot, mass = scho_unit_box(0.3)
-    assert (pot.k, pot.d_m, pot.b1, pot.b2, mass) == (0.3, 0.0, -1.0, 1.0, 1.0)
-    pot, mass = acho_unit_box(0.3, 1.5)
-    assert (pot.k, pot.d_m, mass) == (0.6, 1.5, 0.5)
+    pot = scho_unit_box(0.3)
+    assert (pot.k, pot.d_m, pot.b1, pot.b2, pot.mass) == (0.3, 0.0, -1.0, 1.0,
+                                                          1.0)
+    pot = acho_unit_box(0.3, 1.5)
+    assert (pot.k, pot.d_m, pot.mass) == (0.6, 1.5, 0.5)
     with pytest.raises(DomainError):
         scho_unit_box(-0.1)
     with pytest.raises(DomainError):
@@ -162,9 +164,9 @@ def test_reduced_builders():
 
 
 def test_apply_bands_takes_one_state_or_a_block():
-    pot, mass = acho_unit_box(1.0, 0.5)
+    pot = acho_unit_box(1.0, 0.5)
     grid = box_grid(-1.0, 1.0, 40)
-    bands = hamiltonian_bands(pot, grid, mass)
+    bands = hamiltonian_bands(pot, grid)
     n = grid.n_interior
     dense = np.diag(bands[2])
     for k in (1, 2):
@@ -183,8 +185,8 @@ def test_flat_operator_sends_a_constant_below_one_ulp(n):
     # the stencil weights sum to zero; in floating point H applied to a
     # constant leaves only the rounding of the five-term row sum, which is
     # below one ulp of the diagonal on every row away from the walls
-    bands = hamiltonian_bands(ConfinedPotential(k=0.0), box_grid(-1.0, 1.0, n),
-                              mass=0.5)
+    bands = hamiltonian_bands(ConfinedPotential(k=0.0, mass=0.5),
+                              box_grid(-1.0, 1.0, n))
     rows = apply_bands(bands, np.ones(n))[2:-2]
     assert np.all(np.abs(rows) < np.spacing(bands[2, 2:-2]))
 

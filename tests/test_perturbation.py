@@ -155,8 +155,7 @@ def test_mixed_state_guards():
 
 def test_weak_well_state_matches_relaxation():
     grid = odd_grid()
-    pot, mass = scho_unit_box(0.001)
-    ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
+    ref = solve_spectrum(scho_unit_box(0.001), grid, 0)[0]
     state = pt_wavefunction(0, 0.001, grid)
     overlap = abs(simpson(state.values * ref.values, grid.h))
     assert overlap > 1.0 - 1e-12
@@ -166,8 +165,7 @@ def test_two_partner_state_beats_the_flat_box_state():
     # measured 1 - overlap with the relaxed ground state at strength 0.5:
     # 7.4e-6 for the bare flat-box state, 1.1e-9 with its two partners
     grid = odd_grid()
-    pot, mass = scho_unit_box(0.5)
-    ref = solve_spectrum(pot, grid, 0, mass=mass)[0]
+    ref = solve_spectrum(scho_unit_box(0.5), grid, 0)[0]
     bare = pib_state_values(1, grid.points)
     bare = bare / math.sqrt(simpson(bare ** 2, grid.h))
     mixed = pt_wavefunction(0, 0.5, grid).values

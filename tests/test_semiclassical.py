@@ -18,8 +18,8 @@ PI = math.pi
 FORBIDDEN_REFS = (0.15730, 0.11161, 0.09507, 0.08549, 0.07892)
 
 
-def wide_pot(x_c=6.0):
-    return ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c)
+def wide_pot(x_c=6.0, mass=1.0):
+    return ConfinedPotential(k=1.0, d_m=0.0, b1=-x_c, b2=x_c, mass=mass)
 
 
 def test_turning_points_interior_and_clipped():
@@ -131,9 +131,9 @@ def test_orbit_loop_area_identity(energy, tol_default, tol_fine):
 
 
 def test_orbit_mass_scales_momenta():
-    pot = wide_pot()
-    light = phase_orbit(pot, 0.5, mass=1.0)
-    heavy = phase_orbit(pot, 0.5, mass=4.0)
+    # the orbit reads the mass from the potential
+    light = phase_orbit(wide_pot(), 0.5)
+    heavy = phase_orbit(wide_pot(mass=4.0), 0.5)
     assert np.allclose(heavy.p, 2.0 * light.p, rtol=0, atol=1e-14)
     assert np.array_equal(heavy.x, light.x)
 

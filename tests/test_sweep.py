@@ -82,11 +82,11 @@ def test_every_point_is_solved_on_the_calling_thread(monkeypatch):
     # the pool threads only measure, so the routes' dense algebra never
     # competes with them, and the points share one basis build
     threads = []
-    for solver, (route, modes) in sweep._ROUTES.items():
-        def spy(spec, pot, mass, route=route):
+    for solver, (route, odd, modes) in sweep._ROUTES.items():
+        def spy(pot, grid, n_max, route=route):
             threads.append(threading.get_ident())
-            return route(spec, pot, mass)
-        monkeypatch.setitem(sweep._ROUTES, solver, (spy, modes))
+            return route(pot, grid, n_max)
+        monkeypatch.setitem(sweep._ROUTES, solver, (spy, odd, modes))
     variational.build_basis.cache_clear()
     spec = SweepSpec(mode="acho-dm", values=(0.0, 0.5, 1.0), n_hi=2,
                      solvers=("variational",), grid_points=300)

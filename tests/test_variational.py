@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
 from confosc.model import (ConfinedPotential, DomainError, Grid,
                            acho_unit_box, apply_bands, box_grid,
                            hamiltonian_bands, scho_unit_box)
-from confosc.variational import (BasisError, BasisSet, build_basis,
-                                 diagonalize, hamiltonian_matrix, solve_acho)
+from confosc.variational import (BasisError, BasisSet, basis_size,
+                                 build_basis, diagonalize, hamiltonian_matrix,
+                                 solve_acho)
 
 # Offset-well level references (reduced units, eta = 1): (d_m, n) -> energy.
 OFFSET_REFS = {
@@ -25,6 +27,11 @@ OFFSET_REFS = {
 # The published d_m = 5, n = 3 entry carries a transposed digit; two
 # independent routes agree on this value to 4e-10 (frozen).
 CORRECTED_D5_N3 = 64.990200447476
+
+
+def ritz_levels(pot, size, grid):
+    """All Rayleigh-Ritz levels of `pot` in its first `size` box modes."""
+    return diagonalize(hamiltonian_matrix(build_basis(size, grid), pot))[0]
 
 
 def unit_grid(n=1001):
@@ -117,10 +124,10 @@ def test_well_beyond_the_arithmetic_is_rejected():
 def test_nan_cannot_pass_the_matrix_checks(monkeypatch):
     # the symmetry and residual checks are written so that NaN fails them
     grid = unit_grid(101)
-    pot, mass = acho_unit_box(1.0, 0.5)
+    pot = acho_unit_box(1.0, 0.5)
     nan_rows = BasisSet(grid=grid, values=np.full((3, grid.n_points), np.nan))
     with pytest.raises(BasisError, match="asymmetry"):
-        hamiltonian_matrix(nan_rows, pot, mass)
+        hamiltonian_matrix(nan_rows, pot)
     with pytest.raises(DomainError, match="not symmetric"):
         diagonalize(np.full((2, 2), np.nan))
     monkeypatch.setattr(np.linalg, "eigh",
@@ -130,9 +137,9 @@ def test_nan_cannot_pass_the_matrix_checks(monkeypatch):
 
 
 def test_hamiltonian_matrix_is_symmetric():
-    pot, mass = acho_unit_box(1.0, 0.5)
+    pot = acho_unit_box(1.0, 0.5)
     basis = build_basis(14, unit_grid())
-    h = hamiltonian_matrix(basis, pot, mass=mass)
+    h = hamiltonian_matrix(basis, pot)
     assert np.array_equal(h, h.T)
 
 
@@ -142,8 +149,8 @@ def test_kinetic_matrix_is_the_zero_well_operator():
     grid = unit_grid(1001)
     basis = build_basis(14, grid)
     rows = basis.values[:, 1:-1]
-    free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0)
-    h_rows = apply_bands(hamiltonian_bands(free, grid, 0.5), rows)
+    free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0, mass=0.5)
+    h_rows = apply_bands(hamiltonian_bands(free, grid), rows)
     assert np.array_equal(basis.kinetic, (grid.h * rows) @ h_rows.T)
 
 
@@ -162,11 +169,11 @@ def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
         grid = unit_grid(n_interior)
         basis = build_basis(50, grid)
         rows = basis.values[:, 1:-1]
-        for pot, mass in MATRIX_WELLS:
-            h_rows = apply_bands(route_system(pot, grid, mass).bands, rows)
+        for pot in MATRIX_WELLS:
+            h_rows = apply_bands(route_system(pot, grid).bands, rows)
             mat = (grid.h * rows) @ h_rows.T
             direct = 0.5 * (mat + mat.T)
-            h = hamiltonian_matrix(basis, pot, mass=mass)
+            h = hamiltonian_matrix(basis, pot)
             assert (np.max(np.abs(h - direct))
                     <= 1e-12 * np.max(np.abs(direct))), (pot, n_interior)
 
@@ -175,8 +182,9 @@ def test_hamiltonian_matrix_needs_a_spanning_grid_and_a_positive_mass():
     basis = build_basis(8, unit_grid(501))
     with pytest.raises(DomainError, match="does not span"):
         hamiltonian_matrix(basis, ConfinedPotential(k=1.0, b1=-2.0, b2=2.0))
+    # the mass comes with the potential, which refuses a non-positive one
     with pytest.raises(DomainError, match="mass must be positive"):
-        hamiltonian_matrix(basis, ConfinedPotential(k=1.0), mass=0.0)
+        hamiltonian_matrix(basis, ConfinedPotential(k=1.0, mass=0.0))
 
 
 def test_diagonalize_orders_eigenvalues():
@@ -190,60 +198,80 @@ def test_diagonalize_orders_eigenvalues():
 @pytest.mark.parametrize("key", sorted(OFFSET_REFS))
 def test_offset_well_reference_energies(key):
     d_m, n = key
-    pot, mass = acho_unit_box(1.0, d_m)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
-    rel = abs(res.energies[n] - OFFSET_REFS[key]) / OFFSET_REFS[key]
+    pot = acho_unit_box(1.0, d_m)
+    states = solve_acho(pot, unit_grid(4001), 5)
+    rel = abs(states[n].energy - OFFSET_REFS[key]) / OFFSET_REFS[key]
     assert rel < 1e-8
 
 
 def test_transposed_reference_entry_corrected_value():
     # companion to the acceptance gate: both solver routes give this number
-    pot, mass = acho_unit_box(1.0, 5.0)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=6)
-    assert abs(res.energies[3] - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
+    pot = acho_unit_box(1.0, 5.0)
+    states = solve_acho(pot, unit_grid(4001), 5)
+    assert abs(states[3].energy - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-8
     grid = box_grid(-1.0, 1.0, 2000)
-    ladder = solve_spectrum(pot, grid, 3, mass=mass)
+    ladder = solve_spectrum(pot, grid, 3)
     assert abs(ladder[3].energy - CORRECTED_D5_N3) / CORRECTED_D5_N3 < 1e-6
 
 
 def test_centred_well_agrees_with_scaled_exact_route():
     # d_m = 0 reduces to the centred problem in doubled units
-    pot, mass = acho_unit_box(1.0, 0.0)
-    res = solve_acho(pot, size=50, grid=unit_grid(4001), mass=mass, n_states=4)
+    pot = acho_unit_box(1.0, 0.0)
+    states = solve_acho(pot, unit_grid(4001), 3)
     for n in range(4):
         truth = 2.0 * scho_eigenvalue(n, 1.0)
-        assert abs(res.energies[n] - truth) < 5e-9
+        assert abs(states[n].energy - truth) < 5e-9
 
 
 def test_bigger_basis_never_raises_levels():
     # nested trial spaces: the 30-term matrix is the leading block of the
     # 50-term one, so each level can only come down (Cauchy interlacing)
-    pot, mass = acho_unit_box(1.0, 1.5)
+    pot = acho_unit_box(1.0, 1.5)
     grid = unit_grid(2001)
-    small = solve_acho(pot, size=30, grid=grid, mass=mass, n_states=4)
-    large = solve_acho(pot, size=50, grid=grid, mass=mass, n_states=4)
-    for e_small, e_large in zip(small.energies, large.energies):
+    small = ritz_levels(pot, 30, grid)
+    large = ritz_levels(pot, 50, grid)
+    assert len(small) == 30
+    for e_small, e_large in zip(small, large):
         assert e_large <= e_small + 1e-10
 
 
 def test_expansion_is_an_upper_bound():
     # variational bound, with slack for the quadrature/stencil discretization
-    pot, mass = acho_unit_box(1.0, 0.0)
-    res = solve_acho(pot, size=40, grid=unit_grid(2001), mass=mass, n_states=1)
-    assert res.energies[0] >= 2.0 * scho_eigenvalue(0, 1.0) - 1e-8
+    pot = acho_unit_box(1.0, 0.0)
+    assert (ritz_levels(pot, 40, unit_grid(2001))[0]
+            >= 2.0 * scho_eigenvalue(0, 1.0) - 1e-8)
 
 
 def test_result_states_are_normalized_eigenpairs():
-    pot, mass = acho_unit_box(1.0, 2.0)
+    pot = acho_unit_box(1.0, 2.0)
     grid = unit_grid(2001)
-    res = solve_acho(pot, size=40, grid=grid, mass=mass,
-                     n_states=3)
+    states = solve_acho(pot, grid, 2)
+    assert len(states) == 3
     x = grid.points
-    for n, st in enumerate(res.states):
+    for n, st in enumerate(states):
         assert st.n == n
         assert st.provenance == "variational"
         assert math.isclose(simpson(st.values ** 2, x=x), 1.0, abs_tol=1e-10)
         assert abs(st.values[0]) < 1e-12 and abs(st.values[-1]) < 1e-12
+
+
+def test_route_sizes_its_basis_from_the_highest_state(monkeypatch):
+    # the route takes the relaxation route's arguments and expands states
+    # 0..n_max in basis_size(n_max) modes: 2 (n_max + 1) + 10, at least 50
+    assert [basis_size(n) for n in (0, 19, 20, 30)] == [50, 50, 52, 72]
+    sizes = []
+    build = variational.build_basis
+    monkeypatch.setattr(variational, "build_basis",
+                        lambda size, grid: sizes.append(size)
+                        or build(size, grid))
+    pot = acho_unit_box(1.0, 2.0)
+    grid = unit_grid(201)
+    for n_max in (0, 30):
+        assert ([s.n for s in solve_acho(pot, grid, n_max)]
+                == list(range(n_max + 1)))
+    assert sizes == [50, 72]
+    with pytest.raises(DomainError, match="n_max must be >= 0"):
+        solve_acho(pot, grid, -1)
 
 
 def test_ritz_levels_bound_the_relaxation_levels():
@@ -251,11 +279,11 @@ def test_ritz_levels_bound_the_relaxation_levels():
     # discrete H, the levels relaxation converges to on the same grid
     grid = Grid(2001, -1.0, 1.0)
     for d_m in (0.0, 0.36, 5.0, 10.0):
-        pot, mass = acho_unit_box(1.0, d_m)
-        ritz = solve_acho(pot, grid, mass=mass, n_states=3).energies
-        for state in solve_spectrum(pot, grid, 2, mass=mass):
+        pot = acho_unit_box(1.0, d_m)
+        ritz = solve_acho(pot, grid, 2)
+        for state in solve_spectrum(pot, grid, 2):
             e = state.energy
-            assert ritz[state.n] >= e - 1e-11 * abs(e), (d_m, state.n)
+            assert ritz[state.n].energy >= e - 1e-11 * abs(e), (d_m, state.n)
 
 
 def test_any_box_and_point_count_is_accepted():
@@ -263,7 +291,7 @@ def test_any_box_and_point_count_is_accepted():
     # matches relaxation on the same grid
     pot = ConfinedPotential(k=3.0, d_m=0.2, b1=-0.5, b2=1.5)
     grid = box_grid(-0.5, 1.5, 1000)
-    res = solve_acho(pot, grid, n_states=2)
+    ritz = solve_acho(pot, grid, 1)
     for state in solve_spectrum(pot, grid, 1):
-        assert math.isclose(res.energies[state.n], state.energy,
+        assert math.isclose(ritz[state.n].energy, state.energy,
                             rel_tol=1e-10)
