@@ -222,20 +222,12 @@ def _verdict(idx: int, checks, notes=(), ok: bool = True) -> CriterionResult:
         "; ".join([c.summary() for c in checks] + list(notes)))
 
 
-def _budgeted(idx: int, t0: float, limit: float, checks) -> CriterionResult:
-    """`_verdict` that also fails when the criterion ran `limit` s or more."""
-    elapsed = time.perf_counter() - t0
-    return _verdict(idx, checks, ["runtime %.1f s (limit %g s)"
-                                  % (elapsed, limit)], elapsed < limit)
-
-
 # ------------------------------------------------------------ the criteria
 
 def criterion_1() -> CriterionResult:
     """Table I: exact-route energies against the frozen references (1e-7)
     and first-order energies against the closed form (1e-9), under a 10 s
     budget."""
-    t0 = time.perf_counter()
     rows = _solved(run_sweep(TABLES["I"].spec))
     exact, first = [], []
     for (eta, n, solver), r in rows.items():
@@ -244,7 +236,7 @@ def criterion_1() -> CriterionResult:
             exact.append((where, r.energy, REF_SMALL_ETA_EXACT[eta][n]))
         else:
             first.append((where, r.energy, pt_energy(n, eta)))
-    return _budgeted(1, t0, 10.0, [
+    return _verdict(1, [
         _Check("exact energies vs references", exact, 1e-7),
         _Check("first-order energies vs closed form", first, 1e-9)])
 
@@ -253,7 +245,6 @@ def criterion_2() -> CriterionResult:
     """Table VI by the relaxation and the exact route: S_x and E_x within
     1e-5 of the references and the routes within 1e-6 of each other, under
     a 2 min budget."""
-    t0 = time.perf_counter()
     spec = replace(TABLES["VI"].spec, solvers=("itp", "exact"))
     rows = _solved(run_sweep(spec))
     refs, pair = [], []
@@ -266,7 +257,7 @@ def criterion_2() -> CriterionResult:
                 refs += [("%s %s" % (where, solver), g, ref[n])
                          for solver, g in zip(spec.solvers, got)]
                 pair.append((where, got[0], got[1]))
-    return _budgeted(2, t0, 120.0, [
+    return _verdict(2, [
         _Check("S_x and E_x vs references", refs, 1e-5),
         _Check("itp vs exact", pair, 1e-6)])
 
@@ -275,7 +266,6 @@ def criterion_3() -> CriterionResult:
     """Table VII, n = 0..5: basis expansion on 4001 points within 1e-8
     relative of the references, relaxation on the table's 2000 points
     within 1e-6 of the basis expansion, under a 5 min budget."""
-    t0 = time.perf_counter()
     rows = _solved(
         run_sweep(replace(TABLES["VII"].spec, grid_points=_FINE_INTERIOR))
         + run_sweep(replace(TABLES["VII"].spec, solvers=("itp",))))
@@ -286,7 +276,7 @@ def criterion_3() -> CriterionResult:
             energy = rows[d_m, n, "variational"].energy
             refs.append((where, energy, ref))
             pair.append((where, rows[d_m, n, "itp"].energy, energy))
-    return _budgeted(3, t0, 300.0, [
+    return _verdict(3, [
         _Check("basis-expansion energies vs references", refs, 1e-8,
                relative=True),
         _Check("relaxation vs basis expansion", pair, 1e-6)])
@@ -529,6 +519,8 @@ _CRITERIA = {
     5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
     9: criterion_9, 10: criterion_10,
 }
+# wall-clock budgets in s: a criterion that runs this long or longer fails
+_BUDGETS = {1: 10.0, 2: 120.0, 3: 300.0}
 
 
 def run_all(criteria=None) -> list[CriterionResult]:
@@ -539,12 +531,19 @@ def run_all(criteria=None) -> list[CriterionResult]:
     out = []
     for idx in picks:
         t0 = time.perf_counter()
+        limit = None
         try:
             res = _CRITERIA[idx]()
+            limit = _BUDGETS.get(idx)
         except _ErrorRow as exc:
             res = CriterionResult(idx, _NAMES[idx], False, str(exc))
         except Exception as exc:   # a crash is a failure, not an abort
             res = CriterionResult(idx, _NAMES[idx], False, "crashed: %s: %s"
                                   % (type(exc).__name__, exc))
-        out.append(replace(res, seconds=time.perf_counter() - t0))
+        seconds = time.perf_counter() - t0
+        if limit is not None:      # the criterion returned a verdict
+            res = replace(res, passed=res.passed and seconds < limit,
+                          summary="%s; runtime %.1f s (limit %g s)"
+                          % (res.summary, seconds, limit))
+        out.append(replace(res, seconds=seconds))
     return out

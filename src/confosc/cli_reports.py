@@ -30,15 +30,11 @@ class SchemaError(ValueError):
     """Rows do not carry what the requested table layout needs."""
 
 
-# CSV header -> ReportRow field, in column order; the one map from the names
-# that outputs print to the fields they read
-_CSV_COLUMNS = {
-    "value": "value", "n": "n", "solver": "solver", "energy": "energy",
-    "S_x": "s_x", "S_p": "s_p", "S": "s", "I_x": "i_x", "I_p": "i_p",
-    "I": "i", "E_x": "e_x", "E_p": "e_p", "E": "e",
-    "A_n": "a_n", "T_n": "t_n", "L_cl": "l_cl", "shannon_ok": "shannon_ok",
-    "fisher_ok": "fisher_ok", "onicescu_ok": "onicescu_ok", "error": "error",
-}
+# the CSV header, in column order; each name, lowercased, is the ReportRow
+# field it prints
+_CSV_HEADER = ("value", "n", "solver", "energy", "S_x", "S_p", "S", "I_x",
+               "I_p", "I", "E_x", "E_p", "E", "A_n", "T_n", "L_cl",
+               "shannon_ok", "fisher_ok", "onicescu_ok", "error")
 
 
 def _fmt_cell(value) -> str:
@@ -70,9 +66,9 @@ def _render(header: list[str], cells: list[list[str]], fmt: str) -> str:
 
 def _render_rows(rows: list[ReportRow], fmt: str) -> str:
     """Sweep rows with every CSV column, in the requested format."""
-    cells = [[_fmt_cell(getattr(r, attr)) for attr in _CSV_COLUMNS.values()]
+    cells = [[_fmt_cell(getattr(r, name.lower())) for name in _CSV_HEADER]
              for r in rows]
-    return _render(list(_CSV_COLUMNS), cells, fmt)
+    return _render(list(_CSV_HEADER), cells, fmt)
 
 
 def rows_to_csv(rows: list[ReportRow]) -> str:
@@ -88,18 +84,18 @@ def rows_from_csv(text: str) -> list[ReportRow]:
     if not lines:
         raise SchemaError("no header line")
     header = lines[0].split(",")
-    if header != list(_CSV_COLUMNS):
+    if header != list(_CSV_HEADER):
         raise SchemaError("unexpected header %r" % (header,))
     out = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != len(_CSV_COLUMNS):
+        if len(cells) != len(_CSV_HEADER):
             raise SchemaError("row with %d cells, expected %d"
-                              % (len(cells), len(_CSV_COLUMNS)))
+                              % (len(cells), len(_CSV_HEADER)))
         out.append(ReportRow(**{
             attr: cell == "true" if attr.endswith("_ok")
             else _CELL_TYPES.get(attr, float)(cell)
-            for attr, cell in zip(_CSV_COLUMNS.values(), cells)}))
+            for attr, cell in zip(map(str.lower, _CSV_HEADER), cells)}))
     return out
 
 
@@ -177,7 +173,7 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
     paired = len(spec.solvers) == 2
     col_names = ["%s_%s" % (name, s) if paired else name
                  for name in columns for s in solvers]
-    col_getters = [(_CSV_COLUMNS[name], s)
+    col_getters = [(name.lower(), s)
                    for name in columns for s in solvers]
     header = [value_label, "n"] + col_names
     cells = []
@@ -308,34 +304,23 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    default=None, help="output format")
 
 
-def _solver_flag(args) -> tuple[str, ...] | None:
-    """`--solver` as a tuple of route names, or None when it is not given."""
-    if args.solver is None:
-        return None
-    return tuple(s.strip() for s in args.solver.split(",") if s.strip())
-
-
-def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    updates = {name: getattr(args, name)
-               for name in ("grid_points", "pad_factor")
-               if getattr(args, name, None) is not None}
+def _flag_fields(args) -> dict:
+    """The SweepSpec fields that a command's flags set: `--grid-points`,
+    `--pad-factor`, `--solver` as a tuple of route names, and `--eta`/`--dm`,
+    which only the mode that reads the parameter takes."""
+    fields = {name: getattr(args, name, None)
+              for name in ("grid_points", "pad_factor")}
     if args.solver is not None:
-        updates["solvers"] = _solver_flag(args)
-    return replace(spec, **updates) if updates else spec
-
-
-def _fixed_parameter(args) -> dict:
-    """`--eta`/`--dm` as SweepSpec fields; the flag a mode does not read is
-    an error."""
-    kw = {}
-    for key in ("eta", "dm"):
-        val = getattr(args, key)
+        fields["solvers"] = tuple(s.strip() for s in args.solver.split(",")
+                                  if s.strip())
+    for key, name in (("eta", "eta"), ("dm", "d_m")):
+        val = getattr(args, key, None)
         if val is not None:
             if _FIXED.get(args.mode) != key:
                 raise ConfigError("--%s does not apply to mode '%s'"
                                   % (key, args.mode))
-            kw["d_m" if key == "dm" else key] = val
-    return kw
+            fields[name] = val
+    return {name: val for name, val in fields.items() if val is not None}
 
 
 def _write_out(text: str, path: str | None):
@@ -347,10 +332,9 @@ def _write_out(text: str, path: str | None):
 
 
 def _cmd_solve(args) -> int:
-    spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=args.n,
-                     n_hi=args.n, solvers=_solver_flag(args) or ("itp",),
-                     **_fixed_parameter(args))
-    spec = _apply_overrides(spec, args)
+    spec = SweepSpec(**{"mode": args.mode, "values": (args.value,),
+                        "n_lo": args.n, "n_hi": args.n, "solvers": ("itp",),
+                        **_flag_fields(args)})
     rows = run_sweep(spec, workers=1)
     _write_out(_render_rows(rows, args.format or "pretty"), args.out)
     return 1 if any(r.error for r in rows) else 0
@@ -362,7 +346,7 @@ def _cmd_sweep(args) -> int:
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    spec = _apply_overrides(parse_config(text), args)
+    spec = replace(parse_config(text), **_flag_fields(args))
     rows = run_sweep(spec, workers=args.workers)
     _write_out(_render_rows(rows, args.format or "csv"), args.out)
     if len(spec.solvers) == 2:
@@ -379,7 +363,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table(args) -> int:
     tid = normalize_table_id(args.table_id)
-    spec = _apply_overrides(TABLES[tid].spec, args)
+    spec = replace(TABLES[tid].spec, **_flag_fields(args))
     rows = run_sweep(spec, workers=args.workers)
     text, csv_text = emit_table(rows, tid)
     # no cell holds a comma, so swapping the separator gives the tsv
@@ -390,14 +374,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    solvers = _solver_flag(args) or (
+    fields = _flag_fields(args)
+    solvers = fields.get("solvers") or (
         ("exact",) if args.mode.startswith("scho") else ("variational",))
     if len(solvers) != 1:
         raise ConfigError("phase reads one solver, got '%s'" % args.solver)
-    spec = SweepSpec(mode=args.mode, values=(args.value,), n_lo=0,
-                     n_hi=args.n_max, solvers=solvers,
-                     **_fixed_parameter(args))
-    spec = _apply_overrides(spec, args)
+    # the flags last, so that an empty --solver meets the spec's own check
+    spec = SweepSpec(**{"mode": args.mode, "values": (args.value,),
+                        "n_lo": 0, "n_hi": args.n_max, "solvers": solvers,
+                        **fields})
     try:
         pot, states = solve_point(spec, args.value, spec.solvers[0])
     except Exception as exc:        # a route failure, as in a sweep's rows

@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import DomainError, Eigenpair, Grid, brent_root, simpson
+from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
+                    brent_root, simpson)
 
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
@@ -186,10 +187,7 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     the half grid starts at the centre sample, taken as exactly 0 (rounding
     can leave `x_min + j h` an ulp or so off it), so odd states vanish there.
     """
-    if not (math.isclose(grid.x_min, -x_c, abs_tol=1e-12)
-            and math.isclose(grid.x_max, x_c, abs_tol=1e-12)):
-        raise DomainError("grid [%g, %g] must span [-%g, %g]"
-                          % (grid.x_min, grid.x_max, x_c, x_c))
+    ConfinedPotential(b1=-x_c, b2=x_c).require_span(grid)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     eps = [scho_eigenvalue(n, x_c) for n in range(n_max + 1)]

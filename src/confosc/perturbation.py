@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import DomainError, Eigenpair, Grid, simpson
+from .model import ConfinedPotential, DomainError, Eigenpair, Grid, simpson
 
 
 def pib_energy_unit_box(q: int) -> float:
@@ -72,9 +72,7 @@ def pt_wavefunction(n: int, eta: float, grid: Grid) -> Eigenpair:
     partners, (q+2, q+4) for q <= 2 and (q-2, q+2) above."""
     if n < 0:
         raise DomainError("state index must be >= 0")
-    if not (math.isclose(grid.x_min, -1.0, rel_tol=0, abs_tol=1e-12)
-            and math.isclose(grid.x_max, 1.0, rel_tol=0, abs_tol=1e-12)):
-        raise DomainError("first-order states live on the unit box [-1, 1]")
+    ConfinedPotential().require_span(grid)      # the unit box [-1, 1]
 
     q = n + 1
     x = grid.points

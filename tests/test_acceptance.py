@@ -112,6 +112,18 @@ def test_an_error_row_fails_its_criterion_and_names_the_row(monkeypatch,
                            "RootSearchError: no bracket")
 
 
+def test_a_criterion_over_its_budget_fails_and_names_its_runtime(
+        monkeypatch):
+    # the gate's one timer both reports the criterion's seconds and
+    # judges them against the budget
+    monkeypatch.setitem(acceptance._BUDGETS, 1, 0.0)
+    (res,) = acceptance.run_all([1])
+    assert not res.passed
+    assert res.summary.startswith("exact energies vs references: 0/")
+    assert res.summary.endswith("; runtime %.1f s (limit 0 s)"
+                                % res.seconds)
+
+
 @pytest.mark.parametrize("defect", [1e-6, math.nan])
 def test_a_norm_defect_fails_criterion_6_and_names_the_row(monkeypatch,
                                                            defect):

@@ -584,6 +584,32 @@ def test_cli_rejects_a_fixed_parameter_the_mode_does_not_read(argv, flag,
     assert "%s does not apply to mode" % flag in captured.err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--n", "1000"],
+                                  ["phase", "--n-max", "1000"]])
+def test_cli_builds_one_spec_that_carries_every_flag(monkeypatch, argv):
+    # a basis of 1000 states needs more than the default 2000 interior
+    # points, so a spec built before --grid-points applies would refuse
+    built, solved = [], []
+
+    class CountedSpec(SweepSpec):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr("confosc.cli_reports.SweepSpec", CountedSpec)
+    monkeypatch.setattr("confosc.cli_reports.run_sweep",
+                        lambda spec, workers=1: solved.append(spec) or [])
+    monkeypatch.setattr("confosc.cli_reports.solve_point",
+                        lambda spec, value, solver:
+                        solved.append(spec) or (None, []))
+    assert main([*argv, "--mode", "acho-dm", "--value", "1", "--solver",
+                 "variational", "--grid-points", "3001", "--format",
+                 "csv"]) == 0
+    assert len(built) == 1
+    assert solved == built
+    assert built[0].grid_points == 3001
+
+
 def test_cli_passes_the_fixed_parameter_the_mode_reads(tmp_path):
     out = tmp_path / "phase.csv"
     assert main(["phase", "--mode", "acho-eta", "--value", "4", "--dm", "0",

@@ -326,7 +326,7 @@ def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
         assert np.max(np.abs(psi - ref)) <= 1e-12 * scale, (n, x_c)
     with pytest.raises(DomainError, match="n_max"):
         scho_states(-1, x_c, grid)
-    with pytest.raises(DomainError, match="must span"):
+    with pytest.raises(DomainError, match="does not span"):
         scho_states(0, 1.01 * x_c, grid)
 
 

@@ -381,3 +381,32 @@ def test_a_fresh_run_loads_no_forbidden_scipy_subpackage():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     assert run.stdout.split() == []
+
+
+# what a library caller that never relaxes and never sweeps need not load
+UNNEEDED_BY_THE_LIBRARY = ("scipy.linalg", "confosc.itp_solver",
+                           "confosc.sweep", "confosc.cli_reports")
+
+
+def test_a_library_run_loads_only_the_modules_it_imports():
+    # the package root re-exports nothing, so importing one module does not
+    # pull in the relaxation route, the sweep engine or the CLI
+    script = (
+        "import sys\n"
+        "from confosc import (model, exact_scho, variational, perturbation,\n"
+        "                     spectral, infomeasures, semiclassical)\n"
+        "grid = model.box_grid(-1.0, 1.0, 301)\n"
+        "pot = model.scho_unit_box(0.1)\n"
+        "for state in (exact_scho.scho_states(1, 2.0,\n"
+        "                                     model.box_grid(-2.0, 2.0, 301))[1],\n"
+        "              perturbation.pt_wavefunction(1, 0.1, grid)):\n"
+        "    infomeasures.full_report(state, spectral.to_momentum(state))\n"
+        "semiclassical.phase_area(pot, 1.0)\n"
+        "print(' '.join(m for m in %r if m in sys.modules))\n"
+        % (UNNEEDED_BY_THE_LIBRARY,))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert run.stdout.split() == []

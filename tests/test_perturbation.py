@@ -153,6 +153,15 @@ def test_mixed_state_guards():
         pt_wavefunction(-1, 0.1, odd_grid())
 
 
+@pytest.mark.parametrize("b1,b2", [(-1.0, 1.001), (-0.999, 1.0),
+                                   (0.0, 1.0), (-1.0, 1.0 + 1e-6)])
+def test_mixed_state_refuses_a_grid_off_the_unit_box(b1, b2):
+    # the one wall-span rule of the potential, with its message
+    with pytest.raises(DomainError,
+                       match=r"does not span the box \[-1, 1\]"):
+        pt_wavefunction(0, 0.1, box_grid(b1, b2, 301))
+
+
 def test_weak_well_state_matches_relaxation():
     grid = odd_grid()
     ref = solve_spectrum(scho_unit_box(0.001), grid, 0)[0]
