@@ -139,7 +139,7 @@ REF_FORBIDDEN_FRACTION_GROUND = 0.15730   # 1 - erf(1), wide-box ground state
 
 XC_GRID = tuple(0.25 * i for i in range(1, 25))       # 0.25 .. 6.0
 DM_GRID = tuple(0.5 * i for i in range(0, 21))        # 0.0 .. 10.0
-ETA_GRID = (0.001, 0.01, 0.1, 25.0, 50.0, 100.0)
+ETA_GRID = TABLES["II"].spec.values                   # tables II-IV
 
 _FINE_INTERIOR = 4001   # interior points of the bound-suite sweeps
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 from . import semiclassical
@@ -75,37 +75,51 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     return _render_rows(rows, "csv")
 
 
-# ReportRow fields that are not floats or "_ok" flags, by type
-_CELL_TYPES = {"n": int, "solver": str, "error": str}
+def _read_flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError("a flag is true or false")
+    return cell == "true"
+
+
+# ReportRow field -> the reader of its cell, by the field's declared type
+_CELL_READERS = {f.name: {"float": float, "int": int, "str": str,
+                          "bool": _read_flag}[f.type]
+                 for f in fields(ReportRow)}
 
 
 def rows_from_csv(text: str) -> list[ReportRow]:
-    lines = [ln for ln in text.split("\n") if ln]
+    """The rows of `rows_to_csv` text; a cell that does not read as its
+    field's type is a SchemaError naming its line and column."""
+    lines = [(k, ln) for k, ln in enumerate(text.split("\n"), 1) if ln]
     if not lines:
         raise SchemaError("no header line")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header != list(_CSV_HEADER):
         raise SchemaError("unexpected header %r" % (header,))
     out = []
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(_CSV_HEADER):
             raise SchemaError("row with %d cells, expected %d"
                               % (len(cells), len(_CSV_HEADER)))
-        out.append(ReportRow(**{
-            attr: cell == "true" if attr.endswith("_ok")
-            else _CELL_TYPES.get(attr, float)(cell)
-            for attr, cell in zip(map(str.lower, _CSV_HEADER), cells)}))
+        row = {}
+        for name, cell in zip(_CSV_HEADER, cells):
+            try:
+                row[name.lower()] = _CELL_READERS[name.lower()](cell)
+            except ValueError:
+                raise SchemaError("line %d, column %s: cannot read %r"
+                                  % (line_no, name, cell)) from None
+        out.append(ReportRow(**row))
     return out
 
 
 class ReportTable(NamedTuple):
     """One report table: the sweep that `confosc table` and the acceptance
-    gate run, the label of its value column, and its measure columns by CSV
-    header. A sweep that pairs two routes prints each column once per route,
-    suffixed with the route name."""
+    gate run, and its measure columns by CSV header. The value column is
+    named by the swept parameter, the part of the mode after the hyphen. A
+    sweep that pairs two routes prints each column once per route, suffixed
+    with the route name."""
     spec: SweepSpec
-    value_label: str
     columns: tuple[str, ...]
 
 
@@ -114,33 +128,33 @@ _ETA_GRID = (0.001, 0.01, 0.1, 25.0, 50.0, 100.0)
 TABLES = {
     "I": ReportTable(
         SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_hi=4,
-                  solvers=("pt", "exact")), "eta", ("energy",)),
+                  solvers=("pt", "exact")), ("energy",)),
     "II": ReportTable(
         SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
-                  solvers=("exact",)), "eta", ("S_x", "S_p")),
+                  solvers=("exact",)), ("S_x", "S_p")),
     "III": ReportTable(
         SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
-                  solvers=("exact",)), "eta", ("I_x", "I_p")),
+                  solvers=("exact",)), ("I_x", "I_p")),
     "IV": ReportTable(
         SweepSpec(mode="scho-eta", values=_ETA_GRID, n_hi=2,
-                  solvers=("exact",)), "eta", ("E_x", "E_p")),
+                  solvers=("exact",)), ("E_x", "E_p")),
     "V": ReportTable(
         SweepSpec(mode="scho-eta", values=(0.001, 0.01, 0.1), n_hi=2,
-                  solvers=("pt", "exact")), "eta", ("S_x", "I_x", "E_x")),
+                  solvers=("pt", "exact")), ("S_x", "I_x", "E_x")),
     "VI": ReportTable(
         SweepSpec(mode="scho-xc", values=(0.25, 2.0, 5.0), n_hi=4,
-                  solvers=("exact",)), "xc", ("S_x", "E_x")),
+                  solvers=("exact",)), ("S_x", "E_x")),
     "VII": ReportTable(
         SweepSpec(mode="acho-dm", values=(0.36, 1.92, 5.0, 10.0), n_hi=5,
-                  solvers=("variational",)), "dm", ("energy",)),
+                  solvers=("variational",)), ("energy",)),
     "VIII": ReportTable(
         SweepSpec(mode="acho-dm", values=(0.12, 2.04, 5.0, 8.0, 10.0),
                   n_hi=2, solvers=("variational",)),
-        "dm", ("S_x", "S_p", "S")),
+        ("S_x", "S_p", "S")),
     "IX": ReportTable(
         SweepSpec(mode="acho-eta", values=(5.0, 10.0, 20.0), d_m=1.0,
                   solvers=("variational",)),
-        "eta", ("I_x", "I_p", "S_x", "S_p", "E_x", "E_p")),
+        ("I_x", "I_p", "S_x", "S_p", "E_x", "E_p")),
 }
 
 
@@ -157,7 +171,7 @@ def normalize_table_id(table_id: str) -> str:
 def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
     """(aligned text, CSV text) for one of the report layouts I..IX."""
     tid = normalize_table_id(table_id)
-    spec, value_label, columns = TABLES[tid]
+    spec, columns = TABLES[tid]
     solvers = list(dict.fromkeys(r.solver for r in rows))
     by_key = {(r.value, r.n, r.solver): r for r in rows if not r.error}
     values = sorted({r.value for r in rows})
@@ -175,7 +189,7 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
                  for name in columns for s in solvers]
     col_getters = [(name.lower(), s)
                    for name in columns for s in solvers]
-    header = [value_label, "n"] + col_names
+    header = [spec.mode.partition("-")[2], "n"] + col_names
     cells = []
     for v in values:
         for n in ns:
@@ -196,9 +210,6 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
 
 _CONFIG_KEYS = ("mode", "values", "states", "solver", "eta", "dm",
                 "grid_points", "pad_factor", "cross_tol")
-# mode -> the fixed parameter its problem reads, by config key and CLI flag;
-# a mode rejects the other one, and the centred-well modes read neither
-_FIXED = {"acho-dm": "eta", "acho-eta": "dm"}
 _MAX_RANGE_VALUES = 10 ** 6      # far beyond any sweep that could finish
 
 
@@ -257,13 +268,8 @@ def parse_config(text: str) -> SweepSpec:
 
     if "mode" not in seen:
         raise ConfigError("missing mode")
-    mode = seen["mode"][0]
-    for key in ("eta", "dm"):
-        if key in seen and mode in MODES and _FIXED.get(mode) != key:
-            raise ConfigError("line %d: mode '%s' does not read '%s'"
-                              % (seen[key][1], mode, key))
 
-    kw: dict = {"mode": mode, "values": ()}
+    kw: dict = {"mode": seen["mode"][0], "values": ()}
     try:
         if "values" in seen:
             kw["values"] = _parse_values(*seen["values"])
@@ -275,9 +281,7 @@ def parse_config(text: str) -> SweepSpec:
             else:
                 kw["n_lo"] = kw["n_hi"] = int(tok)
         if "solver" in seen:
-            kw["solvers"] = tuple(s.strip()
-                                  for s in seen["solver"][0].split(",")
-                                  if s.strip())
+            kw["solvers"] = _solver_list(seen["solver"][0])
         for key, conv in (("eta", float), ("dm", float), ("cross_tol", float),
                           ("grid_points", int), ("pad_factor", int)):
             if key in seen:
@@ -304,23 +308,22 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    default=None, help="output format")
 
 
+def _solver_list(text: str) -> tuple[str, ...]:
+    """A comma list of route names, as the config and `--solver` give it."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _flag_fields(args) -> dict:
     """The SweepSpec fields that a command's flags set: `--grid-points`,
-    `--pad-factor`, `--solver` as a tuple of route names, and `--eta`/`--dm`,
-    which only the mode that reads the parameter takes."""
-    fields = {name: getattr(args, name, None)
-              for name in ("grid_points", "pad_factor")}
+    `--pad-factor`, `--eta`, `--dm` and `--solver` as a tuple of route
+    names. The spec refuses a parameter its mode does not read."""
+    given = {name: getattr(args, flag, None)
+             for flag, name in (("grid_points", "grid_points"),
+                                ("pad_factor", "pad_factor"),
+                                ("eta", "eta"), ("dm", "d_m"))}
     if args.solver is not None:
-        fields["solvers"] = tuple(s.strip() for s in args.solver.split(",")
-                                  if s.strip())
-    for key, name in (("eta", "eta"), ("dm", "d_m")):
-        val = getattr(args, key, None)
-        if val is not None:
-            if _FIXED.get(args.mode) != key:
-                raise ConfigError("--%s does not apply to mode '%s'"
-                                  % (key, args.mode))
-            fields[name] = val
-    return {name: val for name, val in fields.items() if val is not None}
+        given["solvers"] = _solver_list(args.solver)
+    return {name: val for name, val in given.items() if val is not None}
 
 
 def _write_out(text: str, path: str | None):
@@ -374,15 +377,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    fields = _flag_fields(args)
-    solvers = fields.get("solvers") or (
+    flags = _flag_fields(args)
+    solvers = flags.get("solvers") or (
         ("exact",) if args.mode.startswith("scho") else ("variational",))
     if len(solvers) != 1:
         raise ConfigError("phase reads one solver, got '%s'" % args.solver)
     # the flags last, so that an empty --solver meets the spec's own check
     spec = SweepSpec(**{"mode": args.mode, "values": (args.value,),
                         "n_lo": 0, "n_hi": args.n_max, "solvers": solvers,
-                        **fields})
+                        **flags})
     try:
         pot, states = solve_point(spec, args.value, spec.solvers[0])
     except Exception as exc:        # a route failure, as in a sweep's rows

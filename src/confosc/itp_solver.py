@@ -88,7 +88,10 @@ def _initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     zeroed at the walls and normalized so that h * sum(psi^2) = 1."""
     y = grid.points - pot.d_m
     coeffs = [0.0] * m + [1.0]
-    vals = hermval(y, coeffs) * np.exp(-y * y)
+    # the Gaussian is scaled to 1 at the mesh point nearest the minimum, so
+    # that it cannot underflow on a box far from the minimum
+    y2 = y * y
+    vals = hermval(y, coeffs) * np.exp(y2.min() - y2)
     vals[0] = vals[-1] = 0.0
     vals /= math.sqrt(grid.h * float(vals @ vals))
     return vals

@@ -1,9 +1,10 @@
-"""Shared problem definitions: grids, hard-wall confined potentials, the two
+"""Shared problem definitions: grids and the power-of-two length their
+momentum transform starts from, hard-wall confined potentials, the two
 reduced problem builders, the discrete Hamiltonian, Simpson rule and sign
-convention every route uses, and the bracketing root refiner (Brent's method)
-of the exact route. The refiner is SciPy's `brentq` step for step, kept
-here so that no run imports `scipy.optimize`, whose import loads several
-unused subpackages and costs about a quarter of start-up.
+convention every route uses, and the bracketing root refiner (Brent's
+method) of the exact route. The refiner is SciPy's `brentq` step for step,
+kept here so that no run imports `scipy.optimize`, whose import loads
+several unused subpackages and costs about a quarter of start-up.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -67,9 +68,18 @@ class Grid:
         return self.n_points - 2
 
 
-def box_grid(b1: float, b2: float, n_interior: int = 2000) -> Grid:
+def box_grid(b1: float, b2: float, n_interior: int) -> Grid:
     """Grid spanning [b1, b2] with `n_interior` points strictly inside."""
     return Grid(n_interior + 2, b1, b2)
+
+
+def next_pow2(n: int) -> int:
+    """The smallest power of two >= n, the unpadded length of the momentum
+    transform of an n-point grid state (`spectral.to_momentum`)."""
+    m = 1
+    while m < n:
+        m *= 2
+    return m
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DomainError, Eigenpair, simpson
+from .model import DomainError, Eigenpair, next_pow2, simpson
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,6 @@ class MomentumDensity:
 
     def __post_init__(self):
         self.density.setflags(write=False)
-
-
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
 
 
 def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
@@ -53,7 +46,7 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
         raise DomainError("pad_factor must be >= 1")
     psi = state.values
     h = state.grid.h
-    m = pad_factor * _next_pow2(len(psi))
+    m = pad_factor * next_pow2(len(psi))
     phi = (h / math.sqrt(2.0 * math.pi)) * np.fft.rfft(psi, n=m)
     return MomentumDensity(density=np.abs(phi) ** 2,
                            dp=2.0 * math.pi / (m * h))

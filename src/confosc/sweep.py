@@ -34,10 +34,13 @@ from dataclasses import dataclass
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import solve_spectrum
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    acho_unit_box, box_grid, scho_unit_box)
+                    acho_unit_box, box_grid, next_pow2, scho_unit_box)
 from .perturbation import pt_wavefunction
 
 
+# the longest momentum transform a spec may ask for: 2^24 points, whose
+# real-input FFT alone holds 128 MiB; the benchmark's largest is 2^16
+_MAX_COMB = 2 ** 24
 _CROSS_DEFAULTS = {
     frozenset(("itp", "exact")): 1e-6,
     frozenset(("itp", "variational")): 1e-8,
@@ -51,18 +54,29 @@ class SweepSpec:
     n_lo: int = 0
     n_hi: int = 0
     solvers: tuple[str, ...] = ("itp",)
-    eta: float = 1.0          # well strength for the offset-sweep mode
-    d_m: float = 1.0          # offset for the acho-eta mode
+    # the fixed parameter of an offset-well mode (see _FIXED): only the mode
+    # that reads it may set it, and there it is filled in as 1
+    eta: float | None = None  # well strength, acho-dm only
+    d_m: float | None = None  # well offset, acho-eta only
     grid_points: int = 2000   # interior points
-    pad_factor: int = 16
+    pad_factor: int = 16      # transform length: pad x next_pow2(full grid)
     cross_tol: float | None = None
 
     def __post_init__(self):
         if self.mode not in _PROBLEMS:
             raise DomainError("unknown mode '%s'" % self.mode)
+        reads = _FIXED.get(self.mode)
+        for name in _FIXED.values():
+            if name == reads and getattr(self, name) is None:
+                object.__setattr__(self, name, 1.0)
+            elif name != reads and getattr(self, name) is not None:
+                # named by its config key and flag, as below
+                raise DomainError("mode '%s' does not read %s"
+                                  % (self.mode, name.replace("_", "")))
         if not self.values:
             raise DomainError("empty value list")
-        if not all(map(math.isfinite, (*self.values, self.eta, self.d_m,
+        if not all(map(math.isfinite, (*self.values, self.eta or 0.0,
+                                       self.d_m or 0.0,
                                        self.cross_tol or 0.0))):
             raise DomainError("values, eta, dm and cross_tol must be finite")
         if len(set(self.values)) != len(self.values):
@@ -92,13 +106,20 @@ class SweepSpec:
             raise DomainError("grid_points too small")
         if "variational" in self.solvers:
             size = variational.basis_size(self.n_hi)
-            points = _odd_interior(self.grid_points)
+            points = _interior_points(self, "variational")
             if points < size:
                 raise DomainError("the variational basis of %d functions "
                                   "needs at least as many interior grid "
                                   "points, got %d" % (size, points))
         if self.pad_factor < 1:
             raise DomainError("pad_factor must be >= 1")
+        comb = max(self.pad_factor * next_pow2(_interior_points(self, s) + 2)
+                   for s in self.solvers)
+        if comb > _MAX_COMB:
+            raise DomainError("pad_factor %d on %d interior points needs a "
+                              "%d-point momentum transform, above %d"
+                              % (self.pad_factor, self.grid_points, comb,
+                                 _MAX_COMB))
         if self.cross_tol is not None and self.cross_tol <= 0:
             raise DomainError("cross_tol must be positive")
         if self.cross_tol is not None and len(self.solvers) != 2:
@@ -139,6 +160,12 @@ def _odd_interior(n_interior: int) -> int:
     return n_interior if n_interior % 2 else n_interior + 1
 
 
+def _interior_points(spec: SweepSpec, solver: str) -> int:
+    """The interior point count that `solver` solves `spec` on."""
+    odd = _ROUTES[solver][1]
+    return _odd_interior(spec.grid_points) if odd else spec.grid_points
+
+
 def _native_half_length(pot: ConfinedPotential) -> float:
     """The centred well of strength k on [-b, b] (unit mass) is the
     natural-unit well (k = 1) on [-x_c, x_c], x_c = b k^(1/4)."""
@@ -173,6 +200,9 @@ _PROBLEMS = {
     "acho-eta": lambda spec, value: acho_unit_box(value, spec.d_m),
 }
 MODES = tuple(_PROBLEMS)
+# mode -> the fixed SweepSpec parameter its problem reads; the centred-well
+# modes read neither
+_FIXED = {"acho-dm": "eta", "acho-eta": "d_m"}
 # solver -> (route (pot, grid, n_max) -> states 0..n_max, whether it solves
 # on the `_odd_interior` grid, modes it serves): the closed-form routes need
 # a centred well, and the flat-box mixing route is tied to the unit-box
@@ -191,9 +221,8 @@ _ROUTES = {
 def solve_point(spec: SweepSpec, value: float, solver: str):
     """-> (potential in report units, states 0..n_hi)."""
     pot = _PROBLEMS[spec.mode](spec, value)
-    route, odd, _modes = _ROUTES[solver]
-    points = _odd_interior(spec.grid_points) if odd else spec.grid_points
-    return pot, route(pot, box_grid(pot.b1, pot.b2, points), spec.n_hi)
+    grid = box_grid(pot.b1, pot.b2, _interior_points(spec, solver))
+    return pot, _ROUTES[solver][0](pot, grid, spec.n_hi)
 
 
 def _measured_row(spec: SweepSpec, value: float, solver: str,

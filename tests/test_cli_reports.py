@@ -65,14 +65,10 @@ def test_parse_config_range_expansion():
     ("mode = scho-xc\nvalues =", "line 2: empty value for 'values'"),
     ("mode = scho-xc\nvalues = abc", "could not convert"),
     ("mode = scho-xc\nvalues = 1\ngrid_points = ten", "invalid literal"),
-    ("mode = scho-xc\nvalues = 1\neta = 2",
-     "line 3: mode 'scho-xc' does not read 'eta'"),
-    ("mode = scho-eta\ndm = 2\nvalues = 1",
-     "line 2: mode 'scho-eta' does not read 'dm'"),
-    ("mode = acho-dm\nvalues = 1\ndm = 2",
-     "line 3: mode 'acho-dm' does not read 'dm'"),
-    ("mode = acho-eta\nvalues = 1\neta = 2",
-     "line 3: mode 'acho-eta' does not read 'eta'"),
+    ("mode = scho-xc\nvalues = 1\neta = 2", "mode 'scho-xc' does not read eta"),
+    ("mode = scho-eta\ndm = 2\nvalues = 1", "mode 'scho-eta' does not read dm"),
+    ("mode = acho-dm\nvalues = 1\ndm = 2", "mode 'acho-dm' does not read dm"),
+    ("mode = acho-eta\nvalues = 1\neta = 2", "mode 'acho-eta' does not read eta"),
     ("mode = scho-xc\nvalues = 1\ndtau = 1e-4", "line 3: unknown key 'dtau'"),
     ("mode = scho-xc\nvalues = 1\ntol = 1e-11", "line 3: unknown key 'tol'"),
     ("mode = scho-xc\nvalues = 1:inf:1", "line 2: range bounds and step must be finite"),
@@ -208,6 +204,20 @@ def test_rows_from_csv_schema_errors():
         rows_from_csv("")
 
 
+@pytest.mark.parametrize("column,cell", [
+    ("shannon_ok", "TRUE"), ("onicescu_ok", "1"), ("n", "0.5"),
+    ("energy", "abc")])
+def test_rows_from_csv_names_a_cell_that_does_not_read(column, cell):
+    lines = rows_to_csv([ReportRow(value=1.0, n=0, solver="itp"),
+                         ReportRow(value=2.0, n=1, solver="itp")]).split("\n")
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(SchemaError, match="line 3, column %s: cannot read '%s'"
+                                          % (column, cell)):
+        rows_from_csv("\n".join(lines))
+
+
 def test_error_text_cannot_break_the_csv():
     row = ReportRow(value=1.0, n=0, solver="itp",
                     error="BasisError: a, b\nand c")
@@ -235,6 +245,13 @@ def test_plain_table_layout():
     assert len(lines) == 1 + 6
     assert lines[1].startswith("5,0,")
     assert pretty.splitlines()[1].startswith("--")
+
+
+def test_the_value_column_is_named_by_the_swept_parameter():
+    rows = [_row("exact", v, 0) for v in (0.25, 2.0)]
+    assert emit_table(rows, "VI")[1].startswith("xc,n,S_x,E_x\n")
+    rows = [_row("variational", v, 0) for v in (5.0, 10.0)]
+    assert emit_table(rows, "IX")[1].startswith("eta,n,I_x,I_p,")
 
 
 def test_paired_table_layout_and_missing_cells():
@@ -444,6 +461,21 @@ def test_cli_phase_rejects_a_solver_pair(capsys):
     assert "phase reads one solver, got 'exact,itp'" in captured.err
 
 
+def test_cli_phase_reports_a_solver_pair_before_an_unread_parameter(capsys):
+    assert main(["phase", "--value", "2", "--solver", "exact,itp",
+                 "--dm", "0.5"]) == 2
+    assert "phase reads one solver" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_oversized_momentum_comb(capsys):
+    # refused when the spec is built, before any array exists
+    assert main(["solve", "--mode", "acho-dm", "--value", "1",
+                 "--pad-factor", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "momentum transform" in captured.err
+
+
 def test_cli_solve_failure_exit_code(tmp_path, exact_fails_at_three):
     out = tmp_path / "row.csv"
     rc = main(["solve", "--mode", "scho-xc", "--value", "3", "--n", "0",
@@ -581,7 +613,9 @@ def test_cli_rejects_a_fixed_parameter_the_mode_does_not_read(argv, flag,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "%s does not apply to mode" % flag in captured.err
+    # the spec's own refusal, named by the flag's parameter
+    assert captured.err.startswith("error: mode '")
+    assert captured.err.endswith("does not read %s\n" % flag[2:])
 
 
 @pytest.mark.parametrize("argv", [["solve", "--n", "1000"],

@@ -13,6 +13,7 @@ from confosc.itp_solver import (LadderError, PentaSystem, _initial_guess,
 from confosc.model import (ConfinedPotential, acho_unit_box, apply_bands,
                            box_grid, canonical_sign, hamiltonian_bands,
                            scho_unit_box)
+from confosc.variational import solve_acho
 
 EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho)
 ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
@@ -130,6 +131,17 @@ def test_solve_state_offset_well_reference():
     grid = box_grid(-1.0, 1.0, 2000)
     st = solve_spectrum(pot, grid, 0)[0]
     assert abs(st.energy - 26.065225076) < 1e-6
+
+
+def test_far_offset_ladder_agrees_with_the_basis_route():
+    # the box lies about 27 Gaussian widths from the minimum, where the trial
+    # envelope exp(-y^2) would underflow to 0 on every mesh point
+    pot = acho_unit_box(1.0, 28.0)
+    grid = box_grid(-1.0, 1.0, 2000)
+    relaxed = solve_spectrum(pot, grid, 3)
+    expanded = solve_acho(pot, grid, 3)
+    for a, b in zip(relaxed, expanded):
+        assert abs(a.energy - b.energy) <= 1e-8
 
 
 def test_solve_spectrum_pure_box_level():

@@ -5,6 +5,7 @@ on what the CLI prints, in test_cli_reports."""
 
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +64,41 @@ from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
         SweepSpec(**kw)
+
+
+@pytest.mark.parametrize("mode,name", [
+    ("scho-eta", "eta"), ("scho-xc", "eta"), ("acho-eta", "eta"),
+    ("scho-eta", "d_m"), ("scho-xc", "d_m"), ("acho-dm", "d_m")])
+def test_spec_refuses_a_fixed_parameter_its_mode_does_not_read(mode, name):
+    # even the value the reading mode fills in: a set parameter that the
+    # problem never reads would be silently ignored
+    with pytest.raises(DomainError,
+                       match="mode '%s' does not read %s"
+                             % (mode, name.replace("_", ""))):
+        SweepSpec(mode=mode, values=(1.0,), **{name: 1.0})
+
+
+def test_spec_fills_in_the_fixed_parameter_its_mode_reads():
+    specs = {mode: SweepSpec(mode=mode, values=(2.0,)) for mode in sweep.MODES}
+    assert {mode: (spec.eta, spec.d_m) for mode, spec in specs.items()} == {
+        "scho-eta": (None, None), "scho-xc": (None, None),
+        "acho-dm": (1.0, None), "acho-eta": (None, 1.0)}
+    assert replace(specs["acho-dm"], eta=3.0).eta == 3.0
+    assert replace(specs["acho-eta"], values=(4.0,)).d_m == 1.0
+
+
+def test_spec_bounds_the_momentum_transform():
+    # a spec allocates nothing, so the bound is tried at its edge. 2046
+    # interior points make 2048 grid points, so pad 2^13 asks for 2^24; the
+    # basis route solves on one point more and would need twice that
+    at_bound = dict(mode="acho-dm", values=(1.0,), grid_points=2046)
+    SweepSpec(**at_bound, pad_factor=2 ** 13)
+    for kw in (dict(pad_factor=2 ** 13 + 1),
+               dict(pad_factor=2 ** 13, solvers=("variational",)),
+               dict(pad_factor=10 ** 8),
+               dict(pad_factor=1, grid_points=2 ** 30)):
+        with pytest.raises(DomainError, match="momentum transform"):
+            SweepSpec(**{**at_bound, **kw})
 
 
 # ------------------------------------------------------------ routes
