@@ -365,9 +365,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    """One report table: its sweep measures only the columns it prints."""
     tid = normalize_table_id(args.table_id)
     spec = replace(TABLES[tid].spec, **_flag_fields(args))
-    rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec, workers=args.workers,
+                     fields={name.lower() for name in TABLES[tid].columns})
     text, csv_text = emit_table(rows, tid)
     # no cell holds a comma, so swapping the separator gives the tsv
     out = {"pretty": text, "csv": csv_text,

@@ -10,7 +10,10 @@ on the position mesh, or `MomentumDensity.density` on its half comb p >= 0
 of spacing `dp`, where it gives the half-line integral. Every integral is
 `model.simpson` over the uniform samples, whatever their count.
 `full_report` returns one `InfoReport` per state: the nine measures, the
-three bound flags and the Parseval defect of the momentum density. The
+three bound flags and the Parseval defect of the momentum density, or only
+the fields asked for. This module holds the rule of which functional each
+field reads and which fields read the momentum density (`MOMENTUM_FIELDS`),
+so a caller that asks for none of those need not transform the state. The
 momentum density is even, so it takes S_p, I_p and E_p as twice their
 half-line integrals, with rho'(0) = 0 in the Fisher quotient.
 """
@@ -18,6 +21,7 @@ half-line integrals, with rho'(0) = 0 in the Fisher quotient.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,38 +89,73 @@ def _onicescu(rho: np.ndarray, h: float) -> float:
 
 @dataclass(frozen=True)
 class InfoReport:
-    s_x: float
-    s_p: float
-    s: float
-    i_x: float
-    i_p: float
-    i: float
-    e_x: float
-    e_p: float
-    e: float
-    shannon_ok: bool
-    fisher_ok: bool
-    onicescu_ok: bool
-    norm_defect: float
+    """A field that was not asked for is NaN, a flag False."""
+    s_x: float = math.nan
+    s_p: float = math.nan
+    s: float = math.nan
+    i_x: float = math.nan
+    i_p: float = math.nan
+    i: float = math.nan
+    e_x: float = math.nan
+    e_p: float = math.nan
+    e: float = math.nan
+    shannon_ok: bool = False
+    fisher_ok: bool = False
+    onicescu_ok: bool = False
+    norm_defect: float = math.nan
 
 
-def full_report(state: Eigenpair, md: MomentumDensity) -> InfoReport:
-    """All nine measures of a state and its momentum density, flags
-    recording whether each composite respects its bound (with 1e-9 slack
-    absorbing quadrature error), and the momentum density's norm defect.
-    Each momentum measure is twice its integral over the half comb p >= 0."""
+# InfoReport field -> the integrals it is made of: a functional (s, i, e) of
+# the position (_x) or momentum (_p) density, or the momentum density's own
+# integral (norm_p)
+_READS = {
+    "s_x": ("s_x",), "s_p": ("s_p",), "s": ("s_x", "s_p"),
+    "i_x": ("i_x",), "i_p": ("i_p",), "i": ("i_x", "i_p"),
+    "e_x": ("e_x",), "e_p": ("e_p",), "e": ("e_x", "e_p"),
+    "shannon_ok": ("s_x", "s_p"), "fisher_ok": ("i_x", "i_p"),
+    "onicescu_ok": ("e_x", "e_p"), "norm_defect": ("norm_p",),
+}
+REPORT_FIELDS = tuple(_READS)
+# the fields that read the momentum density
+MOMENTUM_FIELDS = frozenset(name for name, parts in _READS.items()
+                            if any(part.endswith("_p") for part in parts))
+
+
+def full_report(state: Eigenpair, md: MomentumDensity,
+                fields: Iterable[str] = REPORT_FIELDS) -> InfoReport:
+    """The measures of a state and its momentum density named in `fields`:
+    by default all nine, flags recording whether each composite respects
+    its bound (with 1e-9 slack absorbing quadrature error), and the
+    momentum density's norm defect. Each momentum measure is twice its
+    integral over the half comb p >= 0. Only the integrals the fields read
+    are taken, and `md` is read only by `MOMENTUM_FIELDS`."""
+    fields = frozenset(fields)
+    unknown = fields - _READS.keys()
+    if unknown:
+        raise DomainError("no information measure %s" % ", ".join(
+            sorted(unknown)))
+    parts = {part for name in fields for part in _READS[name]}
     rho_x, h = state.values ** 2, state.grid.h
     rho_p, dp = md.density, md.dp
     _check_density(rho_x, h)
-    _check_density(rho_p, dp)
-    s_x, s_p = _shannon(rho_x, h), 2.0 * _shannon(rho_p, dp)
-    i_x, i_p = _fisher(rho_x, h), 2.0 * _fisher(rho_p, dp, even=True)
-    e_x, e_p = _onicescu(rho_x, h), 2.0 * _onicescu(rho_p, dp)
-    s, i, e = s_x + s_p, i_x * i_p, e_x * e_p
-    return InfoReport(
-        s_x=s_x, s_p=s_p, s=s, i_x=i_x, i_p=i_p, i=i, e_x=e_x, e_p=e_p, e=e,
-        shannon_ok=bool(s >= SHANNON_FLOOR - BOUND_SLACK),
-        fisher_ok=bool(i >= FISHER_FLOOR - BOUND_SLACK),
-        onicescu_ok=bool(e <= ONICESCU_CEILING + BOUND_SLACK),
-        norm_defect=parseval_defect(md),
-    )
+    if fields & MOMENTUM_FIELDS:
+        _check_density(rho_p, dp)
+    integrals = {
+        "s_x": lambda: _shannon(rho_x, h),
+        "s_p": lambda: 2.0 * _shannon(rho_p, dp),
+        "i_x": lambda: _fisher(rho_x, h),
+        "i_p": lambda: 2.0 * _fisher(rho_p, dp, even=True),
+        "e_x": lambda: _onicescu(rho_x, h),
+        "e_p": lambda: 2.0 * _onicescu(rho_p, dp),
+        "norm_p": lambda: parseval_defect(md),
+    }
+    got = dict.fromkeys(integrals, math.nan)    # NaN: not taken
+    got.update((part, integrals[part]()) for part in parts)
+    s = got["s_x"] + got["s_p"]
+    i = got["i_x"] * got["i_p"]
+    e = got["e_x"] * got["e_p"]
+    cells = dict(got, s=s, i=i, e=e, norm_defect=got["norm_p"],
+                 shannon_ok=bool(s >= SHANNON_FLOOR - BOUND_SLACK),
+                 fisher_ok=bool(i >= FISHER_FLOOR - BOUND_SLACK),
+                 onicescu_ok=bool(e <= ONICESCU_CEILING + BOUND_SLACK))
+    return InfoReport(**{name: cells[name] for name in fields})

@@ -9,7 +9,8 @@ renormalisation. H is the shared discrete Hamiltonian `model.hamiltonian_bands`
 (five-point kinetic stencil plus the well on the interior points, hard walls
 = Dirichlet zeros) and V_min the smallest interior well value.
 `solve_spectrum` builds H and the banded Cholesky factor of L once per
-ladder; a step is one banded solve and no product with H.
+ladder; a step is one banded solve and no product with H. It loads
+`scipy.linalg` on its first call, so a run that never relaxes never loads it.
 
 Numerical notes that the equations do not show:
 
@@ -46,11 +47,11 @@ Numerical notes that the equations do not show:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
                     apply_bands, hamiltonian_bands)
@@ -59,8 +60,6 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
 _PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
 _CONSECUTIVE = 3        # plateau steps in a row that end a run
 _MAX_STEPS = 10_000     # step budget per level
-
-_PBTRS = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 class LadderError(RuntimeError):
@@ -73,14 +72,16 @@ class LadderError(RuntimeError):
 
 @dataclass(frozen=True)
 class PentaSystem:
-    """One ladder's factored backward-Euler step operator and its H."""
+    """One ladder's factored backward-Euler step operator, its H and the
+    LAPACK banded solve that applies the factor."""
     grid: Grid
     bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
+    pbtrs: Callable = field(repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[1 + dtau (H - V_min)]^-1 rhs through the banded Cholesky factor."""
-        return _PBTRS(self.cholesky, rhs, lower=False)[0]
+        return self.pbtrs(self.cholesky, rhs, lower=False)[0]
 
 
 def _initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
@@ -139,11 +140,13 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid,
     plus mutual orthonormality."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
     bands = hamiltonian_bands(pot, grid)
     dtau = 1.0 / (math.pi ** 2 / (2.0 * pot.mass * (pot.b2 - pot.b1) ** 2))
     ab = dtau * bands
     ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
-    system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False))
+    system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False),
+                         get_lapack_funcs("pbtrs", dtype=np.float64))
 
     mat = np.empty((n_max + 1, grid.n_interior))
     states = []

@@ -24,8 +24,10 @@ from .model import DomainError, Eigenpair, next_pow2, simpson
 class MomentumDensity:
     """|phi(p)|^2 at p = k dp for k = 0 .. M/2, the half comb p >= 0 of an
     M-point transform, M = 2 (len(density) - 1); the density is even, so
-    p < 0 holds the same values."""
-    density: np.ndarray = field(repr=False)
+    p < 0 holds the same values. `MomentumDensity()`, with no samples,
+    stands for a transform that was not taken."""
+    density: np.ndarray = field(default_factory=lambda: np.empty(0),
+                                repr=False)
     dp: float = 0.0
 
     def __post_init__(self):

@@ -16,9 +16,13 @@ solves each regime):
 Every successfully solved state yields one row carrying the energy, the
 position/momentum/joint information measures, the phase-plane area, the
 forbidden-region probability, the allowed-interval length, the rigorous
-bound flags, and the momentum density's norm defect. Failures become error
-rows and the sweep continues. Rows are ordered sweep-value major, state
-minor, solver innermost, whatever the worker count.
+bound flags, and the momentum density's norm defect. A caller may ask for
+some of these fields only (a report table asks for the columns it prints):
+the row then measures only those, transforms the state to momentum space
+only when one of them reads the momentum density, and leaves the rest at
+their NaN or False defaults. Failures become error rows and the sweep
+continues. Rows are ordered sweep-value major, state minor, solver
+innermost, whatever the worker count.
 
 Solving is serial: `run_sweep` solves every point on the calling thread,
 and its ``workers`` are threads that measure the solved states, work that
@@ -28,8 +32,9 @@ makes no BLAS call.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import solve_spectrum
@@ -152,6 +157,18 @@ class ReportRow:
     norm_defect: float = math.nan
 
 
+# the fields a sweep may be asked for; all of them make a full row
+ROW_FIELDS = frozenset(f.name for f in dataclass_fields(ReportRow))
+# ReportRow field -> its semiclassical measure of (potential, state)
+_SEMICLASSICAL = {
+    "a_n": lambda pot, state: semiclassical.phase_area(pot, state.energy),
+    "t_n": lambda pot, state: semiclassical.tunneling_probability(state,
+                                                                  pot),
+    "l_cl": lambda pot, state: semiclassical.classical_region_lengths(
+        pot, state.energy)[0],
+}
+
+
 def _odd_interior(n_interior: int) -> int:
     """Interior count bumped so the full grid has an odd point count.
     Neither the variational nor the first-order route needs one; both keep
@@ -226,15 +243,24 @@ def solve_point(spec: SweepSpec, value: float, solver: str):
 
 
 def _measured_row(spec: SweepSpec, value: float, solver: str,
-                  pot: ConfinedPotential, state: Eigenpair) -> ReportRow:
-    md = spectral.to_momentum(state, pad_factor=spec.pad_factor)
-    rep = infomeasures.full_report(state, md)
-    energy = state.energy
-    return ReportRow(
-        value=value, n=state.n, solver=solver, energy=energy, **vars(rep),
-        a_n=semiclassical.phase_area(pot, energy),
-        t_n=semiclassical.tunneling_probability(state, pot),
-        l_cl=semiclassical.classical_region_lengths(pot, energy)[0])
+                  pot: ConfinedPotential, state: Eigenpair,
+                  fields: frozenset[str]) -> ReportRow:
+    """The row of one solved state with the measures in `fields`."""
+    cells = {}
+    info = fields.intersection(infomeasures.REPORT_FIELDS)
+    if info:
+        # with no momentum field asked for, the transform is not taken and
+        # an empty density stands for it, so that every full_report call has
+        # one shape (the benchmark's tracer counts the samples of both)
+        md = (spectral.to_momentum(state, pad_factor=spec.pad_factor)
+              if info & infomeasures.MOMENTUM_FIELDS
+              else spectral.MomentumDensity())
+        cells = dict(vars(infomeasures.full_report(state, md, info)))
+    cells.update((name, measure(pot, state))
+                 for name, measure in _SEMICLASSICAL.items()
+                 if name in fields)
+    return ReportRow(value=value, n=state.n, solver=solver,
+                     energy=state.energy, **cells)
 
 
 def _error_row(value: float, n: int, solver: str,
@@ -243,9 +269,13 @@ def _error_row(value: float, n: int, solver: str,
                      error="%s: %s" % (type(exc).__name__, exc))
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ReportRow]:
+def run_sweep(spec: SweepSpec, workers: int = 1,
+              fields: Iterable[str] = ROW_FIELDS) -> list[ReportRow]:
     """All rows of the sweep, value major / n minor / solver innermost.
 
+    `fields` names the `ReportRow` fields to measure, by default all of
+    them; a field left out keeps its NaN or False default and costs
+    nothing. The energy and the row's keys are always filled in.
     `workers` are threads that measure the solved states; solving is
     serial. Every point is solved first, in spec order, on the calling
     thread, so the dense algebra of the routes (the basis products, `eigh`,
@@ -254,6 +284,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ReportRow]:
     order, so the result does not depend on the worker count."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    fields = frozenset(fields)
+    if not fields <= ROW_FIELDS:
+        raise DomainError("no row field %s"
+                          % ", ".join(sorted(fields - ROW_FIELDS)))
     rows: list[ReportRow] = []
     solved = []
     for value in spec.values:
@@ -270,7 +304,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[ReportRow]:
     def measure(job) -> ReportRow:
         value, solver, pot, state = job
         try:
-            return _measured_row(spec, value, solver, pot, state)
+            return _measured_row(spec, value, solver, pot, state, fields)
         except Exception as exc:
             return _error_row(value, state.n, solver, exc)
 

@@ -10,15 +10,15 @@ import pytest
 
 import _oracles as O
 import confosc
-from confosc import acceptance, spectral
+from confosc import acceptance, infomeasures, spectral
 from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv)
 from confosc.exact_scho import scho_states
 from confosc.model import DomainError, canonical_sign
 from confosc.spectral import parseval_defect, to_momentum
-from confosc.sweep import (ReportRow, SweepSpec, cross_check, run_sweep,
-                           solve_point)
+from confosc.sweep import (ROW_FIELDS, ReportRow, SweepSpec, cross_check,
+                           run_sweep, solve_point)
 
 EPS2_XC2 = 3.399788241107422        # centred-well level n=2 at half-length 2
 
@@ -280,7 +280,7 @@ def test_table_with_no_solved_rows_is_an_error(monkeypatch, capsys):
     with pytest.raises(SchemaError, match="no bracket at 0.001"):
         emit_table(failed, "II")
     monkeypatch.setattr("confosc.cli_reports.run_sweep",
-                        lambda spec, workers=1: failed)
+                        lambda spec, workers=1, fields=ROW_FIELDS: failed)
     assert main(["table", "II", "--format", "csv"]) == 2
     assert "no bracket at 0.001" in capsys.readouterr().err
 
@@ -333,6 +333,45 @@ def test_every_registry_column_is_a_csv_header():
     header = rows_to_csv([]).rstrip("\n").split(",")
     for table in TABLES.values():
         assert set(table.columns) <= set(header)
+
+
+def test_every_registry_column_names_a_field_the_sweep_measures():
+    # the columns choose what a table's sweep measures, so a misspelt one
+    # must not pass for a request of nothing
+    for table in TABLES.values():
+        assert {name.lower() for name in table.columns} <= ROW_FIELDS
+    with pytest.raises(DomainError, match="no row field s_y"):
+        run_sweep(TABLES["VI"].spec, fields={"s_x", "s_y"})
+
+
+# tables whose columns read no momentum density, and those with no
+# information measure at all
+_POSITION_ONLY = {"I", "V", "VI", "VII"}
+_ENERGY_ONLY = {"I", "VII"}
+
+
+@pytest.mark.parametrize("tid", list(TABLES))
+def test_a_table_measures_only_the_columns_it_prints(tid, tmp_path,
+                                                      monkeypatch):
+    full = emit_table(run_sweep(TABLES[tid].spec), tid)[1]
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(spectral, "to_momentum")
+    for kernel in ("_shannon", "_fisher", "_onicescu"):
+        count(infomeasures, kernel)
+    out = tmp_path / "table.csv"
+    assert main(["table", tid, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text() == full
+    assert ("to_momentum" in calls) == (tid not in _POSITION_ONLY)
+    assert bool(calls) == (tid not in _ENERGY_ONLY)
 
 
 # ------------------------------------------------------------ sweep behavior

@@ -2,7 +2,8 @@
 private module-level function or constant of the package is read, and the
 package integrates with its own Simpson rule and refines roots with its own
 Brent's method, so neither `scipy.integrate` nor `scipy.optimize` is loaded;
-nor is `scipy.fft`, since the momentum transform is numpy's.
+nor is `scipy.fft`, since the momentum transform is numpy's, nor
+`scipy.linalg` by a run that never relaxes, such as any report table.
 
 No package module takes an underscore name from a sibling module, so
 each module's private helpers stay its own and the gate reaches the
@@ -362,10 +363,12 @@ UNLOADED_SCIPY = FORBIDDEN_SCIPY + ("fft",)
 
 def test_a_fresh_run_loads_no_forbidden_scipy_subpackage():
     # what the source check cannot see: a subpackage that comes in through
-    # another module (numpy, scipy.linalg) at import or at first use
+    # another module (numpy, scipy.linalg) at import or at first use. Only
+    # the relaxation route loads scipy.linalg, when it runs, and no report
+    # table relaxes, so no table command loads it either.
     script = (
-        "import sys\n"
-        "import confosc.cli_reports\n"
+        "import os, sys\n"
+        "from confosc import cli_reports\n"
         "from confosc.exact_scho import scho_eigenvalue, scho_states\n"
         "from confosc.model import box_grid\n"
         "from confosc.spectral import to_momentum\n"
@@ -373,8 +376,11 @@ def test_a_fresh_run_loads_no_forbidden_scipy_subpackage():
         "scho_eigenvalue(0, 1.0)\n"
         "build_basis(50, box_grid(-1.0, 1.0, 2001))\n"
         "to_momentum(scho_states(1, 1.0, box_grid(-1.0, 1.0, 201))[1])\n"
+        "for tid in cli_reports.TABLES:\n"
+        "    assert cli_reports.main(['table', tid,\n"
+        "                             '--out', os.devnull]) == 0\n"
         "print(' '.join(sub for sub in %r if 'scipy.' + sub in sys.modules))\n"
-        % (UNLOADED_SCIPY,))
+        % (UNLOADED_SCIPY + ("linalg",),))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], env=env,

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import _oracles as O
-from confosc.infomeasures import (BOUND_SLACK, FISHER_FLOOR, ONICESCU_CEILING,
+from confosc.infomeasures import (BOUND_SLACK, FISHER_FLOOR, MOMENTUM_FIELDS,
+                                  ONICESCU_CEILING, REPORT_FIELDS,
                                   SHANNON_FLOOR, fisher, full_report,
                                   onicescu, shannon)
 from confosc.model import DomainError, box_grid, simpson
@@ -100,6 +101,29 @@ def test_report_guards_once_and_keeps_the_functionals_bits(xc2_exact):
                 MomentumDensity(md.density.copy(), 0.0)):
         with pytest.raises(DomainError):
             full_report(state, bad)
+
+
+def test_report_takes_only_the_fields_asked_for(xc2_exact):
+    # every field but the three position measures reads the momentum
+    # density; a composite or a flag reads both of its halves
+    assert MOMENTUM_FIELDS == set(REPORT_FIELDS) - {"s_x", "i_x", "e_x"}
+    state = xc2_exact[1]
+    md = to_momentum(state)
+    full = full_report(state, md)
+    part = full_report(state, MomentumDensity(), ("s_x", "i_x", "e_x"))
+    assert (part.s_x, part.i_x, part.e_x) == (full.s_x, full.i_x, full.e_x)
+    assert all(math.isnan(getattr(part, name)) for name in
+               ("s_p", "s", "i_p", "i", "e_p", "e", "norm_defect"))
+    assert not (part.shannon_ok or part.fisher_ok or part.onicescu_ok)
+    pair = full_report(state, md, ("s", "shannon_ok"))
+    assert (pair.s, pair.shannon_ok) == (full.s, True)
+    assert math.isnan(pair.s_x) and math.isnan(pair.i)
+    # the empty density of a transform not taken fails the momentum guard
+    for name in MOMENTUM_FIELDS:
+        with pytest.raises(DomainError, match="positive and finite"):
+            full_report(state, MomentumDensity(), (name,))
+    with pytest.raises(DomainError, match="no information measure s_y"):
+        full_report(state, md, ("s_x", "s_y"))
 
 
 def test_momentum_measures_equal_the_mirrored_comb(xc2_exact):

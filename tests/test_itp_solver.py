@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import simpson
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
@@ -273,20 +274,21 @@ def test_ladder_error_names_a_trial_state_in_the_lower_span(monkeypatch):
     assert "span of the lower ladder" in str(err.value)
 
 
-def count_calls(monkeypatch, name, calls):
-    """Patch `itp_solver.<name>` to append `name` to `calls` on each call."""
-    real = getattr(itp_solver, name)
+def count_calls(monkeypatch, module, name, calls):
+    """Patch `module.<name>` to append `name` to `calls` on each call."""
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
-    monkeypatch.setattr(itp_solver, name, counted)
+    monkeypatch.setattr(module, name, counted)
 
 
 def test_one_operator_and_one_factor_per_ladder(monkeypatch):
+    # solve_spectrum imports the factorization from scipy.linalg when called
     calls = []
-    count_calls(monkeypatch, "hamiltonian_bands", calls)
-    count_calls(monkeypatch, "cholesky_banded", calls)
+    count_calls(monkeypatch, itp_solver, "hamiltonian_bands", calls)
+    count_calls(monkeypatch, scipy.linalg, "cholesky_banded", calls)
     pot = acho_unit_box(1.0, 5.0)
     solve_spectrum(pot, box_grid(-1.0, 1.0, 300), 3)
     assert sorted(calls) == ["cholesky_banded", "hamiltonian_bands"]
