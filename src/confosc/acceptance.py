@@ -499,8 +499,9 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    """Each bound-suite sweep run again, and once more with two workers,
-    yields CSV byte-identical to its cached rows."""
+    """Each bound-suite sweep run again (root searches included: the exact
+    route keeps no roots), and once more with two workers, yields CSV
+    byte-identical to its cached rows."""
     diffs = []
     for spec in _BOUND_SPECS:
         first = rows_to_csv(_solved(_bound_rows(spec)).values())

@@ -352,6 +352,7 @@ def _cmd_sweep(args) -> int:
     spec = replace(parse_config(text), **_flag_fields(args))
     rows = run_sweep(spec, workers=args.workers)
     _write_out(_render_rows(rows, args.format or "csv"), args.out)
+    failed = any(r.error for r in rows)
     if len(spec.solvers) == 2:
         rep = cross_check(rows, spec)
         tol_text = "none" if rep.tol is None else "%.3g" % rep.tol
@@ -359,9 +360,8 @@ def _cmd_sweep(args) -> int:
                          "pairs (tol %s)\n"
                          % (rep.solvers[0], rep.solvers[1], rep.max_delta,
                             rep.n_pairs, tol_text))
-        if not rep.ok:
-            return 1
-    return 0
+        failed = failed or not rep.ok
+    return 1 if failed else 0
 
 
 def _cmd_table(args) -> int:

@@ -9,17 +9,15 @@ the two cross-check each other independently. Each root is refined by the
 package's own Brent's method, `model.brent_root`.
 
 `scho_states` builds the ladder 0..n_max of one box. Every state has
-definite parity, so it sums the series on the half grid only, from the
-centre sample to the wall, in one batch per parity (one row per level),
-and mirrors each row: psi(-x) = +-psi(x).
-
-Also provides the zero-well-limit (flat box) levels.
+definite parity, so each parity's levels come from one root scan of their
+branch, taken up to the ceiling of the highest of them, and one sum of the
+series on the half grid only, from the centre sample to the wall (one row
+per level), mirrored: psi(-x) = +-psi(x).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
 _SERIES_RTOL = 1e-17
 _MAX_TERMS = 600
 _Z_LIMIT = 50.0
-_ROOT_TOL = 1e-12   # Brent root tolerance; one value, so one cache key per level
+_ROOT_TOL = 1e-12   # Brent root tolerance
 _SCAN_STEP = 0.1
 # energies one root scan may evaluate: about 12.3 (n+1)^2 / x_c^2 of them in
 # a small box, so this admits x_c >= 0.0112 (n+1), each scan a few MiB and
@@ -143,9 +141,8 @@ def scan_lanes(n: int, x_c: float) -> int:
     or above _MAX_SCAN_LANES lanes, which a tiny box needs.
     """
     z_edge = series_window(x_c)
-    if n < 0:
-        raise DomainError("state index must be >= 0")
-    span = (pib_energy(n, x_c) + 0.5 * z_edge) / _SCAN_STEP
+    flat = ConfinedPotential(b1=-x_c, b2=x_c).flat_box_level(n)
+    span = (flat + 0.5 * z_edge) / _SCAN_STEP
     if not span <= _MAX_SCAN_LANES - 2:
         raise DomainError("solver 'exact' scans at most %d energies; level "
                           "n=%d in a box of half-length %g needs %.3g"
@@ -153,36 +150,42 @@ def scan_lanes(n: int, x_c: float) -> int:
     return int(span) + 2
 
 
-@lru_cache(maxsize=None)
-def scho_eigenvalue(n: int, x_c: float) -> float:
-    """Energy of state n of the centred well in a box of half-length x_c.
-
-    Located as the appropriate zero (in energy) of the wall value: for even n
-    the (n/2 + 1)-th zero of the even branch, for odd n the ((n+1)/2)-th zero
-    of the odd branch. One vectorised scan of `scan_lanes(n, x_c)` energies
-    finds the sign changes; `model.brent_root` refines the wanted one to
-    1e-12, evaluating the series on Python floats.
-    """
-    eps = 1e-9 + _SCAN_STEP * np.arange(scan_lanes(n, x_c))
+def _branch_roots(levels: range, x_c: float) -> list[float]:
+    """Energies of `levels`, ascending indices of one parity, in a box of
+    half-length x_c: level n is the (n//2 + 1)-th zero, in energy, of its
+    branch's wall value. One scan of `scan_lanes(levels[-1], x_c)` energies
+    finds the sign changes (a lower level's own scan is a prefix of it), and
+    `model.brent_root` refines each wanted one to 1e-12 on Python floats."""
+    eps = 1e-9 + _SCAN_STEP * np.arange(scan_lanes(levels[-1], x_c))
     z_edge = x_c * x_c
-    even = (n % 2 == 0)
-    want = n // 2 + 1
+    even = (levels[0] % 2 == 0)
     vals = _boundary_values(even, eps, z_edge)
     flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
-    if len(flips) < want:
-        raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
-                              "n=%d, x_c=%g" % (want, eps[-1], n, x_c))
-    k = flips[want - 1]
-    return brent_root(lambda e: _boundary_values(even, e, z_edge),
-                      eps[k], eps[k + 1], _ROOT_TOL)
+    roots = []
+    for n in levels:
+        want = n // 2 + 1
+        if len(flips) < want:
+            raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
+                                  "n=%d, x_c=%g" % (want, eps[-1], n, x_c))
+        k = flips[want - 1]
+        roots.append(brent_root(lambda e: _boundary_values(even, e, z_edge),
+                                eps[k], eps[k + 1], _ROOT_TOL))
+    return roots
+
+
+def scho_eigenvalue(n: int, x_c: float) -> float:
+    """Energy of state n of the centred well in a box of half-length x_c,
+    from one scan of its branch up to its own ceiling."""
+    return _branch_roots(range(n, n + 1), x_c)[0]
 
 
 def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     """Normalized grid samples of states 0..n_max on a grid spanning
     [-x_c, x_c].
 
-    Each parity's levels are summed in one `_series_1f1` pass over the half
-    grid `points[N//2:]`, one row per level, and each row is mirrored:
+    Each parity's energies come from one root scan of its branch, and its
+    levels are summed in one `_series_1f1` pass over the half grid
+    `points[N//2:]`, one row per level; each row is mirrored:
     psi(-x) = psi(x) for even n, -psi(x) for odd n. For an odd point count
     the half grid starts at the centre sample, taken as exactly 0 (rounding
     can leave `x_min + j h` an ulp or so off it), so odd states vanish there.
@@ -190,7 +193,6 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     ConfinedPotential(b1=-x_c, b2=x_c).require_span(grid)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    eps = [scho_eigenvalue(n, x_c) for n in range(n_max + 1)]
     count = grid.n_points
     x = grid.points[count // 2:].copy()
     if count % 2:
@@ -203,23 +205,14 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
         levels = range(parity, n_max + 1, 2)
         if not levels:
             continue
-        a = np.array([[shift - eps[n] / 2.0] for n in levels])
+        eps = _branch_roots(levels, x_c)
+        a = np.array([[shift - e / 2.0] for e in eps])
         half = factor * _series_1f1(a, b, z)
         mirror = half[:, count % 2:][:, ::-1]
         rows = np.concatenate((-mirror if parity else mirror, half), axis=1)
-        for n, psi in zip(levels, rows):
+        for n, e, psi in zip(levels, eps, rows):
             psi = psi / math.sqrt(simpson(psi * psi, grid.h))
-            states[n] = Eigenpair(n=n, energy=eps[n], values=psi, grid=grid,
+            states[n] = Eigenpair(n=n, energy=e, values=psi, grid=grid,
                                   provenance="exact")
     return states
 
-
-def pib_energy(n: int, x_c: float) -> float:
-    """Flat-box level (n+1)^2 pi^2 / (8 x_c^2); n is 0-based."""
-    if n < 0:
-        raise DomainError("state index must be >= 0")
-    if not 0 < x_c < math.inf:
-        raise DomainError("x_c must be positive and finite")
-    box = 8.0 * x_c ** 2
-    # inf, not a ZeroDivisionError, once x_c^2 underflows
-    return (n + 1) ** 2 * math.pi ** 2 / box if box else math.inf

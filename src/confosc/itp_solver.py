@@ -30,7 +30,7 @@ Numerical notes that the equations do not show:
   minimum lies outside the box, and the ratio would sit near 1.
 
 * Step size: dtau = 1/eps_box, eps_box = pi^2 / (2 m (b2 - b1)^2) the
-  flat-box ground level, derived from the box and the mass with no setting.
+  flat-box ground level of the potential, `flat_box_level(0)`: no setting.
   Every level has E_n - V_min >= eps_box (to the O(h^4) stencil error), so
   a >= 1, and since 1 + a <= 2a the rate ln(1 + g/(1 + a)) is at least half
   the rate ln(1 + g/a) of the dtau -> infinity limit (inverse iteration
@@ -142,7 +142,7 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid,
         raise DomainError("n_max must be >= 0")
     from scipy.linalg import cholesky_banded, get_lapack_funcs
     bands = hamiltonian_bands(pot, grid)
-    dtau = 1.0 / (math.pi ** 2 / (2.0 * pot.mass * (pot.b2 - pot.b1) ** 2))
+    dtau = 1.0 / pot.flat_box_level(0)
     ab = dtau * bands
     ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
     system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False),

@@ -124,6 +124,14 @@ class ConfinedPotential:
         the one formula of V that every sampled quantity uses."""
         return 0.5 * self.k * (x - self.d_m) ** 2
 
+    def flat_box_level(self, n: int) -> float:
+        """Level n (0-based) without the well, (n+1)^2 pi^2 / (2 mass L^2)
+        with L = b2 - b1; inf, not a ZeroDivisionError, once L^2 underflows."""
+        if n < 0:
+            raise DomainError("state index must be >= 0")
+        box = 2.0 * self.mass * (self.b2 - self.b1) ** 2
+        return (n + 1) ** 2 * math.pi ** 2 / box if box else math.inf
+
     def interior_values(self, grid: Grid) -> np.ndarray:
         """V sampled on grid interior points. The grid must span the box."""
         self.require_span(grid)

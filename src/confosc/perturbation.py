@@ -19,12 +19,8 @@ import numpy as np
 
 from .model import ConfinedPotential, DomainError, Eigenpair, Grid, simpson
 
-
-def pib_energy_unit_box(q: int) -> float:
-    """Flat-box level for 1-indexed quantum number q (box [-1,1], mass 1)."""
-    if q < 1:
-        raise DomainError("quantum number is 1-indexed")
-    return q * q * math.pi * math.pi / 8.0
+# the unperturbed problem: the unit box [-1, 1] at mass 1, with no well
+_FLAT_BOX = ConfinedPotential()
 
 
 def pib_state_values(q: int, x: np.ndarray) -> np.ndarray:
@@ -63,7 +59,7 @@ def pt_energy(n: int, eta: float) -> float:
     """Level n (0-indexed) of -(1/2) d^2/dx^2 + (eta/2) x^2 in the unit box,
     through first order in eta."""
     shift = pt_shift(n, eta)   # first: a bad n gets the state-index error
-    return pib_energy_unit_box(n + 1) + shift
+    return _FLAT_BOX.flat_box_level(n) + shift
 
 
 def pt_wavefunction(n: int, eta: float, grid: Grid) -> Eigenpair:
@@ -72,14 +68,15 @@ def pt_wavefunction(n: int, eta: float, grid: Grid) -> Eigenpair:
     partners, (q+2, q+4) for q <= 2 and (q-2, q+2) above."""
     if n < 0:
         raise DomainError("state index must be >= 0")
-    ConfinedPotential().require_span(grid)      # the unit box [-1, 1]
+    _FLAT_BOX.require_span(grid)
 
     q = n + 1
     x = grid.points
     vals = pib_state_values(q, x)
-    e_q = pib_energy_unit_box(q)
+    e_q = _FLAT_BOX.flat_box_level(n)
     for m in (q + 2, q + 4) if q <= 2 else (q - 2, q + 2):
-        coeff = 0.5 * eta * pib_x2_element(m, q) / (e_q - pib_energy_unit_box(m))
+        coeff = (0.5 * eta * pib_x2_element(m, q)
+                 / (e_q - _FLAT_BOX.flat_box_level(m - 1)))
         vals = vals + coeff * pib_state_values(m, x)
 
     vals[0] = 0.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -56,3 +57,23 @@ def exact_fails_at_three(monkeypatch):
             raise RootSearchError("no bracket at x_c=3")
         return solve(n_max, x_c, grid)
     monkeypatch.setattr(exact_scho, "scho_states", flaky)
+
+
+@pytest.fixture
+def root_searches(monkeypatch):
+    """Counts of the exact route's root searches from here on: `scans`, the
+    wall value summed over an array of energies, and `brackets`, the calls
+    of `brent_root` that refine one sign change each."""
+    seen = {"scans": 0, "brackets": 0}
+    wall, refine = exact_scho._boundary_values, exact_scho.brent_root
+
+    def scan(even, eps, z_edge):
+        seen["scans"] += bool(np.ndim(eps))
+        return wall(even, eps, z_edge)
+
+    def bracket(*args):
+        seen["brackets"] += 1
+        return refine(*args)
+    monkeypatch.setattr(exact_scho, "_boundary_values", scan)
+    monkeypatch.setattr(exact_scho, "brent_root", bracket)
+    return seen

@@ -523,6 +523,20 @@ def test_cli_solve_failure_exit_code(tmp_path, exact_fails_at_three):
     assert rows_from_csv(out.read_text())[0].error
 
 
+def test_cli_sweep_failure_exit_code(tmp_path, monkeypatch,
+                                    exact_fails_at_three):
+    # an error row fails the sweep as it fails `solve`; the other rows are
+    # still written
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "mode = scho-xc\nvalues = 2, 3\nstates = 0\nsolver = exact\n"
+        "grid_points = 300\n"))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", "-", "--out", str(out)]) == 1
+    rows = rows_from_csv(out.read_text())
+    assert [(r.value, bool(r.error)) for r in rows] == [(2.0, False),
+                                                         (3.0, True)]
+
+
 def test_cli_sweep_from_stdin(tmp_path, monkeypatch, capsys):
     config = ("mode = acho-dm\n"
               "values = 0.12, 2.04\n"

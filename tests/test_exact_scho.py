@@ -7,10 +7,16 @@ from scipy.integrate import simpson
 
 import _oracles as O
 from confosc import exact_scho
-from confosc.exact_scho import (RootSearchError, kummer_1f1, pib_energy,
-                                scan_lanes, scho_eigenvalue, scho_states,
-                                series_window)
-from confosc.model import DomainError, box_grid, simpson as model_simpson
+from confosc.exact_scho import (RootSearchError, kummer_1f1, scan_lanes,
+                                scho_eigenvalue, scho_states, series_window)
+from confosc.model import (ConfinedPotential, DomainError, box_grid,
+                           simpson as model_simpson)
+
+
+def pib_energy(n, x_c):
+    """Flat-box level n of the box [-x_c, x_c] at mass 1."""
+    return ConfinedPotential(b1=-x_c, b2=x_c).flat_box_level(n)
+
 
 # Native-units quantization roots, frozen from tests/_oracles.mp_scho_eigenvalue
 # (dps=40; dps=50 agrees on every printed digit).
@@ -296,13 +302,26 @@ def test_wavefunction_gram_identity(xc2_grid, xc2_exact):
     assert np.max(np.abs(gram - np.eye(len(xc2_exact)))) < 1e-9
 
 
-def test_wavefunction_and_eigenvalue_share_one_cache_entry():
-    # each state's root search is the one a later eigenvalue call reuses
-    scho_eigenvalue.cache_clear()
-    scho_states(1, 1.7, box_grid(-1.7, 1.7, 300))
-    scho_eigenvalue(0, 1.7)
-    scho_eigenvalue(1, 1.7)
-    assert scho_eigenvalue.cache_info().misses == 2
+def test_states_and_eigenvalues_find_the_same_roots(root_searches):
+    # a ladder scans each branch up to the ceiling of its highest level, one
+    # level alone up to its own; the shorter scan is a prefix of the longer,
+    # so both refine the same bracket to the same float
+    for x_c in (0.25, 1.7, 6.0):
+        states = scho_states(4, x_c, box_grid(-x_c, x_c, 300))
+        assert ([s.energy for s in states]
+                == [scho_eigenvalue(n, x_c) for n in range(5)])
+    assert root_searches == {"scans": 3 * (2 + 5), "brackets": 3 * (5 + 5)}
+
+
+def test_a_ladder_scans_each_parity_once_on_every_call(root_searches):
+    # levels 0, 2, 4 come from one scan of the even branch and 1, 3 from
+    # one of the odd; nothing is kept, so a second call searches again
+    grid = box_grid(-1.7, 1.7, 300)
+    first = scho_states(4, 1.7, grid)
+    assert root_searches == {"scans": 2, "brackets": 5}
+    second = scho_states(4, 1.7, grid)
+    assert root_searches == {"scans": 4, "brackets": 10}
+    assert [s.energy for s in first] == [s.energy for s in second]
 
 
 @pytest.mark.parametrize("n_interior", (426, 427))
@@ -334,15 +353,14 @@ def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
 def test_a_ladder_sums_one_half_grid_series_per_parity(monkeypatch,
                                                         n_interior):
     # levels 0, 2, 4 in one pass and 1, 3 in another, each over the half
-    # grid; the root scans are cached first, so only the states are counted
+    # grid; only the sums over the grid are counted, not the root scans,
+    # which sum at the wall alone
     grid = box_grid(-2.0, 2.0, n_interior)
-    for n in range(5):
-        scho_eigenvalue(n, 2.0)
     shapes = []
     series = exact_scho._series_1f1
 
     def counted(a, b, z):
-        if np.ndim(a) or np.ndim(z):
+        if np.ndim(z):
             shapes.append(np.broadcast_shapes(np.shape(a), np.shape(z)))
         return series(a, b, z)
     monkeypatch.setattr(exact_scho, "_series_1f1", counted)
@@ -381,7 +399,11 @@ def test_pib_ground_energy_value():
 
 
 def test_pib_energy_needs_a_positive_finite_box():
-    # NaN used to come back as the level, and an infinite box as 0.0
+    # the box refuses a half-length that is not positive and finite, and a
+    # box whose L^2 underflows has an infinite level, not a ZeroDivisionError
     for x_c in (0.0, -1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="positive and finite"):
+        with pytest.raises(DomainError, match="finite|wall order"):
             pib_energy(0, x_c)
+    assert pib_energy(0, 1e-170) == math.inf
+    with pytest.raises(DomainError, match="state index"):
+        pib_energy(-1, 1.0)

@@ -12,6 +12,8 @@ no arguments, the CLI reaches the solvers only through it, and the gate
 takes it from `sweep`, not from the CLI. The measure layer, which the
 sweep's worker threads run, makes no BLAS call.
 
+No function keeps a cache that never evicts.
+
 The mass is part of the problem: it is a field of `ConfinedPotential` and
 nothing else, so no function takes one beside the potential it belongs to.
 
@@ -298,6 +300,57 @@ def test_the_measure_layer_makes_no_blas_call():
                  (CHECKED[0] / name).read_text(encoding="utf-8"))]
     assert not found, "BLAS calls in the measure layer:\n" + "\n".join(
         found)
+
+
+def _callee(node) -> str | None:
+    """The name a decorator or call refers to, dotted or bare."""
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """`function: decorator` for each function in `source` whose cache
+    never evicts: `functools.cache`, or `lru_cache` with maxsize None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            if _callee(dec) == "cache":
+                found.append("%s: cache" % node.name)
+            elif (isinstance(dec, ast.Call)
+                  and _callee(dec.func) == "lru_cache"):
+                size = dec.args[:1] or [k.value for k in dec.keywords
+                                        if k.arg == "maxsize"]
+                if size and isinstance(size[0], ast.Constant) \
+                        and size[0].value is None:
+                    found.append("%s: lru_cache(maxsize=None)" % node.name)
+    return found
+
+
+def test_the_check_sees_unbounded_caches():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=None)\ndef a(n):\n    return n\n"
+              "@functools.lru_cache(None)\ndef b(n):\n    return n\n"
+              "@cache\ndef c(n):\n    return n\n"
+              "class K:\n    @functools.cache\n    def d(self):\n"
+              "        return 1\n"
+              "@lru_cache(maxsize=16)\ndef e(n):\n    return n\n"
+              "@lru_cache(maxsize=len(K.__dict__))\ndef f(n):\n    return n\n"
+              "@lru_cache\ndef g(n):\n    return n\n"
+              "@functools.lru_cache()\ndef h(n):\n    return n\n")
+    assert unbounded_caches(source) == [
+        "a: lru_cache(maxsize=None)", "b: lru_cache(maxsize=None)",
+        "c: cache", "d: cache"]
+
+
+def test_no_function_keeps_an_unbounded_cache():
+    # a cache that never evicts grows with every distinct argument a long
+    # run passes, and lets a repeat call skip the work it claims to redo
+    found = ["%s: %s" % (path.name, hit)
+             for path in sorted(CHECKED[0].glob("*.py"))
+             for hit in unbounded_caches(path.read_text(encoding="utf-8"))]
+    assert not found, "unbounded caches:\n" + "\n".join(found)
 
 
 # scipy subpackages the package does without: it integrates with its own

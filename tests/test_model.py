@@ -163,6 +163,21 @@ def test_reduced_builders():
         acho_unit_box(-0.1, 0.0)
 
 
+def test_flat_box_level_follows_the_box_and_the_mass():
+    # the zero-strength limits of the two reduced problems, (n+1)^2 pi^2 / 8
+    # and / 4, and of the native box [-x_c, x_c], (n+1)^2 pi^2 / (8 x_c^2)
+    for n in range(5):
+        q2 = (n + 1) ** 2 * math.pi ** 2
+        assert math.isclose(scho_unit_box(0.3).flat_box_level(n), q2 / 8.0,
+                            rel_tol=1e-15)
+        assert math.isclose(acho_unit_box(0.3, 1.5).flat_box_level(n),
+                            q2 / 4.0, rel_tol=1e-15)
+        assert math.isclose(ConfinedPotential(b1=-2.5, b2=2.5)
+                            .flat_box_level(n), q2 / 50.0, rel_tol=1e-15)
+    with pytest.raises(DomainError, match="state index"):
+        scho_unit_box(0.3).flat_box_level(-1)
+
+
 def test_apply_bands_takes_one_state_or_a_block():
     pot = acho_unit_box(1.0, 0.5)
     grid = box_grid(-1.0, 1.0, 40)
@@ -219,7 +234,7 @@ def test_brent_root_is_brentq_on_the_exact_route(monkeypatch):
     def run():
         for n in range(10):
             for x_c in np.linspace(0.25, 7.0, 34):
-                exact_scho.scho_eigenvalue.__wrapped__(n, float(x_c))
+                exact_scho.scho_eigenvalue(n, float(x_c))
     brackets = recorded_brackets(exact_scho, monkeypatch, run)
     assert len(brackets) == 340
     assert_same_roots(brackets)

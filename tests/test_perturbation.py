@@ -8,10 +8,11 @@ from mpmath import mp
 
 import _oracles as O
 from confosc.itp_solver import solve_spectrum
-from confosc.model import DomainError, box_grid, scho_unit_box, simpson
-from confosc.perturbation import (pib_energy_unit_box, pib_state_values,
-                                  pib_x2_element, pt_energy, pt_fisher_x,
-                                  pt_onicescu_x0, pt_shift, pt_wavefunction)
+from confosc.model import (ConfinedPotential, DomainError, box_grid,
+                           scho_unit_box, simpson)
+from confosc.perturbation import (pib_state_values, pib_x2_element, pt_energy,
+                                  pt_fisher_x, pt_onicescu_x0, pt_shift,
+                                  pt_wavefunction)
 
 PI = math.pi
 
@@ -30,12 +31,17 @@ def odd_grid(n_interior=1201):
     return box_grid(-1.0, 1.0, n_interior)
 
 
+def flat_level(q):
+    """Flat-box level of 1-indexed quantum number q (box [-1, 1], mass 1)."""
+    return ConfinedPotential().flat_box_level(q - 1)
+
+
 def test_flat_box_levels():
     for q in range(1, 6):
-        assert math.isclose(pib_energy_unit_box(q), q * q * PI * PI / 8.0,
+        assert math.isclose(flat_level(q), q * q * PI * PI / 8.0,
                             rel_tol=1e-15)
     with pytest.raises(DomainError):
-        pib_energy_unit_box(0)
+        flat_level(0)
 
 
 def test_flat_box_states_orthonormal():
@@ -87,7 +93,7 @@ def test_first_order_energy_remainder_is_quadratic():
 
 def test_zero_strength_energy_is_flat_box():
     for n in range(5):
-        assert pt_energy(n, 0.0) == pib_energy_unit_box(n + 1)
+        assert pt_energy(n, 0.0) == flat_level(n + 1)
     with pytest.raises(DomainError):
         pt_energy(-1, 0.1)
 
@@ -104,7 +110,7 @@ def test_first_order_shift_is_linear_in_strength(eta, scale):
     assert math.isclose(scaled, scale * base, rel_tol=1e-12, abs_tol=1e-15)
     for n in range(5):
         assert (pt_energy(n, eta)
-                == pib_energy_unit_box(n + 1) + pt_shift(n, eta))
+                == flat_level(n + 1) + pt_shift(n, eta))
 
 
 def test_fisher_closed_form():

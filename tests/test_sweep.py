@@ -10,7 +10,6 @@ from dataclasses import replace
 import pytest
 
 from confosc import sweep, variational
-from confosc.exact_scho import scho_eigenvalue
 from confosc.model import DomainError
 from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
 
@@ -103,15 +102,15 @@ def test_spec_bounds_the_momentum_transform():
 
 # ------------------------------------------------------------ routes
 
-def test_exact_scho_eta_route_solves_each_level_once():
-    # the state carries its energy, so no second root search is needed
-    scho_eigenvalue.cache_clear()
+def test_exact_scho_eta_route_solves_each_level_once(root_searches):
+    # the state carries its energy, so no second root search is needed:
+    # one scan per parity and one refinement per level
     spec = SweepSpec(mode="scho-eta", values=(3.0,), n_hi=2,
                      solvers=("exact",), grid_points=400)
     rows = run_sweep(spec)
     assert [r.n for r in rows] == [0, 1, 2]
     assert not any(r.error for r in rows)
-    assert scho_eigenvalue.cache_info().misses == 3
+    assert root_searches == {"scans": 2, "brackets": 3}
 
 
 def test_every_point_is_solved_on_the_calling_thread(monkeypatch):
