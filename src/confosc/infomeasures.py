@@ -9,11 +9,12 @@ Each functional takes the density samples rho and their spacing h: |psi|^2
 on the position mesh, or `MomentumDensity.density` on its half comb p >= 0
 of spacing `dp`, where it gives the half-line integral. Every integral is
 `model.simpson` over the uniform samples, whatever their count.
-`full_report` returns one `InfoReport` per state: the nine measures, the
-three bound flags and the Parseval defect of the momentum density, or only
-the fields asked for. This module holds the rule of which functional each
-field reads and which fields read the momentum density (`MOMENTUM_FIELDS`),
-so a caller that asks for none of those need not transform the state. The
+`full_report` returns a dict of the cells of one state: the nine measures,
+the three bound flags and the Parseval defect of the momentum density, or
+only the fields asked for, under their `sweep.ReportRow` names. This
+module holds the rule of which functional each field reads and which
+fields read the momentum density (`MOMENTUM_FIELDS`), so a caller that
+asks for none of those need not transform the state. The
 momentum density is even, so it takes S_p, I_p and E_p as twice their
 half-line integrals, with rho'(0) = 0 in the Fisher quotient.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,25 +87,7 @@ def _onicescu(rho: np.ndarray, h: float) -> float:
     return simpson(rho ** 2, h)
 
 
-@dataclass(frozen=True)
-class InfoReport:
-    """A field that was not asked for is NaN, a flag False."""
-    s_x: float = math.nan
-    s_p: float = math.nan
-    s: float = math.nan
-    i_x: float = math.nan
-    i_p: float = math.nan
-    i: float = math.nan
-    e_x: float = math.nan
-    e_p: float = math.nan
-    e: float = math.nan
-    shannon_ok: bool = False
-    fisher_ok: bool = False
-    onicescu_ok: bool = False
-    norm_defect: float = math.nan
-
-
-# InfoReport field -> the integrals it is made of: a functional (s, i, e) of
+# report field -> the integrals it is made of: a functional (s, i, e) of
 # the position (_x) or momentum (_p) density, or the momentum density's own
 # integral (norm_p)
 _READS = {
@@ -122,13 +104,14 @@ MOMENTUM_FIELDS = frozenset(name for name, parts in _READS.items()
 
 
 def full_report(state: Eigenpair, md: MomentumDensity,
-                fields: Iterable[str] = REPORT_FIELDS) -> InfoReport:
-    """The measures of a state and its momentum density named in `fields`:
-    by default all nine, flags recording whether each composite respects
-    its bound (with 1e-9 slack absorbing quadrature error), and the
-    momentum density's norm defect. Each momentum measure is twice its
-    integral over the half comb p >= 0. Only the integrals the fields read
-    are taken, and `md` is read only by `MOMENTUM_FIELDS`."""
+                fields: Iterable[str] = REPORT_FIELDS) -> dict:
+    """The cells of a state and its momentum density named in `fields`, as
+    a dict from field to value: by default all nine measures, flags
+    recording whether each composite respects its bound (with 1e-9 slack
+    absorbing quadrature error), and the momentum density's norm defect.
+    Each momentum measure is twice its integral over the half comb p >= 0.
+    Only the integrals the fields read are taken, and `md` is read only by
+    `MOMENTUM_FIELDS`."""
     fields = frozenset(fields)
     unknown = fields - _READS.keys()
     if unknown:
@@ -158,4 +141,4 @@ def full_report(state: Eigenpair, md: MomentumDensity,
                  shannon_ok=bool(s >= SHANNON_FLOOR - BOUND_SLACK),
                  fisher_ok=bool(i >= FISHER_FLOOR - BOUND_SLACK),
                  onicescu_ok=bool(e <= ONICESCU_CEILING + BOUND_SLACK))
-    return InfoReport(**{name: cells[name] for name in fields})
+    return {name: cells[name] for name in REPORT_FIELDS if name in fields}

@@ -8,9 +8,11 @@ followed by Gram-Schmidt against the converged ladder below (deflation) and
 renormalisation. H is the shared discrete Hamiltonian `model.hamiltonian_bands`
 (five-point kinetic stencil plus the well on the interior points, hard walls
 = Dirichlet zeros) and V_min the smallest interior well value.
-`solve_spectrum` builds H and the banded Cholesky factor of L once per
-ladder; a step is one banded solve and no product with H. It loads
-`scipy.linalg` on its first call, so a run that never relaxes never loads it.
+`solve_spectrum` builds the banded Cholesky factor of L once per ladder; a
+step is one banded solve and no product with H. A level's energy is
+`model.hamiltonian_expectation`, which no rounding of the bands' row sum
+reaches. It loads `scipy.linalg` on its first call, so a run that never
+relaxes never loads it.
 
 Numerical notes that the equations do not show:
 
@@ -54,7 +56,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, hamiltonian_bands)
+                    hamiltonian_bands, hamiltonian_expectation)
 
 
 _PSI_TOL = 1e-12        # fixed-point plateau, relative to max|psi|
@@ -72,10 +74,9 @@ class LadderError(RuntimeError):
 
 @dataclass(frozen=True)
 class PentaSystem:
-    """One ladder's factored backward-Euler step operator, its H and the
-    LAPACK banded solve that applies the factor."""
+    """One ladder's factored backward-Euler step operator and the LAPACK
+    banded solve that applies the factor."""
     grid: Grid
-    bands: np.ndarray = field(repr=False)       # model.hamiltonian_bands
     cholesky: np.ndarray = field(repr=False)
     pbtrs: Callable = field(repr=False)
 
@@ -124,7 +125,7 @@ def solve_state(system: PentaSystem, pot: ConfinedPotential,
         if hits >= _CONSECUTIVE:
             break
 
-    e = h * float(psi @ apply_bands(system.bands, psi))
+    e = hamiltonian_expectation(pot, grid, psi)
     if hits < _CONSECUTIVE:
         raise LadderError("ladder failed at state %d: did not settle in %d "
                           "steps (last energy %.12g)" % (n, _MAX_STEPS, e), n)
@@ -145,7 +146,7 @@ def solve_spectrum(pot: ConfinedPotential, grid: Grid,
     dtau = 1.0 / pot.flat_box_level(0)
     ab = dtau * bands
     ab[2] += 1.0 - dtau * float(np.min(pot.interior_values(grid)))
-    system = PentaSystem(grid, bands, cholesky_banded(ab, lower=False),
+    system = PentaSystem(grid, cholesky_banded(ab, lower=False),
                          get_lapack_funcs("pbtrs", dtype=np.float64))
 
     mat = np.empty((n_max + 1, grid.n_interior))

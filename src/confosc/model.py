@@ -2,9 +2,11 @@
 momentum transform starts from, hard-wall confined potentials, the two
 reduced problem builders, the discrete Hamiltonian, Simpson rule and sign
 convention every route uses, and the bracketing root refiner (Brent's
-method) of the exact route. The refiner is SciPy's `brentq` step for step,
-kept here so that no run imports `scipy.optimize`, whose import loads
-several unused subpackages and costs about a quarter of start-up.
+method) of the exact route. The Hamiltonian's stored bands serve only the
+relaxation step, and its closed forms every energy. The refiner is SciPy's
+`brentq` step for step, kept here so that no run imports `scipy.optimize`,
+whose import loads several unused subpackages and costs about a quarter of
+start-up.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -258,16 +260,26 @@ def hamiltonian_bands(pot: ConfinedPotential, grid: Grid) -> np.ndarray:
     return bands
 
 
-def apply_bands(bands: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The `hamiltonian_bands` matrix times `psi` along its last axis, so
-    `psi` is one interior state or a block of them, one per row."""
-    d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
-    out = d0 * psi
-    out[..., :-1] += d1 * psi[..., 1:]
-    out[..., 1:] += d1 * psi[..., :-1]
-    out[..., :-2] += d2 * psi[..., 2:]
-    out[..., 2:] += d2 * psi[..., :-2]
-    return out
+def stencil_levels(grid: Grid, size: int) -> np.ndarray:
+    """The kinetic stencil of `hamiltonian_bands` as -d2/dx2 on its exact
+    eigenvectors, the box sines k = 1..size sampled on the N interior
+    points: (4 s^2 + (4/3) s^4) / h^2, s = sin(k pi / (2 (N + 1)))."""
+    s2 = np.sin(np.arange(1, size + 1)
+                * (math.pi / (2.0 * (grid.n_interior + 1)))) ** 2
+    return (4.0 * s2 + (4.0 / 3.0) * s2 * s2) / grid.h ** 2
+
+
+def hamiltonian_expectation(pot: ConfinedPotential, grid: Grid,
+                            psi: np.ndarray) -> float:
+    """h psi^T H psi for interior samples `psi`, H the `hamiltonian_bands`
+    matrix, summed by parts: on the odd-periodic extension F = [0, psi, 0,
+    -psi reversed], ghosts included, the stencil's form over one period is
+    sum (dF)^2 + sum (d2F)^2 / 12, twice its form over the interior."""
+    f = np.concatenate(([0.0], psi, [0.0], -psi[::-1]))
+    d1 = np.roll(f, -1) - f
+    d2 = d1 - np.roll(d1, 1)
+    kinetic = (d1 @ d1 + (d2 @ d2) / 12.0) / (4.0 * pot.mass * grid.h ** 2)
+    return grid.h * float(kinetic + pot.interior_values(grid) @ (psi * psi))
 
 
 def canonical_sign(psi: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Classical-orbit quantities for the quadratic well in a hard box:
 turning points, phase-plane area, orbit curves, and the quantum probability
-of sitting in the classically forbidden part of the box.
+of sitting in the classically forbidden part of the box, continuous in the
+energy.
 
 The area integral is evaluated from its antiderivative, with y = x - d_m
 and a^2 = 2E/k:
@@ -79,13 +80,18 @@ def phase_area(pot: ConfinedPotential, energy: float) -> float:
 
 def tunneling_probability(state: Eigenpair, pot: ConfinedPotential) -> float:
     """Probability carried by the state outside the classically allowed
-    interval for its own energy (Simpson sum over the masked density)."""
+    interval for its own energy: the Simpson sum of the density, each sample
+    weighted by the part of its cell (the box within h/2 of it) outside
+    `turning_points`. A cell inside the allowed interval weighs exactly 0."""
     grid = state.grid
     pot.require_span(grid)
-    v = pot(grid.points)
-    rho = state.values * state.values
-    masked = np.where(v > state.energy, rho, 0.0)
-    return simpson(masked, grid.h)
+    x, half = grid.points, 0.5 * grid.h
+    lo, hi = np.maximum(x - half, pot.b1), np.minimum(x + half, pot.b2)
+    tp = turning_points(pot, state.energy)
+    allowed = (np.maximum(np.minimum(hi, tp[1]) - np.maximum(lo, tp[0]), 0.0)
+               if tp else 0.0)
+    weight = 1.0 - allowed / (hi - lo)
+    return simpson(weight * state.values * state.values, grid.h)
 
 
 @dataclass(frozen=True)

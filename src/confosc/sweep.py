@@ -98,7 +98,7 @@ class SweepSpec:
             if self.mode not in _ROUTES[s][2]:
                 raise DomainError("solver '%s' not valid for mode '%s'"
                                   % (s, self.mode))
-        for value in self.values:       # each point's problem, built once
+        for value in self.values:       # each point's problem must build
             try:
                 pot = _PROBLEMS[self.mode](self, value)
                 if "exact" in self.solvers:
@@ -255,7 +255,7 @@ def _measured_row(spec: SweepSpec, value: float, solver: str,
         md = (spectral.to_momentum(state, pad_factor=spec.pad_factor)
               if info & infomeasures.MOMENTUM_FIELDS
               else spectral.MomentumDensity())
-        cells = dict(vars(infomeasures.full_report(state, md, info)))
+        cells = infomeasures.full_report(state, md, info)
     cells.update((name, measure(pot, state))
                  for name, measure in _SEMICLASSICAL.items()
                  if name in fields)

@@ -14,11 +14,11 @@ that discrete Hamiltonian, the levels relaxation converges to (Poincare
 separation; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
 ch. 10-11). A state's norm is `model.simpson`.
 
-Each basis builds its matrix pieces once: the kinetic matrix, the zero-well
-bands applied to the modes (the five-point stencil with odd-reflection wall
-rows has the sampled sines as exact eigenvectors, so it is diagonal up to
-round-off), and the moment matrices of 1, x and x^2. A well's matrix is a
-sum of these four, so a sweep in one basis never touches the grid again.
+Each basis builds its matrix pieces once: the kinetic levels
+`model.stencil_levels` (the sampled sines are orthonormal eigenvectors of
+the five-point stencil with odd-reflection wall rows) and the moment
+matrices of x and x^2. A well's matrix is a sum of these pieces, so a
+sweep in one basis never touches the grid again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    apply_bands, hamiltonian_bands, simpson)
+                    simpson, stencil_levels)
 
 
 class BasisError(RuntimeError):
@@ -39,27 +39,24 @@ class BasisError(RuntimeError):
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Box modes sampled on a grid, with their h * sum matrices that every
-    well's Hamiltonian matrix is assembled from: `kinetic`, against the
-    zero-well `hamiltonian_bands` at mass 1/2 (that is, -d2/dx2), and
-    `moments[p]`, against x**p, p = 0, 1, 2. They are built once, so they
-    live and die with the basis in `build_basis`'s cache."""
+    """Box modes k = 1..size sampled on a grid, with the pieces that every
+    well's Hamiltonian matrix is assembled from: `kinetic`, the eigenvalues
+    of the zero-well stencil at mass 1/2 (that is, -d2/dx2) on the modes,
+    and `moments`, the h * sum matrices of x and x**2. They are built once,
+    so they live and die with the basis in `build_basis`'s cache."""
     grid: Grid
     values: np.ndarray = field(repr=False)         # (size, n_points)
     kinetic: np.ndarray = field(init=False, repr=False)
-    moments: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    moments: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
         grid = self.grid
         rows = self.values[:, 1:-1]      # the wall samples are zero
         h_rows = grid.h * rows
-        free = ConfinedPotential(k=0.0, b1=grid.x_min, b2=grid.x_max,
-                                 mass=0.5)
-        kinetic = h_rows @ apply_bands(hamiltonian_bands(free, grid), rows).T
         x = grid.interior
-        moments = (h_rows @ rows.T, (h_rows * x) @ rows.T,
-                   (h_rows * (x * x)) @ rows.T)
+        kinetic = stencil_levels(grid, len(rows))
+        moments = ((h_rows * x) @ rows.T, (h_rows * (x * x)) @ rows.T)
         for mat in (kinetic, *moments):
             mat.setflags(write=False)
         object.__setattr__(self, "kinetic", kinetic)
@@ -96,17 +93,17 @@ def hamiltonian_matrix(basis: BasisSet, pot: ConfinedPotential) -> np.ndarray:
     checking that the raw asymmetry is at round-off scale.
 
     `ConfinedPotential` is always the quadratic well (k/2)(x - d_m)^2, so
-    the matrix is kinetic / (2 mass) + (k/2)(M2 - 2 d_m M1 + d_m^2 M0), from
-    the basis's own matrices with no pass over the grid. It agrees with the
-    h * sum matrix of `hamiltonian_bands(pot)` up to round-off."""
+    the matrix is (k/2)(M2 - 2 d_m M1) plus kinetic / (2 mass) + (k/2) d_m^2
+    on the diagonal, from the basis's own pieces with no pass over the grid.
+    It is `hamiltonian_bands(pot)` in h * sum, free of its rounded row sum."""
     pot.require_span(basis.grid)
-    m0, m1, m2 = basis.moments
+    m1, m2 = basis.moments
     half_k = 0.5 * pot.k
     # the products run left to right, as in the potential's own wall check,
     # so every coefficient is finite whenever the well is finite at the walls
-    mat = (basis.kinetic / (2.0 * pot.mass) + half_k * m2
-           - (2.0 * half_k * pot.d_m) * m1
-           + (half_k * pot.d_m * pot.d_m) * m0)
+    mat = half_k * m2 - (2.0 * half_k * pot.d_m) * m1
+    mat += np.diag(basis.kinetic / (2.0 * pot.mass)
+                   + half_k * pot.d_m * pot.d_m)
     asym = float(np.max(np.abs(mat - mat.T)))
     scale = max(1.0, float(np.max(np.abs(mat))))
     if not asym <= 1e-8 * scale:

@@ -170,6 +170,34 @@ def charpoly_eigenvalues(matrix) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# The shared pentadiagonal Hamiltonian, applied by plain band products
+# ---------------------------------------------------------------------------
+
+
+def apply_bands(bands, psi):
+    """The symmetric pentadiagonal matrix stored as three upper bands in
+    LAPACK banded storage (row 2 the diagonal) times `psi` along its last
+    axis, so `psi` is one interior state or a block of them, one per row:
+    the product the closed forms of the package stand in for."""
+    d0, d1, d2 = bands[2], bands[1, 1:], bands[0, 2:]
+    out = d0 * psi
+    out[..., :-1] += d1 * psi[..., 1:]
+    out[..., 1:] += d1 * psi[..., :-1]
+    out[..., :-2] += d2 * psi[..., 2:]
+    out[..., 2:] += d2 * psi[..., :-2]
+    return out
+
+
+def exact_row_sum(bands, row: int) -> Fraction:
+    """Sum of the five stored entries of an interior row of the banded
+    matrix, in exact rational arithmetic: what the stored matrix, with no
+    rounding of the product, sends a constant to on that row."""
+    entries = (bands[2, row], bands[1, row], bands[1, row + 1],
+               bands[0, row], bands[0, row + 2])
+    return sum(map(Fraction, map(float, entries)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
 # Semiclassical closed forms
 # ---------------------------------------------------------------------------
 

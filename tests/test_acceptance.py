@@ -321,9 +321,9 @@ def test_corrected_entropy_triples():
         for n, state in enumerate(solve_acho(pot, grid, 2)):
             rep = full_report(state, to_momentum(state))
             s_x, s_p, s = VERIFIED_TRIPLES[(d_m, n)]
-            assert abs(rep.s_x - s_x) < 2e-5
-            assert abs(rep.s_p - s_p) < 2e-5
-            assert abs(rep.s - s) < 2e-5
+            assert abs(rep["s_x"] - s_x) < 2e-5
+            assert abs(rep["s_p"] - s_p) < 2e-5
+            assert abs(rep["s"] - s) < 2e-5
 
 
 def test_wide_box_ground_entropy_is_the_open_line_value():
@@ -343,7 +343,7 @@ def test_ground_onicescu_product_rises_to_the_ceiling():
         grid = box_grid(-x_c, x_c, 4001)
         state, = scho_states(0, x_c, grid)
         rep = full_report(state, to_momentum(state))
-        products[x_c] = rep.e
+        products[x_c] = rep["e"]
     assert abs(products[0.25] - 0.140052) < 5e-4
     assert abs(products[6.0] - O.ONICESCU_CEILING) < 1e-4
     assert products[6.0] > products[0.25]

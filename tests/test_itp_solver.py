@@ -7,13 +7,14 @@ from scipy.integrate import simpson
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
+import _oracles as O
 from confosc import itp_solver
-from confosc.exact_scho import scho_states
+from confosc.exact_scho import scho_eigenvalue, scho_states
 from confosc.itp_solver import (LadderError, PentaSystem, _initial_guess,
                                 solve_spectrum)
-from confosc.model import (ConfinedPotential, acho_unit_box, apply_bands,
-                           box_grid, canonical_sign, hamiltonian_bands,
-                           scho_unit_box)
+from confosc.model import (ConfinedPotential, acho_unit_box, box_grid,
+                           canonical_sign, hamiltonian_bands,
+                           hamiltonian_expectation, scho_unit_box)
 from confosc.variational import solve_acho
 
 EPS0_XC2 = 0.5374612092816752          # frozen oracle root (see test_exact_scho)
@@ -23,18 +24,18 @@ ETA16_GROUND = 2.1498448371267007      # 4 * EPS0_XC2, reduced units
 def energy_expectation(values, pot, grid):
     """<psi|H|psi> / <psi|psi> on the shared discrete Hamiltonian."""
     psi = values[1:-1]
-    w = apply_bands(hamiltonian_bands(pot, grid), psi)
-    return float(psi @ w) / float(psi @ psi)
+    return (hamiltonian_expectation(pot, grid, psi)
+            / (grid.h * float(psi @ psi)))
 
 
-def relax_step(system, values):
+def relax_step(system, pot, values):
     """One backward-Euler step on full-grid samples, renormalized; returns
-    the new samples and their energy on the system's Hamiltonian."""
+    the new samples and their energy on the shared Hamiltonian."""
     y = system.solve(values[1:-1])
     y = y / math.sqrt(system.grid.h * float(y @ y))
     out = np.zeros(len(values))
     out[1:-1] = y
-    return out, system.grid.h * float(y @ apply_bands(system.bands, y))
+    return out, hamiltonian_expectation(pot, system.grid, y)
 
 
 def test_free_particle_row_coefficients(route_system):
@@ -50,13 +51,12 @@ def test_free_particle_row_coefficients(route_system):
     assert np.allclose(d1, -2.0 / (3.0 * h2), rtol=1e-14)
     assert np.allclose(d2, 1.0 / (24.0 * h2), rtol=1e-14)
     assert not bands[1, 0] and not bands[0, :2].any()
-    # the relaxation route propagates with these bands
+    # the relaxation route propagates with these bands: its factor solves
+    # the left matrix I + dtau (H - V_min), V_min = 0 here
     sys_ = route_system(pot, grid)
-    assert np.array_equal(sys_.bands, bands)
-    # the factor solves the left matrix I + dtau (H - V_min), V_min = 0 here
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
     x = sys_.solve(rhs)
-    lhs = x + dtau * apply_bands(bands, x)
+    lhs = x + dtau * O.apply_bands(bands, x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # hard-wall closure only touches the two wall-adjacent diagonal entries
     assert math.isclose(d0[0], 5.0 / (4.0 * h2) - 1.0 / (24.0 * h2),
@@ -84,7 +84,7 @@ def test_step_preserves_norm_and_decreases_energy(route_system):
     vals = _initial_guess(0, grid, pot)
     energies = [energy_expectation(vals, pot, grid)]
     for _ in range(120):
-        vals, e = relax_step(sys_, vals)
+        vals, e = relax_step(sys_, pot, vals)
         energies.append(e)
         assert math.isclose(grid.h * float(np.dot(vals, vals)), 1.0,
                             abs_tol=1e-12)
@@ -102,7 +102,7 @@ def test_step_contract_printed_centre(route_system):
     native = box_grid(-2.0, 2.0, 2000)
     vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
     sys_ = route_system(pot, grid)
-    _, after = relax_step(sys_, vals)
+    _, after = relax_step(sys_, pot, vals)
     assert abs(after - 1.76416) < 1e-4
 
 
@@ -114,7 +114,7 @@ def test_step_contract_true_value(route_system):
     vals = math.sqrt(2.0) * scho_states(0, 2.0, native)[0].values
     before = energy_expectation(vals, pot, grid)
     sys_ = route_system(pot, grid)
-    _, after = relax_step(sys_, vals)
+    _, after = relax_step(sys_, pot, vals)
     assert abs(after - ETA16_GROUND) < 1e-9
     assert abs(after - before) < 1e-10
 
@@ -325,3 +325,26 @@ def test_energy_expectation_matches_eigvalue_for_exact_state(xc2_grid):
     e = energy_expectation(vals, ConfinedPotential(k=1.0, b1=-2.0, b2=2.0),
                            xc2_grid)
     assert abs(e - EPS0_XC2) < 5e-10
+
+
+@pytest.mark.parametrize("n_interior", [8001, 16001])
+def test_relaxation_levels_carry_no_round_off_floor(n_interior):
+    # the energy is a sum of squares and not a product with the stored
+    # bands, whose rounded row sum lifted these levels by 2e-10 to 3e-10;
+    # at h = 5e-4 the stencil error is below 1e-13
+    pot = ConfinedPotential(k=1.0, b1=-2.0, b2=2.0)
+    grid = box_grid(-2.0, 2.0, n_interior)
+    for state in solve_spectrum(pot, grid, 2):
+        exact = scho_eigenvalue(state.n, 2.0)
+        assert abs(state.energy - exact) <= 1e-12, state.n
+
+
+@pytest.mark.parametrize("n_interior", [8001, 16001])
+def test_offset_levels_keep_converging_past_4000_points(n_interior):
+    # against Chebyshev collocation, which shares no stencil with the
+    # package: the stored bands' row sum (2.3e-9 at 8001 points) once held
+    # these levels 1.6e-9 to 2.4e-9 high; the stencil error is below 1e-12
+    pot = acho_unit_box(1.0, 5.0)
+    levels = solve_spectrum(pot, box_grid(-1.0, 1.0, n_interior), 2)
+    for state, ref in zip(levels, O.cheb_offset_levels(5.0, 3)):
+        assert abs(state.energy - ref) <= 2e-12, state.n

@@ -1,15 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 from scipy.optimize import brentq
 
+import _oracles as O
 from confosc import exact_scho
 from confosc.model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                           acho_unit_box, apply_bands, box_grid, brent_root,
-                           canonical_sign, hamiltonian_bands, scho_unit_box,
-                           simpson)
+                           acho_unit_box, box_grid, brent_root,
+                           canonical_sign, hamiltonian_bands,
+                           hamiltonian_expectation, scho_unit_box, simpson,
+                           stencil_levels)
 
 
 def test_grid_endpoints_sit_on_walls():
@@ -179,6 +182,7 @@ def test_flat_box_level_follows_the_box_and_the_mass():
 
 
 def test_apply_bands_takes_one_state_or_a_block():
+    # the reference band product the closed forms are checked against
     pot = acho_unit_box(1.0, 0.5)
     grid = box_grid(-1.0, 1.0, 40)
     bands = hamiltonian_bands(pot, grid)
@@ -188,9 +192,9 @@ def test_apply_bands_takes_one_state_or_a_block():
         off = np.diag(bands[2 - k, k:], k)
         dense += off + off.T
     block = np.random.default_rng(5).standard_normal((3, n))
-    out = apply_bands(bands, block)
+    out = O.apply_bands(bands, block)
     for row, got in zip(block, out):
-        assert np.array_equal(apply_bands(bands, row), got)
+        assert np.array_equal(O.apply_bands(bands, row), got)
         assert np.allclose(got, dense @ row, rtol=0,
                            atol=1e-12 * np.abs(dense).max())
 
@@ -202,8 +206,71 @@ def test_flat_operator_sends_a_constant_below_one_ulp(n):
     # below one ulp of the diagonal on every row away from the walls
     bands = hamiltonian_bands(ConfinedPotential(k=0.0, mass=0.5),
                               box_grid(-1.0, 1.0, n))
-    rows = apply_bands(bands, np.ones(n))[2:-2]
+    rows = O.apply_bands(bands, np.ones(n))[2:-2]
     assert np.all(np.abs(rows) < np.spacing(bands[2, 2:-2]))
+
+
+def test_stored_flat_bands_have_a_nonzero_row_sum():
+    # the floor the closed forms remove: at 2001 interior points and mass
+    # 1/2 the stored entries of every interior row sum, exactly, to
+    # 5 / 2^35 = 1.455e-10 and not to 0, so a product with the bands lifts
+    # every level by that much
+    bands = hamiltonian_bands(ConfinedPotential(k=0.0, mass=0.5),
+                              box_grid(-1.0, 1.0, 2001))
+    sums = {O.exact_row_sum(bands, row) for row in range(2, 1999)}
+    assert sums == {Fraction(5, 2 ** 35)}
+
+
+def unit_box_sines(grid, size):
+    """Box modes k = 1..size on the interior of a grid on [-1, 1], where
+    sqrt(2/L) = 1."""
+    k = np.arange(1, size + 1)[:, None]
+    j = np.arange(1, grid.n_interior + 1)
+    return np.sin(k * j * (math.pi / (grid.n_interior + 1)))
+
+
+@pytest.mark.parametrize("n", [1001, 2000, 2001, 4001])
+def test_stencil_levels_are_the_band_product_less_its_row_sum(n):
+    # on the sampled sines, eigenvectors of the stored flat bands, the
+    # h * sum product's diagonal is the closed form plus the bands' exact
+    # row sum (nonzero at 2001 points, where the bare product misses the
+    # closed form at k = 1 by 1.5e-10)
+    grid = box_grid(-1.0, 1.0, n)
+    bands = hamiltonian_bands(ConfinedPotential(k=0.0, mass=0.5), grid)
+    delta = float(O.exact_row_sum(bands, n // 2))
+    rows = unit_box_sines(grid, 50)
+    product = (grid.h * rows) @ O.apply_bands(bands, rows).T
+    levels = stencil_levels(grid, 50)
+    assert np.all(np.abs(np.diag(product) - delta - levels)
+                  <= 1e-11 * levels)
+    # and it tends to the continuum levels q^2, q = k pi / L, with the
+    # stencil's leading error q^6 h^4 / 90
+    q2 = (np.arange(1, 51) * (math.pi / 2.0)) ** 2
+    assert np.all(np.abs(levels - q2)
+                  <= 1.01 * q2 ** 3 * grid.h ** 4 / 90 + 1e-14 * q2)
+
+
+@pytest.mark.parametrize("pot", [acho_unit_box(1.0, 0.36),
+                                 acho_unit_box(20.0, 5.0),
+                                 scho_unit_box(16.0)])
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_energy_by_parts_is_the_band_product_less_its_row_sum(pot, n):
+    # on a state spanned by low box modes, h psi^T H psi by summation by
+    # parts is the well's h * sum V psi^2 plus the product with the stored
+    # kinetic bands less their row sum times the norm, to round-off
+    grid = box_grid(-1.0, 1.0, n)
+    free = ConfinedPotential(k=0.0, b1=pot.b1, b2=pot.b2, mass=pot.mass)
+    bands = hamiltonian_bands(free, grid)
+    delta = float(O.exact_row_sum(bands, n // 2))
+    v = pot.interior_values(grid)
+    rows = unit_box_sines(grid, 8)
+    for coeffs in np.random.default_rng(n).standard_normal((4, 8)):
+        psi = coeffs @ rows
+        kinetic = grid.h * float(psi @ O.apply_bands(bands, psi))
+        reference = (kinetic - delta * grid.h * float(psi @ psi)
+                     + grid.h * float((v * psi) @ psi))
+        got = hamiltonian_expectation(pot, grid, psi)
+        assert abs(got - reference) <= 1e-12 * abs(got)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import _oracles as O
 from confosc.exact_scho import scho_eigenvalue, scho_states
-from confosc.model import ConfinedPotential, DomainError, box_grid
+from confosc.model import ConfinedPotential, DomainError, Eigenpair, box_grid
 from confosc.semiclassical import (classical_region_lengths, phase_area,
                                    phase_orbit, tunneling_probability,
                                    turning_points)
@@ -148,11 +148,43 @@ def test_forbidden_probability_ladder():
     assert all(a > b for a, b in zip(probs, probs[1:]))
 
 
+def test_forbidden_probability_is_continuous_in_the_energy():
+    # at x_c = 5.75 on 4001 points a mesh point sits on each turning point
+    # x = +-1; a mask by V > E made T_n jump by 1% there (0.1580955747 and
+    # 0.1565051245) for a 1.1e-13 change of E, the cell weights do not
+    x_c = 5.75
+    grid = box_grid(-x_c, x_c, 4001)
+    state = scho_states(0, x_c, grid)[0]
+    probs = [tunneling_probability(
+        Eigenpair(n=0, energy=state.energy + de, values=state.values,
+                  grid=grid, provenance="exact"), wide_pot(x_c))
+        for de in (-1.1e-13, 0.0, 1.1e-13)]
+    assert max(probs) - min(probs) <= 1e-12
+    assert abs(probs[1] - (1.0 - math.erf(1.0))) < 1e-5
+
+
+def test_forbidden_probability_falls_smoothly_as_a_turning_point_crosses():
+    # as E rises the turning points move out across the cells: T_n falls,
+    # and in steps no larger than the density a turning point sweeps over
+    grid = box_grid(-6.0, 6.0, 400)
+    state = scho_states(0, 6.0, grid)[0]
+    rho_max = float(np.max(state.values ** 2))
+    energies = 0.5 + np.linspace(0.0, 3.0, 601) * grid.h
+    probs = [tunneling_probability(
+        Eigenpair(n=0, energy=e, values=state.values, grid=grid,
+                  provenance="exact"), wide_pot()) for e in energies]
+    steps = np.diff(probs)
+    assert np.all(steps <= 0.0)
+    # two turning points, each moving dx = dE / sqrt(2 E), at Simpson's
+    # largest weight 4/3
+    dx = (energies[1] - energies[0]) / math.sqrt(2.0 * 0.5)
+    assert np.all(-steps <= 2.0 * (4.0 / 3.0) * rho_max * dx)
+
+
 def test_flat_box_has_no_forbidden_region():
     grid = box_grid(-1.0, 1.0, 800)
     vals = np.cos(0.5 * PI * grid.points)
     vals[0] = vals[-1] = 0.0
-    from confosc.model import Eigenpair
     state = Eigenpair(n=0, energy=PI * PI / 8.0, values=vals, grid=grid,
                       provenance="exact")
     flat = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)

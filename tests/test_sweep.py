@@ -144,13 +144,13 @@ def test_variational_grid_must_hold_the_basis():
 
 
 def test_an_offset_sweep_applies_the_operator_once_per_basis(monkeypatch):
-    # each offset's matrix is assembled from the basis's kinetic and moment
-    # matrices, so only the basis build passes the trial rows through H
+    # each offset's matrix is assembled from the basis's kinetic levels and
+    # moment matrices, so only the basis build evaluates the stencil
     calls = []
-    apply_bands = variational.apply_bands
-    monkeypatch.setattr(variational, "apply_bands",
-                        lambda bands, psi: calls.append(psi.shape)
-                        or apply_bands(bands, psi))
+    stencil_levels = variational.stencil_levels
+    monkeypatch.setattr(variational, "stencil_levels",
+                        lambda grid, size: calls.append(size)
+                        or stencil_levels(grid, size))
     variational.build_basis.cache_clear()
     spec = SweepSpec(mode="acho-dm", values=(0.0, 2.5, 5.0), n_hi=1,
                      solvers=("variational",), grid_points=300)

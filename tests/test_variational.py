@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import _oracles as O
 from confosc import variational
 from confosc.exact_scho import scho_eigenvalue
 from confosc.itp_solver import solve_spectrum
 from confosc.model import (ConfinedPotential, DomainError, Grid,
-                           acho_unit_box, apply_bands, box_grid,
-                           hamiltonian_bands, scho_unit_box)
+                           acho_unit_box, box_grid, hamiltonian_bands,
+                           scho_unit_box, stencil_levels)
 from confosc.variational import (BasisError, BasisSet, basis_size,
                                  build_basis, diagonalize, hamiltonian_matrix,
                                  solve_acho)
@@ -52,7 +53,6 @@ def test_basis_gram_identity():
         rows = basis.values[:, 1:-1]
         gram = (grid.h * rows) @ rows.T
         assert np.max(np.abs(gram - np.eye(50))) <= 1e-14, grid
-        assert np.max(np.abs(basis.moments[0] - np.eye(50))) <= 1e-14, grid
 
 
 @pytest.mark.parametrize("size", [10, 50])
@@ -82,11 +82,18 @@ def test_basis_matches_the_full_grid_build(size, n_interior):
 @pytest.mark.parametrize("n_interior", [51, 100, 1001, 1999, 2000, 4001])
 def test_kinetic_matrix_is_diagonal(n_interior):
     # the five-point stencil with odd-reflection wall rows has the sampled
-    # sines as exact eigenvectors
-    kinetic = build_basis(50, unit_grid(n_interior)).kinetic
-    off = kinetic - np.diag(np.diag(kinetic))
-    assert np.max(np.abs(off)) <= 1e-13 * np.max(np.abs(kinetic))
-    assert np.all(np.diff(np.diag(kinetic)) > 0)
+    # sines as exact eigenvectors: its h * sum matrix in the modes is
+    # diagonal to round-off, and the basis keeps only that diagonal
+    grid = unit_grid(n_interior)
+    basis = build_basis(50, grid)
+    rows = basis.values[:, 1:-1]
+    free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0, mass=0.5)
+    product = (grid.h * rows) @ O.apply_bands(hamiltonian_bands(free, grid),
+                                              rows).T
+    off = product - np.diag(np.diag(product))
+    assert np.max(np.abs(off)) <= 1e-13 * np.max(np.abs(product))
+    assert basis.kinetic.shape == (50,)
+    assert np.all(np.diff(basis.kinetic) > 0)
 
 
 def test_smaller_basis_is_the_leading_block():
@@ -94,8 +101,8 @@ def test_smaller_basis_is_the_leading_block():
     grid = unit_grid(2001)
     small, large = build_basis(30, grid), build_basis(50, grid)
     assert np.array_equal(small.values, large.values[:30])
-    for a, b in zip((small.kinetic, *small.moments),
-                    (large.kinetic, *large.moments)):
+    assert np.array_equal(small.kinetic, large.kinetic[:30])
+    for a, b in zip(small.moments, large.moments):
         assert np.max(np.abs(a - b[:30, :30])) <= 1e-14 * np.max(np.abs(b))
 
 
@@ -145,13 +152,20 @@ def test_hamiltonian_matrix_is_symmetric():
 
 def test_kinetic_matrix_is_the_zero_well_operator():
     # the basis carries the h * sum matrix of the shared discrete Hamiltonian
-    # of the empty box at unit kinetic coefficient, bit for bit
-    grid = unit_grid(1001)
+    # of the empty box at unit kinetic coefficient: its diagonal, the
+    # closed-form stencil levels, which is the band product less the bands'
+    # exact row sum (nonzero at this odd point count)
+    grid = unit_grid(2001)
     basis = build_basis(14, grid)
+    assert np.array_equal(basis.kinetic, stencil_levels(grid, 14))
     rows = basis.values[:, 1:-1]
     free = ConfinedPotential(k=0.0, b1=-1.0, b2=1.0, mass=0.5)
-    h_rows = apply_bands(hamiltonian_bands(free, grid), rows)
-    assert np.array_equal(basis.kinetic, (grid.h * rows) @ h_rows.T)
+    bands = hamiltonian_bands(free, grid)
+    delta = float(O.exact_row_sum(bands, 1000))
+    assert delta
+    product = (grid.h * rows) @ O.apply_bands(bands, rows).T
+    assert np.all(np.abs(np.diag(product) - delta - basis.kinetic)
+                  <= 1e-11 * basis.kinetic)
 
 
 # every well the sweeps and tables put on the variational route's unit box
@@ -160,17 +174,18 @@ MATRIX_WELLS = ([acho_unit_box(1.0, d_m) for d_m in (0.0, 0.36, 5.0, 10.0)]
                 + [scho_unit_box(eta) for eta in (0.001, 100.0)])
 
 
-def test_hamiltonian_matrix_uses_the_relaxation_operator(route_system):
+def test_hamiltonian_matrix_uses_the_relaxation_operator():
     # both routes see one discrete Hamiltonian: the matrix assembled from the
-    # basis's kinetic and moment matrices is the symmetrised h * sum matrix
-    # of the relaxation route's H applied to the modes, up to the round-off
-    # of summing V's three terms separately
+    # basis's kinetic levels and moment matrices is the symmetrised h * sum
+    # matrix of the bands the relaxation route factors, applied to the modes,
+    # up to the round-off of summing V's three terms separately and the
+    # bands' row sum
     for n_interior in (1001, 2001, 4001):
         grid = unit_grid(n_interior)
         basis = build_basis(50, grid)
         rows = basis.values[:, 1:-1]
         for pot in MATRIX_WELLS:
-            h_rows = apply_bands(route_system(pot, grid).bands, rows)
+            h_rows = O.apply_bands(hamiltonian_bands(pot, grid), rows)
             mat = (grid.h * rows) @ h_rows.T
             direct = 0.5 * (mat + mat.T)
             h = hamiltonian_matrix(basis, pot)
@@ -284,6 +299,20 @@ def test_ritz_levels_bound_the_relaxation_levels():
         for state in solve_spectrum(pot, grid, 2):
             e = state.energy
             assert ritz[state.n].energy >= e - 1e-11 * abs(e), (d_m, state.n)
+
+
+def test_ritz_levels_carry_no_round_off_floor():
+    # the Ritz matrix takes the stencil in closed form, so the Ritz levels
+    # minus the exact levels do not move between 8001 and 16001 points;
+    # what is left, +5.3e-12, +2.7e-11 and +8.7e-11, is the truncation of
+    # the basis at 50 modes, and the stencil error is below 1e-13
+    pot = ConfinedPotential(k=1.0, b1=-2.0, b2=2.0)
+    exact = [scho_eigenvalue(n, 2.0) for n in range(3)]
+    coarse, fine = ([state.energy - e for state, e in zip(
+        solve_acho(pot, box_grid(-2.0, 2.0, n), 2), exact)]
+        for n in (8001, 16001))
+    assert np.all(np.abs(np.subtract(fine, coarse)) <= 1e-12)
+    assert np.all(np.array(fine) > 0)
 
 
 def test_any_box_and_point_count_is_accepted():
