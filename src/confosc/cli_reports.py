@@ -208,8 +208,20 @@ def emit_table(rows: list[ReportRow], table_id: str) -> tuple[str, str]:
     return _render(header, cells, "pretty"), _render(header, cells, "csv")
 
 
-_CONFIG_KEYS = ("mode", "values", "states", "solver", "eta", "dm",
-                "grid_points", "pad_factor", "cross_tol")
+def _solver_list(text: str) -> tuple[str, ...]:
+    """A comma list of route names, as the config and `--solver` give it."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# the settings that a config key and the flag of the same name both give:
+# key -> (the SweepSpec field it sets, the reader of its text)
+_SETTINGS = {
+    "solver": ("solvers", _solver_list),
+    "eta": ("eta", float),
+    "dm": ("d_m", float),
+    "grid_points": ("grid_points", int),
+    "pad_factor": ("pad_factor", int),
+}
 _MAX_RANGE_VALUES = 10 ** 6      # far beyond any sweep that could finish
 
 
@@ -257,7 +269,7 @@ def parse_config(text: str) -> SweepSpec:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.split("#", 1)[0].strip()
-        if key not in _CONFIG_KEYS:
+        if key not in ("mode", "values", "states", *_SETTINGS):
             raise ConfigError("line %d: unknown key '%s'" % (line_no, key))
         if key in seen:
             raise ConfigError("duplicate key '%s' (line %d)" % (key, line_no))
@@ -280,12 +292,9 @@ def parse_config(text: str) -> SweepSpec:
                 kw["n_lo"], kw["n_hi"] = int(lo_s), int(hi_s)
             else:
                 kw["n_lo"] = kw["n_hi"] = int(tok)
-        if "solver" in seen:
-            kw["solvers"] = _solver_list(seen["solver"][0])
-        for key, conv in (("eta", float), ("dm", float), ("cross_tol", float),
-                          ("grid_points", int), ("pad_factor", int)):
+        for key, (name, read) in _SETTINGS.items():
             if key in seen:
-                kw["d_m" if key == "dm" else key] = conv(seen[key][0])
+                kw[name] = read(seen[key][0])
     except ValueError as exc:       # a ConfigError among them keeps its text
         raise ConfigError(str(exc)) from exc
 
@@ -308,22 +317,11 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    default=None, help="output format")
 
 
-def _solver_list(text: str) -> tuple[str, ...]:
-    """A comma list of route names, as the config and `--solver` give it."""
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
 def _flag_fields(args) -> dict:
-    """The SweepSpec fields that a command's flags set: `--grid-points`,
-    `--pad-factor`, `--eta`, `--dm` and `--solver` as a tuple of route
-    names. The spec refuses a parameter its mode does not read."""
-    given = {name: getattr(args, flag, None)
-             for flag, name in (("grid_points", "grid_points"),
-                                ("pad_factor", "pad_factor"),
-                                ("eta", "eta"), ("dm", "d_m"))}
-    if args.solver is not None:
-        given["solvers"] = _solver_list(args.solver)
-    return {name: val for name, val in given.items() if val is not None}
+    """The SweepSpec fields that a command's `_SETTINGS` flags set."""
+    return {name: read(getattr(args, key))
+            for key, (name, read) in _SETTINGS.items()
+            if getattr(args, key, None) is not None}
 
 
 def _write_out(text: str, path: str | None):
@@ -388,17 +386,16 @@ def _cmd_phase(args) -> int:
     spec = SweepSpec(**{"mode": args.mode, "values": (args.value,),
                         "n_lo": 0, "n_hi": args.n_max, "solvers": solvers,
                         **flags})
+    if args.orbit is not None and not 0 <= args.orbit <= args.n_max:
+        raise ConfigError("--orbit %d is not a state of 0..%d (--n-max)"
+                          % (args.orbit, args.n_max))
     try:
         pot, states = solve_point(spec, args.value, spec.solvers[0])
     except Exception as exc:        # a route failure, as in a sweep's rows
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 1
     if args.orbit is not None:
-        match = [s for s in states if s.n == args.orbit]
-        if not match:
-            sys.stderr.write("state %d not solved\n" % args.orbit)
-            return 1
-        orbit = semiclassical.phase_orbit(pot, match[0].energy)
+        orbit = semiclassical.phase_orbit(pot, states[args.orbit].energy)
         cells = [[_fmt_cell(xi), _fmt_cell(pi)]
                  for xi, pi in zip(orbit.x, orbit.p)]
         _write_out(_render(["x", "p"], cells, args.format or "csv"),

@@ -1,12 +1,11 @@
-"""Shared problem definitions: grids and the power-of-two length their
-momentum transform starts from, hard-wall confined potentials, the two
-reduced problem builders, the discrete Hamiltonian, Simpson rule and sign
-convention every route uses, and the bracketing root refiner (Brent's
-method) of the exact route. The Hamiltonian's stored bands serve only the
-relaxation step, and its closed forms every energy. The refiner is SciPy's
-`brentq` step for step, kept here so that no run imports `scipy.optimize`,
-whose import loads several unused subpackages and costs about a quarter of
-start-up.
+"""Shared problem definitions: grids, hard-wall confined potentials and the
+meshes they can be solved on, the two reduced problem builders, the
+discrete Hamiltonian, Simpson rule and sign convention every route uses,
+and the bracketing root refiner (Brent's method) of the exact route. The
+Hamiltonian's stored bands serve only the relaxation step, and its closed
+forms every energy. The refiner is SciPy's `brentq` step for step, kept
+here so that no run imports `scipy.optimize`, whose import loads several
+unused subpackages and costs about a quarter of start-up.
 
 Everything downstream (relaxation, exact, variational solvers and the measure
 pipeline) works on these types. All of them are immutable after construction,
@@ -20,10 +19,26 @@ stated otherwise (the offset-well builder below states 1/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+# The fewest mesh steps the oscillator length (m k)^(-1/4) may span: the
+# coarsest mesh on which the relaxation levels n <= 2 of a stiff centred
+# well keep three digits. Their relative error falls as O(h^4), 3.9e-4 at 4
+# steps, 1.0e-5 at 10 and 1.0e-7 at 32, and is 5.2e-2 at 1 step and 13.6 at
+# 0.2. Every report table, gate and benchmark sweep spans 200 steps or more.
+_MIN_STEPS_PER_LENGTH = 4
+# The largest stencil scale 1/(2 m h^2): the square root of the largest
+# float. The position Fisher integrand squares the density's gradient, about
+# 1/L^4 in a box of width L, and is NaN once L is below about 1e-77 whatever
+# the mesh; under this bound L is at least 9 h > 5e-77. Smaller boxes give
+# NaN Fisher cells, then error rows (the basis levels overflow with 1/h^2),
+# then a ZeroDivisionError (h^2 underflows).
+_MAX_STENCIL_SCALE = math.sqrt(sys.float_info.max)
+
 
 class DomainError(ValueError):
     """Raised for non-positive or otherwise out-of-domain constructor input."""
@@ -75,15 +90,6 @@ def box_grid(b1: float, b2: float, n_interior: int) -> Grid:
     return Grid(n_interior + 2, b1, b2)
 
 
-def next_pow2(n: int) -> int:
-    """The smallest power of two >= n, the unpadded length of the momentum
-    transform of an n-point grid state (`spectral.to_momentum`)."""
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 @dataclass(frozen=True)
 class ConfinedPotential:
     """Harmonic well 0.5*k*(x - d_m)**2 shut inside two impenetrable walls at
@@ -120,6 +126,25 @@ class ConfinedPotential:
                 and math.isclose(grid.x_max, self.b2, abs_tol=1e-12)):
             raise DomainError("grid [%g, %g] does not span the box [%g, %g]"
                               % (grid.x_min, grid.x_max, self.b1, self.b2))
+
+    def require_resolution(self, grid: Grid) -> None:
+        """Raise DomainError unless the mesh of `grid` can hold this
+        problem's states: the oscillator length (m k)^(-1/4) spans at least
+        `_MIN_STEPS_PER_LENGTH` steps, and the stencil scale 1/(2 m h^2)
+        stays below `_MAX_STENCIL_SCALE`."""
+        h = grid.h
+        if 2.0 * self.mass * h * h * _MAX_STENCIL_SCALE < 1.0:
+            raise DomainError("the mesh step %g puts the stencil scale "
+                              "1/(2 m h^2) above %g, the square root of the "
+                              "largest float" % (h, _MAX_STENCIL_SCALE))
+        if self.k > 0:
+            # two powers, not one of the product, which may underflow to 0
+            length = self.mass ** -0.25 * self.k ** -0.25
+            if length < _MIN_STEPS_PER_LENGTH * h:
+                raise DomainError("the oscillator length (m k)^(-1/4) = %g "
+                                  "spans %.3g mesh steps of %g; it must span "
+                                  "at least %d" % (length, length / h, h,
+                                                   _MIN_STEPS_PER_LENGTH))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The well V(x) = 0.5*k*(x - d_m)**2 at the points `x`, walls aside:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DomainError, Eigenpair, next_pow2, simpson
+from .model import DomainError, Eigenpair, simpson
 
 
 @dataclass(frozen=True)
@@ -34,21 +34,33 @@ class MomentumDensity:
         self.density.setflags(write=False)
 
 
+def comb_length(n_points: int, pad_factor: int) -> int:
+    """The transform length M of an `n_points`-sample state: `pad_factor`
+    >= 1 times the smallest power of two >= n_points, at most 2^24, whose
+    real-input FFT alone holds 128 MiB (the benchmark's largest is 2^16)."""
+    if pad_factor < 1:
+        raise DomainError("pad_factor must be >= 1")
+    m = pad_factor << (n_points - 1).bit_length()
+    if m > 2 ** 24:
+        raise DomainError("pad_factor %d on %d points needs a %d-point "
+                          "momentum transform, above %d"
+                          % (pad_factor, n_points, m, 2 ** 24))
+    return m
+
+
 def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
     """|phi(p)|^2 of a normalized, real grid state.
 
-    Zero-pads to M = pad_factor times the next power of two and applies the
-    real-input transform with continuum normalization, which gives the half
-    comb k = 0 .. M/2 (see MomentumDensity). The grid not starting at the
+    Zero-pads to M = `comb_length` points and applies the real-input
+    transform with continuum normalization, which gives the half comb
+    k = 0 .. M/2 (see MomentumDensity). The grid not starting at the
     coordinate origin only multiplies phi by the unit-modulus phase
     exp(-i p x_min), which |phi|^2 does not see, so the transform leaves it
     out.
     """
-    if pad_factor < 1:
-        raise DomainError("pad_factor must be >= 1")
     psi = state.values
     h = state.grid.h
-    m = pad_factor * next_pow2(len(psi))
+    m = comb_length(len(psi), pad_factor)
     phi = (h / math.sqrt(2.0 * math.pi)) * np.fft.rfft(psi, n=m)
     return MomentumDensity(density=np.abs(phi) ** 2,
                            dp=2.0 * math.pi / (m * h))

@@ -39,16 +39,15 @@ from dataclasses import dataclass, fields as dataclass_fields
 from . import exact_scho, infomeasures, semiclassical, spectral, variational
 from .itp_solver import solve_spectrum
 from .model import (ConfinedPotential, DomainError, Eigenpair, Grid,
-                    acho_unit_box, box_grid, next_pow2, scho_unit_box)
+                    acho_unit_box, box_grid, scho_unit_box)
 from .perturbation import pt_wavefunction
 
 
-# the longest momentum transform a spec may ask for: 2^24 points, whose
-# real-input FFT alone holds 128 MiB; the benchmark's largest is 2^16
-_MAX_COMB = 2 ** 24
+# route pair -> cross-check tolerance; a pair with `pt` only reports
 _CROSS_DEFAULTS = {
     frozenset(("itp", "exact")): 1e-6,
     frozenset(("itp", "variational")): 1e-8,
+    frozenset(("exact", "variational")): 1e-6,
 }
 
 
@@ -64,8 +63,7 @@ class SweepSpec:
     eta: float | None = None  # well strength, acho-dm only
     d_m: float | None = None  # well offset, acho-eta only
     grid_points: int = 2000   # interior points
-    pad_factor: int = 16      # transform length: pad x next_pow2(full grid)
-    cross_tol: float | None = None
+    pad_factor: int = 16      # see spectral.comb_length
 
     def __post_init__(self):
         if self.mode not in _PROBLEMS:
@@ -81,9 +79,8 @@ class SweepSpec:
         if not self.values:
             raise DomainError("empty value list")
         if not all(map(math.isfinite, (*self.values, self.eta or 0.0,
-                                       self.d_m or 0.0,
-                                       self.cross_tol or 0.0))):
-            raise DomainError("values, eta, dm and cross_tol must be finite")
+                                       self.d_m or 0.0))):
+            raise DomainError("values, eta and dm must be finite")
         if len(set(self.values)) != len(self.values):
             raise DomainError("duplicate value")
         if not (0 <= self.n_lo <= self.n_hi):
@@ -98,17 +95,20 @@ class SweepSpec:
             if self.mode not in _ROUTES[s][2]:
                 raise DomainError("solver '%s' not valid for mode '%s'"
                                   % (s, self.mode))
+        if self.grid_points < 8:
+            raise DomainError("grid_points too small")
+        meshes = {_interior_points(self, s) for s in self.solvers}
         for value in self.values:       # each point's problem must build
             try:
                 pot = _PROBLEMS[self.mode](self, value)
                 if "exact" in self.solvers:
                     exact_scho.scan_lanes(self.n_hi,
                                           _native_half_length(pot))
+                for points in meshes:
+                    pot.require_resolution(box_grid(pot.b1, pot.b2, points))
             except DomainError as exc:
                 raise DomainError("%s value %g: %s"
                                   % (self.mode, value, exc)) from None
-        if self.grid_points < 8:
-            raise DomainError("grid_points too small")
         if "variational" in self.solvers:
             size = variational.basis_size(self.n_hi)
             points = _interior_points(self, "variational")
@@ -116,19 +116,7 @@ class SweepSpec:
                 raise DomainError("the variational basis of %d functions "
                                   "needs at least as many interior grid "
                                   "points, got %d" % (size, points))
-        if self.pad_factor < 1:
-            raise DomainError("pad_factor must be >= 1")
-        comb = max(self.pad_factor * next_pow2(_interior_points(self, s) + 2)
-                   for s in self.solvers)
-        if comb > _MAX_COMB:
-            raise DomainError("pad_factor %d on %d interior points needs a "
-                              "%d-point momentum transform, above %d"
-                              % (self.pad_factor, self.grid_points, comb,
-                                 _MAX_COMB))
-        if self.cross_tol is not None and self.cross_tol <= 0:
-            raise DomainError("cross_tol must be positive")
-        if self.cross_tol is not None and len(self.solvers) != 2:
-            raise DomainError("cross_tol needs exactly two solvers")
+        spectral.comb_length(max(meshes) + 2, self.pad_factor)
 
 
 @dataclass(frozen=True)
@@ -337,9 +325,7 @@ def cross_check(rows: list[ReportRow], spec: SweepSpec) -> CrossReport:
     """Largest energy disagreement between the two requested solvers."""
     if len(spec.solvers) != 2:
         raise DomainError("cross check needs exactly two solvers")
-    tol = spec.cross_tol
-    if tol is None:
-        tol = _CROSS_DEFAULTS.get(frozenset(spec.solvers))
+    tol = _CROSS_DEFAULTS.get(frozenset(spec.solvers))
     energy = {(r.value, r.n, r.solver): r.energy for r in rows if not r.error}
     a, b = spec.solvers
     deltas = [abs(energy[v, n, a] - energy[v, n, b])

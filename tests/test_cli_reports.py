@@ -10,7 +10,7 @@ import pytest
 
 import _oracles as O
 import confosc
-from confosc import acceptance, infomeasures, spectral
+from confosc import acceptance, cli_reports, infomeasures, spectral
 from confosc.cli_reports import (TABLES, ConfigError, SchemaError,
                                  emit_table, main, normalize_table_id,
                                  parse_config, rows_from_csv, rows_to_csv)
@@ -46,7 +46,6 @@ def test_parse_config_reads_every_key():
     assert spec.eta == 1.0
     assert spec.grid_points == 900
     assert spec.pad_factor == 8
-    assert spec.cross_tol is None
 
 
 def test_parse_config_range_expansion():
@@ -564,6 +563,50 @@ def test_cli_sweep_reports_cross_check(tmp_path, monkeypatch, capsys):
     assert "over 1 pairs" in err
 
 
+def test_cli_sweep_refuses_a_cross_tolerance_key(monkeypatch, capsys):
+    # a route pair's tolerance is the engine's, not the config's
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "mode = scho-xc\nvalues = 2\nsolver = itp,exact\ncross_tol = 1e-6\n"))
+    assert main(["sweep", "--config", "-"]) == 2
+    assert "unknown key 'cross_tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", sorted(cli_reports._SETTINGS))
+def test_a_setting_reads_alike_from_config_and_flag(key, monkeypatch):
+    mode, text = {"solver": ("scho-xc", "itp, exact"),
+                  "eta": ("acho-dm", "2.5"), "dm": ("acho-eta", "-0.25"),
+                  "grid_points": ("scho-xc", "300"),
+                  "pad_factor": ("scho-xc", "4")}[key]
+    from_config = parse_config("mode = %s\nvalues = 1\n%s = %s\n"
+                               % (mode, key, text))
+    built = []
+    monkeypatch.setattr("confosc.cli_reports.run_sweep",
+                        lambda spec, workers=1: built.append(spec) or [])
+    assert main(["solve", "--mode", mode, "--value", "1",
+                 "--" + key.replace("_", "-"), text]) == 0
+    assert built == [from_config]
+    assert from_config != parse_config("mode = %s\nvalues = 1\n" % mode)
+
+
+@pytest.mark.parametrize("argv,rule", [
+    (["solve", "--mode", "scho-eta", "--value", "1e20"],
+     "the oscillator length (m k)^(-1/4) = 1e-05 spans 0.01 mesh steps"),
+    (["solve", "--mode", "scho-eta", "--value", "1e30"],
+     "must span at least 4"),
+    (["solve", "--mode", "scho-xc", "--value", "1e-120"],
+     "stencil scale 1/(2 m h^2) above 1.34078e+154"),
+    (["solve", "--mode", "scho-xc", "--value", "1e-300"],
+     "stencil scale 1/(2 m h^2) above 1.34078e+154"),
+    (["phase", "--value", "1e-155", "--solver", "variational"],
+     "stencil scale"),
+])
+def test_cli_refuses_a_mesh_that_cannot_hold_the_well(argv, rule, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert rule in captured.err
+
+
 def test_cli_sweep_bad_config_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("mode = nosuch\nvalues=1\n"))
     assert main(["sweep", "--config", "-"]) == 2
@@ -605,7 +648,7 @@ def test_cli_table_bad_id_exit_code(capsys):
     assert "unknown table id" in capsys.readouterr().err
 
 
-def test_cli_phase_report_and_orbit(tmp_path):
+def test_cli_phase_report_and_orbit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "phase.csv"
     rc = main(["phase", "--value", "2.0", "--n-max", "1", "--format", "csv",
                "--out", str(out)])
@@ -624,9 +667,16 @@ def test_cli_phase_report_and_orbit(tmp_path):
     assert len(pts) == 1 + 2 * 1001 + 1
     assert pts[1] == pts[-1]
 
-    rc = main(["phase", "--value", "2.0", "--n-max", "1", "--orbit", "5",
-               "--out", str(loop)])
-    assert rc == 1
+    # a state outside 0..--n-max is bad input, refused before any solve
+    solved = []
+    monkeypatch.setattr("confosc.cli_reports.solve_point",
+                        lambda *point: solved.append(point))
+    for orbit in ("5", "-1"):
+        rc = main(["phase", "--value", "2.0", "--n-max", "1", "--orbit",
+                   orbit, "--out", str(loop)])
+        assert rc == 2
+        assert "is not a state of 0..1" in capsys.readouterr().err
+    assert solved == []
 
 
 def test_cli_orbit_honours_the_format(tmp_path):

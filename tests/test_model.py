@@ -73,6 +73,35 @@ def test_potential_must_be_finite_at_the_walls():
     assert np.all(np.isfinite(pot.interior_values(box_grid(-1.0, 1.0, 50))))
 
 
+def test_a_mesh_must_span_the_oscillator_length_four_times():
+    grid = box_grid(-1.0, 1.0, 199)                 # h = 0.01
+    # the length (m k)^(-1/4) reads the mass and the force constant only
+    # through their product
+    for pot in (ConfinedPotential(k=0.0401 ** -4),
+                ConfinedPotential(k=2.0 * 0.0401 ** -4, mass=0.5),
+                ConfinedPotential(k=0.0)):          # no well to hold
+        pot.require_resolution(grid)
+    for pot in (ConfinedPotential(k=0.039 ** -4),
+                ConfinedPotential(k=2.0 * 0.039 ** -4, mass=0.5)):
+        with pytest.raises(DomainError, match="spans 3.9 mesh steps of 0.01; "
+                           "it must span at least 4"):
+            pot.require_resolution(grid)
+
+
+def test_a_mesh_keeps_the_stencil_scale_below_the_root_of_the_largest_float():
+    # 1/(2 m h^2) <= 1.34e154 needs h >= 6.1e-78 at mass 1, 8.6e-78 at 1/2
+    box = dict(b1=-1e-74, b2=1e-74)
+    fine, coarse = box_grid(-1e-74, 1e-74, 3300), box_grid(-1e-74, 1e-74, 3000)
+    ConfinedPotential(k=0.0, **box).require_resolution(coarse)
+    for pot, grid in ((ConfinedPotential(k=0.0, **box), fine),
+                      (ConfinedPotential(k=0.0, mass=0.5, **box), coarse),
+                      (ConfinedPotential(b1=-1e-300, b2=1e-300),
+                       box_grid(-1e-300, 1e-300, 8))):   # h^2 underflows
+        with pytest.raises(DomainError, match=r"stencil scale 1/\(2 m h\^2\) "
+                           r"above 1.34078e\+154"):
+            pot.require_resolution(grid)
+
+
 def test_interior_values_requires_spanning_grid():
     pot = ConfinedPotential(b1=-1.0, b2=1.0)
     with pytest.raises(DomainError):

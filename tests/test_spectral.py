@@ -7,7 +7,7 @@ import _oracles as O
 from confosc.exact_scho import scho_states
 from confosc.infomeasures import shannon
 from confosc.model import DomainError, Eigenpair, box_grid
-from confosc.spectral import parseval_defect, to_momentum
+from confosc.spectral import comb_length, parseval_defect, to_momentum
 
 PI = math.pi
 
@@ -24,6 +24,20 @@ def box_ground(n_interior):
 def test_pad_factor_guard():
     with pytest.raises(DomainError):
         to_momentum(box_ground(200), pad_factor=0)
+
+
+@pytest.mark.parametrize("n_interior,pad", [(7, 1), (200, 3), (254, 16),
+                                            (255, 2), (4001, 16)])
+def test_comb_length_is_the_transform_length(n_interior, pad):
+    md = to_momentum(box_ground(n_interior), pad_factor=pad)
+    assert comb_length(n_interior + 2, pad) == 2 * (len(md.density) - 1)
+
+
+def test_comb_length_refuses_a_pad_below_one_and_a_comb_above_2_24():
+    assert comb_length(2 ** 20, 16) == 2 ** 24
+    for n_points, pad in ((100, 0), (2 ** 20 + 1, 16), (2, 2 ** 24 + 1)):
+        with pytest.raises(DomainError):
+            comb_length(n_points, pad)
 
 
 def test_comb_geometry():

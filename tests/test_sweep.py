@@ -31,12 +31,8 @@ from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
     dict(mode="scho-xc", values=(1.0,), pad_factor=0),
     dict(mode="scho-xc", values=(1.0,), n_lo=-1, n_hi=0),
     dict(mode="acho-eta", values=(-1.0,)),
-    dict(mode="scho-xc", values=(1.0,), cross_tol=0.0),
     dict(mode="scho-eta", values=(0.1, 0.0), solvers=("pt", "exact")),
     dict(mode="scho-xc", values=(1.0,), solvers=()),
-    dict(mode="scho-xc", values=(1.0,), solvers=("itp", "exact"),
-         cross_tol=0.0),
-    dict(mode="scho-xc", values=(1.0,), solvers=("exact",), cross_tol=1e-6),
     dict(mode="acho-dm", values=(math.nan,), solvers=("variational",)),
     dict(mode="acho-dm", values=(1.0, math.inf), solvers=("variational",)),
     dict(mode="scho-xc", values=(math.inf,)),
@@ -45,10 +41,6 @@ from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
     dict(mode="acho-dm", values=(1.0,), eta=math.inf),
     dict(mode="acho-eta", values=(1.0,), d_m=math.nan),
     dict(mode="acho-eta", values=(1.0,), d_m=-math.inf),
-    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
-         cross_tol=math.nan),
-    dict(mode="acho-dm", values=(1.0,), solvers=("itp", "variational"),
-         cross_tol=math.inf),
     dict(mode="acho-dm", values=(1.0,), eta=-1.0),
     dict(mode="scho-xc", values=(2.0, 7.5), solvers=("itp", "exact")),
     dict(mode="scho-eta", values=(2501.0,), solvers=("exact",)),
@@ -59,6 +51,12 @@ from confosc.sweep import ReportRow, SweepSpec, cross_check, run_sweep
          grid_points=49),
     dict(mode="acho-dm", values=(5.0,), n_hi=30, solvers=("variational",),
          grid_points=71),
+    # meshes that cannot hold the well: a stiff well, a tiny box
+    dict(mode="acho-eta", values=(1e12,), d_m=0.5, solvers=("variational",)),
+    dict(mode="acho-dm", values=(0.5,), eta=1e9, grid_points=300),
+    dict(mode="scho-xc", values=(1e3,), solvers=("itp", "variational")),
+    dict(mode="scho-xc", values=(2.0, 1e-90), solvers=("itp", "variational")),
+    dict(mode="scho-xc", values=(1e-76,), grid_points=300),
 ])
 def test_spec_rejects(kw):
     with pytest.raises(DomainError):
@@ -98,6 +96,21 @@ def test_spec_bounds_the_momentum_transform():
                dict(pad_factor=1, grid_points=2 ** 30)):
         with pytest.raises(DomainError, match="momentum transform"):
             SweepSpec(**{**at_bound, **kw})
+
+
+def test_the_coarsest_mesh_a_spec_accepts_holds_a_stiff_well():
+    # at 4 steps per oscillator length the relaxation levels n <= 2 keep
+    # three digits of the open-line levels sqrt(eta) (n + 1/2): the walls
+    # stand 25 lengths away
+    eta = (4.0 * 2.0 / 201) ** -4 * (1.0 - 1e-9)
+    spec = SweepSpec(mode="scho-eta", values=(eta,), n_hi=2, grid_points=200)
+    rows = run_sweep(spec, fields={"energy"})
+    assert [r.n for r in rows] == [0, 1, 2] and not any(r.error for r in rows)
+    errors = [r.energy / (math.sqrt(eta) * (r.n + 0.5)) - 1.0 for r in rows]
+    assert max(map(abs, errors)) < 4e-4
+    with pytest.raises(DomainError, match="scho-eta value .*: the oscillator "
+                       "length .* must span at least 4"):
+        replace(spec, values=(eta * 1.01,))
 
 
 # ------------------------------------------------------------ routes
@@ -161,7 +174,7 @@ def test_an_offset_sweep_applies_the_operator_once_per_basis(monkeypatch):
 
 def test_cross_check_semantics():
     spec = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=1,
-                     solvers=("itp", "exact"), cross_tol=None)
+                     solvers=("itp", "exact"))
 
     def fake(value, n, solver, energy):
         return ReportRow(value=value, n=n, solver=solver, energy=energy)
@@ -173,20 +186,24 @@ def test_cross_check_semantics():
     assert math.isclose(rep.max_delta, 2e-7, rel_tol=1e-9)
     assert rep.tol == 1e-6 and rep.ok          # route-pair default
 
-    tight = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=1,
-                      solvers=("itp", "exact"), cross_tol=1e-8)
-    assert not cross_check(rows, tight).ok
-
     # unpaired rows are skipped, not counted
     rep2 = cross_check(rows[:-1], spec)
     assert rep2.n_pairs == 1
 
-    # a route pair without a default tolerance reports but never fails
-    free = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=0,
-                     solvers=("exact", "variational"))
-    frows = [fake(1.0, 0, "exact", 1.0), fake(1.0, 0, "variational", 2.0)]
+    # the exact and basis routes are held to 1e-6 like the relaxation pair
+    paired = SweepSpec(mode="scho-xc", values=(1.0,), n_hi=0,
+                       solvers=("exact", "variational"))
+    prows = [fake(1.0, 0, "exact", 1.0), fake(1.0, 0, "variational", 2.0)]
+    prep = cross_check(prows, paired)
+    assert prep.tol == 1e-6 and not prep.ok
+
+    # a pair with the first-order route has no tolerance: it reports its
+    # disagreement but never fails
+    free = SweepSpec(mode="scho-eta", values=(1.0,), n_hi=0,
+                     solvers=("pt", "exact"))
+    frows = [fake(1.0, 0, "pt", 1.0), fake(1.0, 0, "exact", 2.0)]
     frep = cross_check(frows, free)
-    assert frep.tol is None and frep.ok
+    assert frep.tol is None and frep.ok and frep.max_delta == 1.0
 
     with pytest.raises(DomainError):
         cross_check(rows, SweepSpec(mode="scho-xc", values=(1.0,),
