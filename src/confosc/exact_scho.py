@@ -3,16 +3,18 @@
 The bound-state energies are the zeros, in energy, of a confluent
 hypergeometric boundary value; the wavefunctions are the corresponding
 Gaussian-damped 1F1 profiles. The hypergeometric series here is hand-rolled
-(compensated Maclaurin summation) and is the slow-but-transparent reference
-path; the variational route expands in box sines and evaluates no 1F1, so
-the two cross-check each other independently. Each root is refined by the
-package's own Brent's method, `model.brent_root`.
+and is the slow-but-transparent reference path: the energies come from a
+compensated Maclaurin sum, the wavefunctions from Horner's rule on the
+same Maclaurin coefficients. The variational route expands in box sines
+and evaluates no 1F1, so the two cross-check each other independently.
+Each root is refined by the package's own Brent's method,
+`model.brent_root`.
 
 `scho_states` builds the ladder 0..n_max of one box. Every state has
 definite parity, so each parity's levels come from one root scan of their
-branch, taken up to the ceiling of the highest of them, and one sum of the
-series on the half grid only, from the centre sample to the wall (one row
-per level), mirrored: psi(-x) = +-psi(x).
+branch, taken up to the ceiling of the highest of them, and one Horner sum
+on the half grid only, from the centre sample to the wall (one row per
+level), mirrored: psi(-x) = +-psi(x).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ _Z_LIMIT = 50.0
 _ROOT_TOL = 1e-12   # Brent root tolerance
 _SCAN_STEP = 0.1
 # energies one root scan may evaluate: about 12.3 (n+1)^2 / x_c^2 of them in
-# a small box, so this admits x_c >= 0.0112 (n+1), each scan a few MiB and
-# tens of ms
+# a small box, so this admits x_c >= 0.0112 (n+1); a scan of 100,000 holds
+# about 5 MiB of work arrays and takes about 20 ms
 _MAX_SCAN_LANES = 100_000
 
 
@@ -40,60 +42,100 @@ class RootSearchError(RuntimeError):
     or a series that did not settle."""
 
 
-def _series_1f1(a, b: float, z):
-    """Maclaurin sum of 1F1(a; b; z) for scalar or array `a` and `z`.
+def _scalar_series(a: float, b: float, z: float) -> tuple[float, int]:
+    """Maclaurin sum of 1F1(a; b; z) on Python floats, and its stop index:
+    the degree of the last term summed.
 
     Term recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)); Kahan-compensated
     accumulation; stops after three consecutive terms below 1e-17 of the
-    running sum (elementwise, all lanes).
-
-    The shape of the input picks the arithmetic. Two scalars (Brent's
-    method, `kummer_1f1`) are summed in Python floats, which is about ten
-    times faster than numpy scalar arithmetic per term; arrays are
-    broadcast and summed lane by lane: the root scan (a row of energies at
-    the wall argument) and the wavefunctions (a column of one parity's
-    levels against the half grid). Both run the same IEEE steps in the same
-    order, so a scalar returns the bits of a one-lane array.
-
-    The array stop test looks first at the last lane alone: the wall column
-    of the half grid, or the highest energy of a scan, which usually
-    settles last. Only once it has does the all-lanes test run. Both tests agree
-    whenever the last lane has not settled, so every term gets the answer
-    of the all-lanes test alone, and the stop index and sums are its own.
+    running sum. Python floats are about ten times faster than numpy scalar
+    arithmetic per term.
     """
-    if np.ndim(a) == 0 and np.ndim(z) == 0:
-        a, z = float(a), float(z)
-        term, total, comp = 1.0, 1.0, 0.0
-
-        def settled(term, total):
-            return abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300)
-    else:
-        a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(a.shape, z.shape)
-        term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
-
-        def small(term, total):
-            return (np.abs(term)
-                    <= _SERIES_RTOL * np.maximum(np.abs(total), 1e-300)).all()
-
-        def settled(term, total):
-            return small(term[..., -1], total[..., -1]) and small(term, total)
-    quiet = 0
+    term, total, comp, quiet, rtol = 1.0, 1.0, 0.0, 0, _SERIES_RTOL
     for k in range(_MAX_TERMS):
         term = term * (a + k) * z / ((b + k) * (k + 1.0))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if settled(term, total):
+        scale = abs(total)    # max(scale, 1e-300), NaN kept, minus a call
+        if abs(term) <= rtol * (1e-300 if scale < 1e-300 else scale):
             quiet += 1
             if quiet == 3:
-                break
+                return total, k + 1
         else:
             quiet = 0
-    else:
-        raise RootSearchError("series did not settle in %d terms" % _MAX_TERMS)
-    return total
+    raise RootSearchError("series did not settle in %d terms" % _MAX_TERMS)
+
+
+def _series_1f1(a, b: float, z):
+    """Maclaurin sum of 1F1(a; b; z) for scalar or array `a` and `z`.
+
+    Two scalars (Brent's method, `kummer_1f1`) are summed by
+    `_scalar_series`. Arrays are broadcast and run the same IEEE steps in
+    the same order lane by lane, in place, so a scalar returns the bits of
+    a one-lane array; they stop once every lane has had three quiet terms.
+
+    That stop index is at or beyond the last lane's own: the root scan's
+    highest energy, which usually settles last. So the all-lanes test is
+    skipped until that lane's quiet run can begin, two terms before its
+    scalar stop index, and the stop index and sums are those of the
+    all-lanes test alone.
+    """
+    if np.ndim(a) == 0 and np.ndim(z) == 0:
+        return _scalar_series(float(a), b, float(z))[0]
+    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(a.shape, z.shape)
+    term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
+    y, t, ak = np.empty(shape), np.empty(shape), np.empty(a.shape)
+    last = (-1,) * len(shape)
+    a_last, z_last = (float(v[last]) for v in np.broadcast_arrays(a, z))
+    quiet_from = _scalar_series(a_last, b, z_last)[1] - 3
+    quiet = 0
+    for k in range(_MAX_TERMS):
+        np.add(a, k, out=ak)
+        np.multiply(term, ak, out=term)
+        np.multiply(term, z, out=term)
+        np.divide(term, (b + k) * (k + 1.0), out=term)
+        np.subtract(term, comp, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=comp)
+        np.subtract(comp, y, out=comp)
+        total, t = t, total
+        if k < quiet_from:
+            continue
+        # y and t are free until the next term
+        np.maximum(np.abs(total, out=t), 1e-300, out=t)
+        if (np.abs(term, out=y) <= np.multiply(t, _SERIES_RTOL, out=t)).all():
+            quiet += 1
+            if quiet == 3:
+                return total
+        else:
+            quiet = 0
+    raise RootSearchError("series did not settle in %d terms" % _MAX_TERMS)
+
+
+def _horner_1f1(a: list[float], b: float, z: np.ndarray,
+                z_edge: float) -> np.ndarray:
+    """Rows 1F1(a_i; b; z) for the levels `a` of one parity on the half
+    grid `z`, 0 <= z <= z_edge, summed by Horner's rule.
+
+    Each level's Maclaurin coefficients c_0 = 1, c_{k+1} = c_k (a+k) /
+    ((b+k)(k+1)) are Python floats, taken to the largest of the levels' own
+    stop indices at the wall argument z_edge, where every term is largest;
+    each term then costs two in-place array operations.
+    """
+    degree = max(_scalar_series(ai, b, z_edge)[1] for ai in a)
+    coeffs = [[1.0] * len(a)]
+    for k in range(degree):
+        coeffs.append([c * (ai + k) / ((b + k) * (k + 1.0))
+                       for c, ai in zip(coeffs[-1], a)])
+    coeffs = np.array(coeffs)[:, :, None]
+    acc = np.repeat(coeffs[-1], len(z), axis=1)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
@@ -184,7 +226,7 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     [-x_c, x_c].
 
     Each parity's energies come from one root scan of its branch, and its
-    levels are summed in one `_series_1f1` pass over the half grid
+    levels are summed in one `_horner_1f1` pass over the half grid
     `points[N//2:]`, one row per level; each row is mirrored:
     psi(-x) = psi(x) for even n, -psi(x) for odd n. For an odd point count
     the half grid starts at the centre sample, taken as exactly 0 (rounding
@@ -206,8 +248,8 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
         if not levels:
             continue
         eps = _branch_roots(levels, x_c)
-        a = np.array([[shift - e / 2.0] for e in eps])
-        half = factor * _series_1f1(a, b, z)
+        half = factor * _horner_1f1([shift - e / 2.0 for e in eps], b, z,
+                                    x_c * x_c)
         mirror = half[:, count % 2:][:, ::-1]
         rows = np.concatenate((-mirror if parity else mirror, half), axis=1)
         for n, e, psi in zip(levels, eps, rows):

@@ -88,13 +88,13 @@ class PentaSystem:
 def _initial_guess(m: int, grid: Grid, pot: ConfinedPotential) -> np.ndarray:
     """Hermite-times-Gaussian trial profile centred on the well minimum,
     zeroed at the walls and normalized so that h * sum(psi^2) = 1."""
-    y = grid.points - pot.d_m
+    y = grid.points[1:-1] - pot.d_m
     coeffs = [0.0] * m + [1.0]
-    # the Gaussian is scaled to 1 at the mesh point nearest the minimum, so
-    # that it cannot underflow on a box far from the minimum
+    # the Gaussian is scaled to 1 at the interior mesh point nearest the
+    # minimum, so that it cannot underflow on a box far from the minimum
     y2 = y * y
-    vals = hermval(y, coeffs) * np.exp(y2.min() - y2)
-    vals[0] = vals[-1] = 0.0
+    vals = np.zeros(grid.n_points)
+    vals[1:-1] = hermval(y, coeffs) * np.exp(y2.min() - y2)
     vals /= math.sqrt(grid.h * float(vals @ vals))
     return vals
 

@@ -349,21 +349,36 @@ def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
         scho_states(0, 1.01 * x_c, grid)
 
 
+@pytest.mark.parametrize("x_c", (0.1778, 2.0, 5.0, 7.0))
+def test_horner_rows_match_the_multiprecision_series(x_c):
+    # each parity's rows x^p e^{-x^2/2} 1F1(a; b; x^2) on a half grid,
+    # within 5e-14 of the row's max|psi| of the same profile from mpmath
+    x = box_grid(-x_c, x_c, 201).points[101:]
+    z = x * x
+    for parity, b, shift in ((0, 0.5, 0.25), (1, 1.5, 0.75)):
+        levels = range(parity, 5, 2)
+        a = [shift - scho_eigenvalue(n, x_c) / 2.0 for n in levels]
+        factor = x ** parity * np.exp(-z / 2.0)
+        rows = factor * exact_scho._horner_1f1(a, b, z, x_c * x_c)
+        for n, a_n, row in zip(levels, a, rows):
+            ref = factor * np.array([O.mp_1f1(a_n, b, zi) for zi in z])
+            assert (np.max(np.abs(row - ref))
+                    <= 5e-14 * np.max(np.abs(ref))), (n, x_c)
+
+
 @pytest.mark.parametrize("n_interior", (300, 301))
 def test_a_ladder_sums_one_half_grid_series_per_parity(monkeypatch,
                                                         n_interior):
-    # levels 0, 2, 4 in one pass and 1, 3 in another, each over the half
-    # grid; only the sums over the grid are counted, not the root scans,
-    # which sum at the wall alone
+    # levels 0, 2, 4 in one Horner pass and 1, 3 in another, each over the
+    # half grid
     grid = box_grid(-2.0, 2.0, n_interior)
     shapes = []
-    series = exact_scho._series_1f1
+    horner = exact_scho._horner_1f1
 
-    def counted(a, b, z):
-        if np.ndim(z):
-            shapes.append(np.broadcast_shapes(np.shape(a), np.shape(z)))
-        return series(a, b, z)
-    monkeypatch.setattr(exact_scho, "_series_1f1", counted)
+    def counted(a, b, z, z_edge):
+        shapes.append((len(a), len(z)))
+        return horner(a, b, z, z_edge)
+    monkeypatch.setattr(exact_scho, "_horner_1f1", counted)
     scho_states(4, 2.0, grid)
     half = grid.n_points - grid.n_points // 2
     assert shapes == [(3, half), (2, half)]

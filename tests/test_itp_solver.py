@@ -145,6 +145,23 @@ def test_far_offset_ladder_agrees_with_the_basis_route():
         assert abs(a.energy - b.energy) <= 1e-8
 
 
+def test_a_minimum_far_beyond_the_wall_keeps_a_trial_and_its_airy_levels():
+    # at d_m = 1e6 the mesh point nearest the minimum is the wall: a trial
+    # scaled to 1 there would underflow on every interior point and
+    # normalize to NaN. Near the wall the well is the linear ramp V(1) + F s,
+    # whose levels sit |a_n| (F^2 / 2m)^(1/3) above V(1), a_n the Airy zeros
+    pot = acho_unit_box(1.0, 1e6)
+    grid = box_grid(-1.0, 1.0, 2000)
+    guess = _initial_guess(0, grid, pot)
+    assert np.all(np.isfinite(guess)) and np.any(guess[1:-1] != 0.0)
+    wall = float(pot(np.array([1.0]))[0])
+    slope = pot.k * (pot.d_m - 1.0)
+    scale = (slope * slope / (2.0 * pot.mass)) ** (1.0 / 3.0)
+    airy_zeros = (2.338107410459767, 4.087949444130971, 5.520559828095551)
+    for state, a_n in zip(solve_spectrum(pot, grid, 2), airy_zeros):
+        assert math.isclose(state.energy - wall, a_n * scale, rel_tol=1e-4)
+
+
 def test_solve_spectrum_pure_box_level():
     pot = ConfinedPotential(k=0.0, d_m=0.0, b1=-1.0, b2=1.0)
     grid = box_grid(-1.0, 1.0, 2000)
