@@ -12,9 +12,10 @@ Each root is refined by the package's own Brent's method,
 
 `scho_states` builds the ladder 0..n_max of one box. Every state has
 definite parity, so each parity's levels come from one root scan of their
-branch, taken up to the ceiling of the highest of them, and one Horner sum
-on the half grid only, from the centre sample to the wall (one row per
-level), mirrored: psi(-x) = +-psi(x).
+branch, on the cells of a 0.1 energy lattice that lie in the levels'
+min-max windows. All levels are then summed in one Horner pass on the half
+grid only, from the centre sample to the wall (one row per level),
+mirrored: psi(-x) = +-psi(x).
 """
 
 from __future__ import annotations
@@ -31,10 +32,13 @@ _MAX_TERMS = 600
 _Z_LIMIT = 50.0
 _ROOT_TOL = 1e-12   # Brent root tolerance
 _SCAN_STEP = 0.1
-# energies one root scan may evaluate: about 12.3 (n+1)^2 / x_c^2 of them in
-# a small box, so this admits x_c >= 0.0112 (n+1); a scan of 100,000 holds
-# about 5 MiB of work arrays and takes about 20 ms
+# energies one root-scan lattice may hold: about 12.3 (n+1)^2 / x_c^2 of them
+# in a small box, so this admits x_c >= 0.0112 (n+1); a small box evaluates
+# only a few of them (see `_scan_indices`)
 _MAX_SCAN_LANES = 100_000
+# lanes whose terms one cumulative product holds: at most 600 terms each,
+# under 10 MiB
+_LANE_BLOCK = 2048
 
 
 class RootSearchError(RuntimeError):
@@ -42,9 +46,24 @@ class RootSearchError(RuntimeError):
     or a series that did not settle."""
 
 
-def _scalar_series(a: float, b: float, z: float) -> tuple[float, int]:
-    """Maclaurin sum of 1F1(a; b; z) on Python floats, and its stop index:
-    the degree of the last term summed.
+def _denominators(b: float) -> list[float]:
+    """(b+k)(k+1), k = 0 .. _MAX_TERMS-1: the denominators of the term
+    recurrence of 1F1(a; b; z)."""
+    return [(b + k) * (k + 1.0) for k in range(_MAX_TERMS)]
+
+
+# parity -> (shift, b, denominators): the branch of the centred well's
+# states of that parity, whose wall value at energy eps is
+# 1F1(shift - eps/2; b; x_c^2)
+_BRANCHES = ((0.25, 0.5, _denominators(0.5)),
+             (0.75, 1.5, _denominators(1.5)))
+
+
+def _scalar_series(a: float, z: float,
+                   denoms: list[float]) -> tuple[float, int]:
+    """Maclaurin sum of 1F1(a; b; z) on Python floats, b the parameter of
+    `denoms` (see `_denominators`), and its stop index: the degree of the
+    last term summed.
 
     Term recurrence t_{k+1} = t_k (a+k) z / ((b+k)(k+1)); Kahan-compensated
     accumulation; stops after three consecutive terms below 1e-17 of the
@@ -52,8 +71,8 @@ def _scalar_series(a: float, b: float, z: float) -> tuple[float, int]:
     arithmetic per term.
     """
     term, total, comp, quiet, rtol = 1.0, 1.0, 0.0, 0, _SERIES_RTOL
-    for k in range(_MAX_TERMS):
-        term = term * (a + k) * z / ((b + k) * (k + 1.0))
+    for k, den in enumerate(denoms):
+        term = term * (a + k) * z / den
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -68,74 +87,35 @@ def _scalar_series(a: float, b: float, z: float) -> tuple[float, int]:
     raise RootSearchError("series did not settle in %d terms" % _MAX_TERMS)
 
 
-def _series_1f1(a, b: float, z):
-    """Maclaurin sum of 1F1(a; b; z) for scalar or array `a` and `z`.
+def _negative_lanes(a: np.ndarray, z: float,
+                    denoms: list[float]) -> np.ndarray:
+    """Whether 1F1(a_i; b; z) < 0 for each lane a_i, b the parameter of
+    `denoms`: the terms of a block of lanes at once, as one cumulative
+    product of the term ratios (a+k) z / ((b+k)(k+1)).
 
-    Two scalars (Brent's method, `kummer_1f1`) are summed by
-    `_scalar_series`. Arrays are broadcast and run the same IEEE steps in
-    the same order lane by lane, in place, so a scalar returns the bits of
-    a one-lane array; they stop once every lane has had three quiet terms.
-
-    That stop index is at or beyond the last lane's own: the root scan's
-    highest energy, which usually settles last. So the all-lanes test is
-    skipped until that lane's quiet run can begin, two terms before its
-    scalar stop index, and the stop index and sums are those of the
-    all-lanes test alone.
+    A block's product runs to the stop index of the scalar sum of its last
+    lane, the highest energy, which usually settles last, and further until
+    the last three terms of every lane are below 1e-17 of its sum.
     """
-    if np.ndim(a) == 0 and np.ndim(z) == 0:
-        return _scalar_series(float(a), b, float(z))[0]
-    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(a.shape, z.shape)
-    term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
-    y, t, ak = np.empty(shape), np.empty(shape), np.empty(a.shape)
-    last = (-1,) * len(shape)
-    a_last, z_last = (float(v[last]) for v in np.broadcast_arrays(a, z))
-    quiet_from = _scalar_series(a_last, b, z_last)[1] - 3
-    quiet = 0
-    for k in range(_MAX_TERMS):
-        np.add(a, k, out=ak)
-        np.multiply(term, ak, out=term)
-        np.multiply(term, z, out=term)
-        np.divide(term, (b + k) * (k + 1.0), out=term)
-        np.subtract(term, comp, out=y)
-        np.add(total, y, out=t)
-        np.subtract(t, total, out=comp)
-        np.subtract(comp, y, out=comp)
-        total, t = t, total
-        if k < quiet_from:
-            continue
-        # y and t are free until the next term
-        np.maximum(np.abs(total, out=t), 1e-300, out=t)
-        if (np.abs(term, out=y) <= np.multiply(t, _SERIES_RTOL, out=t)).all():
-            quiet += 1
-            if quiet == 3:
-                return total
-        else:
-            quiet = 0
-    raise RootSearchError("series did not settle in %d terms" % _MAX_TERMS)
-
-
-def _horner_1f1(a: list[float], b: float, z: np.ndarray,
-                z_edge: float) -> np.ndarray:
-    """Rows 1F1(a_i; b; z) for the levels `a` of one parity on the half
-    grid `z`, 0 <= z <= z_edge, summed by Horner's rule.
-
-    Each level's Maclaurin coefficients c_0 = 1, c_{k+1} = c_k (a+k) /
-    ((b+k)(k+1)) are Python floats, taken to the largest of the levels' own
-    stop indices at the wall argument z_edge, where every term is largest;
-    each term then costs two in-place array operations.
-    """
-    degree = max(_scalar_series(ai, b, z_edge)[1] for ai in a)
-    coeffs = [[1.0] * len(a)]
-    for k in range(degree):
-        coeffs.append([c * (ai + k) / ((b + k) * (k + 1.0))
-                       for c, ai in zip(coeffs[-1], a)])
-    coeffs = np.array(coeffs)[:, :, None]
-    acc = np.repeat(coeffs[-1], len(z), axis=1)
-    for c in coeffs[-2::-1]:
-        acc *= z
-        acc += c
-    return acc
+    negative = np.empty(len(a), dtype=bool)
+    for start in range(0, len(a), _LANE_BLOCK):
+        block = a[start:start + _LANE_BLOCK]
+        degree = _scalar_series(float(block[-1]), z, denoms)[1]
+        while True:
+            terms = block[:, None] + np.arange(degree)
+            terms *= z / np.array(denoms[:degree])
+            np.cumprod(terms, axis=1, out=terms)
+            total = terms.sum(axis=1) + 1.0
+            tail = np.abs(terms[:, -3:]).max(axis=1)
+            if (tail <= _SERIES_RTOL
+                    * np.maximum(np.abs(total), 1e-300)).all():
+                break
+            if degree == _MAX_TERMS:
+                raise RootSearchError("series did not settle in %d terms"
+                                      % _MAX_TERMS)
+            degree = min(2 * degree, _MAX_TERMS)
+        negative[start:start + len(block)] = total < 0
+    return negative
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
@@ -152,16 +132,9 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     if not abs(z) <= _Z_LIMIT:
         raise DomainError("|z| <= %g supported, got %g" % (_Z_LIMIT, z))
     if z < 0:
-        return math.exp(z) * _series_1f1(b - a, b, -z)
-    return _series_1f1(a, b, z)
-
-
-def _boundary_values(n_parity_even: bool, eps, z_edge: float):
-    """Wall value of the (unnormalized) candidate state at the energy or
-    array of energies `eps`."""
-    if n_parity_even:
-        return _series_1f1(0.25 - eps / 2.0, 0.5, z_edge)
-    return _series_1f1(0.75 - eps / 2.0, 1.5, z_edge)
+        return math.exp(z) * _scalar_series(float(b - a), float(-z),
+                                            _denominators(b))[0]
+    return _scalar_series(float(a), float(z), _denominators(b))[0]
 
 
 def series_window(x_c: float) -> float:
@@ -175,9 +148,9 @@ def series_window(x_c: float) -> float:
 
 
 def scan_lanes(n: int, x_c: float) -> int:
-    """Energies the root scan for level n evaluates: one every 0.1 up to the
-    min-max ceiling, the flat-box level plus x_c^2/2 (0 <= V <= x_c^2/2 on
-    the box, so the branch of level n has its zero below it).
+    """Energies of the full root-scan lattice for level n: one every 0.1 up
+    to the min-max ceiling, the flat-box level plus x_c^2/2 (0 <= V <=
+    x_c^2/2 on the box, so the branch of level n has its zero below it).
 
     A DomainError, before anything is allocated, outside the series window
     or above _MAX_SCAN_LANES lanes, which a tiny box needs.
@@ -192,17 +165,55 @@ def scan_lanes(n: int, x_c: float) -> int:
     return int(span) + 2
 
 
-def _branch_roots(levels: range, x_c: float) -> list[float]:
+def _scan_indices(top: int, x_c: float) -> np.ndarray:
+    """Lattice indices k, energies 1e-9 + 0.1 k, that the root scan of the
+    branch of level `top` evaluates: the sorted union of the levels' min-max
+    windows, each widened to the lattice cells around it.
+
+    Level n lies in its window [max(flat_n, n + 1/2), flat_n + x_c^2/2]:
+    0 <= V <= x_c^2/2 on the box, and the walls only raise the open-line
+    level n + 1/2. So every cell of the full lattice that holds a root of
+    the branch up to `top` has both its lanes in the union, and counting
+    sign changes between adjacent lanes finds, up to the cell of `top`, the
+    same cells as the full lattice of `scan_lanes(top, x_c)` lanes.
+    """
+    count = scan_lanes(top, x_c)
+    box = ConfinedPotential(b1=-x_c, b2=x_c)
+    spans, end = [], -1
+    for n in range(top % 2, top + 1, 2):
+        # both ends of the windows rise with n, so each window adds the
+        # lanes above the last one's end (np.unique imports numpy.ma, about
+        # 10 ms of a cold start)
+        flat = box.flat_box_level(n)
+        lo = max(int((max(flat, n + 0.5) - 1e-9) / _SCAN_STEP) - 1, end + 1)
+        end = min(int((flat + 0.5 * x_c * x_c - 1e-9) / _SCAN_STEP) + 2,
+                  count - 1)
+        spans.append(np.arange(lo, end + 1))
+    return np.concatenate(spans)
+
+
+def _branch_roots(levels: range, x_c: float) -> list[tuple[float, int]]:
     """Energies of `levels`, ascending indices of one parity, in a box of
-    half-length x_c: level n is the (n//2 + 1)-th zero, in energy, of its
-    branch's wall value. One scan of `scan_lanes(levels[-1], x_c)` energies
-    finds the sign changes (a lower level's own scan is a prefix of it), and
-    `model.brent_root` refines each wanted one to 1e-12 on Python floats."""
-    eps = 1e-9 + _SCAN_STEP * np.arange(scan_lanes(levels[-1], x_c))
+    half-length x_c, each with the stop index of its wall value's series.
+
+    Level n is the (n//2 + 1)-th zero, in energy, of its branch's wall
+    value. The signs of that value on the lanes of `_scan_indices` locate
+    each zero to one lattice cell, and `model.brent_root` refines it to
+    1e-12 on Python floats."""
+    top = levels[-1]
+    shift, _, denoms = _BRANCHES[top % 2]
     z_edge = x_c * x_c
-    even = (levels[0] % 2 == 0)
-    vals = _boundary_values(even, eps, z_edge)
-    flips = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0]
+    lanes = _scan_indices(top, x_c)
+    eps = 1e-9 + _SCAN_STEP * lanes
+    negative = _negative_lanes(shift - eps / 2.0, z_edge, denoms)
+    flips = np.nonzero((negative[:-1] != negative[1:])
+                       & (lanes[1:] - lanes[:-1] == 1))[0]
+    stops = {}
+
+    def wall(e: float) -> float:
+        total, stops[e] = _scalar_series(shift - e / 2.0, z_edge, denoms)
+        return total
+
     roots = []
     for n in levels:
         want = n // 2 + 1
@@ -210,27 +221,56 @@ def _branch_roots(levels: range, x_c: float) -> list[float]:
             raise RootSearchError("no %d-th boundary zero below eps=%.3g for "
                                   "n=%d, x_c=%g" % (want, eps[-1], n, x_c))
         k = flips[want - 1]
-        roots.append(brent_root(lambda e: _boundary_values(even, e, z_edge),
-                                eps[k], eps[k + 1], _ROOT_TOL))
+        root = brent_root(wall, eps[k], eps[k + 1], _ROOT_TOL)
+        roots.append((root, stops[root]))
     return roots
 
 
 def scho_eigenvalue(n: int, x_c: float) -> float:
     """Energy of state n of the centred well in a box of half-length x_c,
     from one scan of its branch up to its own ceiling."""
-    return _branch_roots(range(n, n + 1), x_c)[0]
+    return _branch_roots(range(n, n + 1), x_c)[0][0]
+
+
+def _horner_rows(levels: list[tuple[float, int]],
+                 z: np.ndarray) -> np.ndarray:
+    """Rows 1F1(shift_n - eps_n/2; b_n; z) of the levels n = 0, 1, ..., given
+    as (eps_n, degree of its parity), on the half grid `z`, summed in one
+    pass of Horner's rule.
+
+    Each level's Maclaurin coefficients c_0 = 1, c_{k+1} = c_k (a+k) /
+    ((b+k)(k+1)) are Python floats, taken to the degree of its parity, and
+    zero above it: the zeros leave the sum of a lower degree bit for bit.
+    Each term then costs two in-place array operations for all rows.
+    """
+    table = np.zeros((max(d for _, d in levels) + 1, len(levels)))
+    for n, (eps, degree) in enumerate(levels):
+        shift, _, denoms = _BRANCHES[n % 2]
+        a, c = shift - eps / 2.0, 1.0
+        column = [c]
+        for k in range(degree):
+            c = c * (a + k) / denoms[k]
+            column.append(c)
+        table[:degree + 1, n] = column
+    table = table[:, :, None]
+    acc = np.repeat(table[-1], len(z), axis=1)
+    for c in table[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
 
 
 def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     """Normalized grid samples of states 0..n_max on a grid spanning
     [-x_c, x_c].
 
-    Each parity's energies come from one root scan of its branch, and its
-    levels are summed in one `_horner_1f1` pass over the half grid
-    `points[N//2:]`, one row per level; each row is mirrored:
-    psi(-x) = psi(x) for even n, -psi(x) for odd n. For an odd point count
-    the half grid starts at the centre sample, taken as exactly 0 (rounding
-    can leave `x_min + j h` an ulp or so off it), so odd states vanish there.
+    Each parity's energies come from one root scan of its branch, and all
+    levels are summed in one `_horner_rows` pass over the half grid
+    `points[N//2:]`, one row per level, taken to the largest stop index of
+    its parity's wall values; each row is mirrored: psi(-x) = psi(x) for
+    even n, -psi(x) for odd n. For an odd point count the half grid starts
+    at the centre sample, taken as exactly 0 (rounding can leave
+    `x_min + j h` an ulp or so off it), so odd states vanish there.
     """
     ConfinedPotential(b1=-x_c, b2=x_c).require_span(grid)
     if n_max < 0:
@@ -240,21 +280,22 @@ def scho_states(n_max: int, x_c: float, grid: Grid) -> list[Eigenpair]:
     if count % 2:
         x[0] = 0.0
     z = x * x
+    levels = [None] * (n_max + 1)
+    for parity in range(min(n_max + 1, 2)):
+        roots = _branch_roots(range(parity, n_max + 1, 2), x_c)
+        degree = max(stop for _, stop in roots)
+        levels[parity::2] = [(eps, degree) for eps, _ in roots]
+    half = _horner_rows(levels, z)
     gauss = np.exp(-z / 2.0)
-    states = [None] * (n_max + 1)
-    for parity, b, shift, factor in ((0, 0.5, 0.25, gauss),
-                                     (1, 1.5, 0.75, x * gauss)):
-        levels = range(parity, n_max + 1, 2)
-        if not levels:
-            continue
-        eps = _branch_roots(levels, x_c)
-        half = factor * _horner_1f1([shift - e / 2.0 for e in eps], b, z,
-                                    x_c * x_c)
-        mirror = half[:, count % 2:][:, ::-1]
-        rows = np.concatenate((-mirror if parity else mirror, half), axis=1)
-        for n, e, psi in zip(levels, eps, rows):
-            psi = psi / math.sqrt(simpson(psi * psi, grid.h))
-            states[n] = Eigenpair(n=n, energy=e, values=psi, grid=grid,
-                                  provenance="exact")
+    half[0::2] *= gauss
+    half[1::2] *= x * gauss
+    rows = np.empty((n_max + 1, count))
+    rows[:, count // 2:] = half
+    rows[:, :count // 2] = half[:, count % 2:][:, ::-1]
+    rows[1::2, :count // 2] *= -1.0
+    states = []
+    for n, ((eps, _), psi) in enumerate(zip(levels, rows)):
+        psi /= math.sqrt(simpson(psi * psi, grid.h))
+        states.append(Eigenpair(n=n, energy=eps, values=psi, grid=grid,
+                                provenance="exact"))
     return states
-

@@ -41,11 +41,14 @@ FISHER_DENSITY_FLOOR = 1e-12
 
 
 def _check_density(rho: np.ndarray, h: float) -> None:
-    """The guard of every functional: samples >= 0 at a positive, finite
-    spacing."""
+    """The guard of every functional: a positive, finite spacing and at
+    least the 3 samples of Simpson's rule, each >= 0."""
     if not 0.0 < h < math.inf:
         raise DomainError("spacing must be positive and finite, got %g" % h)
-    if np.any(rho < 0):
+    if len(rho) < 3:
+        raise DomainError("a density needs at least 3 samples, got %d"
+                          % len(rho))
+    if (rho < 0).any():
         raise DomainError("densities are non-negative")
 
 
@@ -56,8 +59,11 @@ def shannon(rho: np.ndarray, h: float) -> float:
 
 
 def _shannon(rho: np.ndarray, h: float) -> float:
-    integrand = np.where(rho < 1e-300, 0.0, -rho * np.log(np.maximum(rho, 1e-300)))
-    return simpson(integrand, h)
+    integrand = np.maximum(rho, 1e-300)
+    np.log(integrand, out=integrand)
+    integrand *= rho
+    integrand[rho < 1e-300] = 0.0
+    return -simpson(integrand, h)
 
 
 def fisher(rho: np.ndarray, h: float) -> float:
@@ -67,14 +73,20 @@ def fisher(rho: np.ndarray, h: float) -> float:
 
 
 def _fisher(rho: np.ndarray, h: float, even: bool = False) -> float:
-    """With `even`, rho[0] sits at the centre of an even density, where
-    rho' is 0: the value the central difference across it gives."""
-    grad = np.gradient(rho, h)
-    if even:
-        grad[0] = 0.0
+    """The gradient is np.gradient's: central differences inside, one-sided
+    ones at the ends. With `even`, rho[0] sits at the centre of an even
+    density, where rho' is 0: the value the central difference across it
+    gives."""
+    grad = np.empty(len(rho))
+    np.subtract(rho[2:], rho[:-2], out=grad[1:-1])
+    grad[1:-1] /= 2.0 * h
+    grad[0] = 0.0 if even else (rho[1] - rho[0]) / h
+    grad[-1] = (rho[-1] - rho[-2]) / h
     floor = FISHER_DENSITY_FLOOR * float(rho.max())
-    integrand = np.where(rho < floor, 0.0, grad ** 2 / np.maximum(rho, floor))
-    return simpson(integrand, h)
+    grad *= grad
+    grad /= np.maximum(rho, floor)
+    grad[rho < floor] = 0.0
+    return simpson(grad, h)
 
 
 def onicescu(rho: np.ndarray, h: float) -> float:
@@ -84,7 +96,7 @@ def onicescu(rho: np.ndarray, h: float) -> float:
 
 
 def _onicescu(rho: np.ndarray, h: float) -> float:
-    return simpson(rho ** 2, h)
+    return simpson(np.square(rho), h)
 
 
 # report field -> the integrals it is made of: a functional (s, i, e) of
@@ -111,14 +123,14 @@ def full_report(state: Eigenpair, md: MomentumDensity,
     absorbing quadrature error), and the momentum density's norm defect.
     Each momentum measure is twice its integral over the half comb p >= 0.
     Only the integrals the fields read are taken, and `md` is read only by
-    `MOMENTUM_FIELDS`."""
+    `MOMENTUM_FIELDS`. Each integrand is built in place."""
     fields = frozenset(fields)
     unknown = fields - _READS.keys()
     if unknown:
         raise DomainError("no information measure %s" % ", ".join(
             sorted(unknown)))
     parts = {part for name in fields for part in _READS[name]}
-    rho_x, h = state.values ** 2, state.grid.h
+    rho_x, h = np.square(state.values), state.grid.h
     rho_p, dp = md.density, md.dp
     _check_density(rho_x, h)
     if fields & MOMENTUM_FIELDS:

@@ -25,11 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-# The fewest mesh steps the oscillator length (m k)^(-1/4) may span: the
-# coarsest mesh on which the relaxation levels n <= 2 of a stiff centred
-# well keep three digits. Their relative error falls as O(h^4), 3.9e-4 at 4
-# steps, 1.0e-5 at 10 and 1.0e-7 at 32, and is 5.2e-2 at 1 step and 13.6 at
-# 0.2. Every report table, gate and benchmark sweep spans 200 steps or more.
+# The fewest mesh steps the oscillator length (m k)^(-1/4), and the Airy
+# length of a well centred outside the box, may span: the coarsest mesh on
+# which the relaxation levels n <= 2 keep three digits. For a stiff centred
+# well their relative error falls as O(h^4), 3.9e-4 at 4 steps, 1.0e-5 at
+# 10 and 1.0e-7 at 32, and is 5.2e-2 at 1 step and 13.6 at 0.2. For a far
+# offset (eta = 1, d_m 1e6..1e9, 500..4000 points) the error of the levels
+# above the wall value, against the Airy levels of the wall ramp, is at
+# most 2.5e-4 from 3.7 steps on, 1.4e-3 at 2.4 and 5.0e-3 at 1.7. There
+# the Fisher product of n = 0 reads below 4 under about 5.5 steps (3.94 at
+# 4.8), as the coarsest centred meshes do. Every report table, gate and
+# benchmark sweep spans 200 steps or more.
 _MIN_STEPS_PER_LENGTH = 4
 # The largest stencil scale 1/(2 m h^2): the square root of the largest
 # float. The position Fisher integrand squares the density's gradient, about
@@ -129,22 +135,36 @@ class ConfinedPotential:
 
     def require_resolution(self, grid: Grid) -> None:
         """Raise DomainError unless the mesh of `grid` can hold this
-        problem's states: the oscillator length (m k)^(-1/4) spans at least
-        `_MIN_STEPS_PER_LENGTH` steps, and the stencil scale 1/(2 m h^2)
-        stays below `_MAX_STENCIL_SCALE`."""
+        problem's states: the stencil scale 1/(2 m h^2) stays below
+        `_MAX_STENCIL_SCALE`, and both lengths of the well span at least
+        `_MIN_STEPS_PER_LENGTH` steps: the oscillator length (m k)^(-1/4)
+        and, for a well centred outside the box, the Airy length
+        (2 m F)^(-1/3) at the wall nearer its centre, F = k |d_m - wall|,
+        over which the states decay from that wall into the box."""
         h = grid.h
         if 2.0 * self.mass * h * h * _MAX_STENCIL_SCALE < 1.0:
             raise DomainError("the mesh step %g puts the stencil scale "
                               "1/(2 m h^2) above %g, the square root of the "
                               "largest float" % (h, _MAX_STENCIL_SCALE))
-        if self.k > 0:
-            # two powers, not one of the product, which may underflow to 0
-            length = self.mass ** -0.25 * self.k ** -0.25
+        if not self.k > 0:
+            return
+        # powers of each factor, not one of the product, which may
+        # underflow to 0
+        lengths = [("the oscillator length (m k)^(-1/4)",
+                    self.mass ** -0.25 * self.k ** -0.25)]
+        outside = max(self.b1 - self.d_m, self.d_m - self.b2)
+        if outside > 0:
+            lengths.append(("the Airy length (2 m F)^(-1/3) at the wall "
+                            "nearer the well (F = k |d_m - wall|)",
+                            (2.0 * self.mass) ** (-1.0 / 3.0)
+                            * self.k ** (-1.0 / 3.0)
+                            * outside ** (-1.0 / 3.0)))
+        for name, length in lengths:
             if length < _MIN_STEPS_PER_LENGTH * h:
-                raise DomainError("the oscillator length (m k)^(-1/4) = %g "
-                                  "spans %.3g mesh steps of %g; it must span "
-                                  "at least %d" % (length, length / h, h,
-                                                   _MIN_STEPS_PER_LENGTH))
+                raise DomainError("%s = %g spans %.3g mesh steps of %g; it "
+                                  "must span at least %d"
+                                  % (name, length, length / h, h,
+                                     _MIN_STEPS_PER_LENGTH))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The well V(x) = 0.5*k*(x - d_m)**2 at the points `x`, walls aside:
@@ -167,17 +187,23 @@ class ConfinedPotential:
 
 def simpson(f: np.ndarray, h: float) -> float:
     """Integral of the samples `f` spaced `h` apart, for any count >= 3:
-    composite Simpson over the longest odd-count prefix and, for an even
-    count, the uneven-panel end correction of Cartwright (2017) on the last
-    interval, h*(5 f[-1] + 8 f[-2] - f[-3])/12."""
+    composite Simpson over the longest odd-count prefix of m samples,
+    h/3 (f_0 + 4 f_1 + 2 f_2 + ... + 4 f_{m-2} + f_{m-1}), taken from two
+    strided sums, the even and the odd samples, as h/3 (2 even + 4 odd -
+    f_0 - f_{m-1}); and, for an even count, the uneven-panel end correction
+    of Cartwright (2017) on the last interval, h*(5 f[-1] + 8 f[-2] -
+    f[-3])/12."""
     n = len(f)
     if n < 3:
         raise DomainError("Simpson's rule needs at least 3 points")
     m = n if n % 2 else n - 1
-    total = float(np.sum(f[0:m - 2:2] + 4.0 * f[1:m - 1:2] + f[2:m:2]))
-    total *= h / 3.0
+    even = float(f[0:m:2].sum())
+    odd = float(f[1:m - 1:2].sum())
+    total = (2.0 * even + 4.0 * odd - float(f[0]) - float(f[m - 1])) \
+        * (h / 3.0)
     if m < n:
-        total += float(h * (5.0 * f[-1] + 8.0 * f[-2] - f[-3]) / 12.0)
+        last, second, third = float(f[-1]), float(f[-2]), float(f[-3])
+        total += h * (5.0 * last + 8.0 * second - third) / 12.0
     return total
 
 
@@ -313,7 +339,7 @@ def canonical_sign(psi: np.ndarray) -> np.ndarray:
     the sign of a state with two equal peaks (an odd state of a centred
     well) independent of rounding."""
     mag = np.abs(psi)
-    k = int(np.argmax(mag >= (1.0 - 1e-6) * mag.max()))
+    k = int((mag >= (1.0 - 1e-6) * mag.max()).argmax())
     return -psi if psi[k] < 0 else psi
 
 

@@ -53,17 +53,20 @@ def to_momentum(state: Eigenpair, pad_factor: int = 16) -> MomentumDensity:
 
     Zero-pads to M = `comb_length` points and applies the real-input
     transform with continuum normalization, which gives the half comb
-    k = 0 .. M/2 (see MomentumDensity). The grid not starting at the
-    coordinate origin only multiplies phi by the unit-modulus phase
-    exp(-i p x_min), which |phi|^2 does not see, so the transform leaves it
-    out.
+    k = 0 .. M/2 (see MomentumDensity), with |phi|^2 formed in place as
+    (re^2 + im^2) h^2 / (2 pi). The grid not starting at the coordinate
+    origin only multiplies phi by the unit-modulus phase exp(-i p x_min),
+    which |phi|^2 does not see, so the transform leaves it out.
     """
     psi = state.values
     h = state.grid.h
     m = comb_length(len(psi), pad_factor)
-    phi = (h / math.sqrt(2.0 * math.pi)) * np.fft.rfft(psi, n=m)
-    return MomentumDensity(density=np.abs(phi) ** 2,
-                           dp=2.0 * math.pi / (m * h))
+    phi = np.fft.rfft(psi, n=m)
+    parts = phi.view(float)             # re, im, re, im, ...
+    np.square(parts, out=parts)
+    density = parts[0::2] + parts[1::2]
+    density *= h * h / (2.0 * math.pi)
+    return MomentumDensity(density=density, dp=2.0 * math.pi / (m * h))
 
 
 def parseval_defect(md: MomentumDensity) -> float:

@@ -97,6 +97,13 @@ class SweepSpec:
                                   % (s, self.mode))
         if self.grid_points < 8:
             raise DomainError("grid_points too small")
+        if "variational" in self.solvers:
+            size = variational.basis_size(self.n_hi)
+            points = _interior_points(self, "variational")
+            if points < size:
+                raise DomainError("the variational basis of %d functions "
+                                  "needs at least as many interior grid "
+                                  "points, got %d" % (size, points))
         meshes = {_interior_points(self, s) for s in self.solvers}
         for value in self.values:       # each point's problem must build
             try:
@@ -109,13 +116,6 @@ class SweepSpec:
             except DomainError as exc:
                 raise DomainError("%s value %g: %s"
                                   % (self.mode, value, exc)) from None
-        if "variational" in self.solvers:
-            size = variational.basis_size(self.n_hi)
-            points = _interior_points(self, "variational")
-            if points < size:
-                raise DomainError("the variational basis of %d functions "
-                                  "needs at least as many interior grid "
-                                  "points, got %d" % (size, points))
         spectral.comb_length(max(meshes) + 2, self.pad_factor)
 
 

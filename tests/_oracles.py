@@ -108,6 +108,46 @@ def mp_scho_dimensionless(n: int, eta: float, dps: int = 40) -> float:
     return x_c * x_c * mp_scho_eigenvalue(n, x_c, dps=dps)
 
 
+def lattice_series(a, b: float, z, rtol: float = 1e-17,
+                   max_terms: int = 600) -> np.ndarray:
+    """Maclaurin sums of 1F1(a; b; z), broadcast over arrays `a` and `z`:
+    the compensated array sum the exact route's root scan once took over
+    every lane, stopped after three consecutive terms below `rtol` of every
+    lane's running sum."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(z))
+    a = np.broadcast_to(np.asarray(a, dtype=float), shape)
+    z = np.broadcast_to(np.asarray(z, dtype=float), shape)
+    term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
+    quiet = 0
+    for k in range(max_terms):
+        term = term * (a + k) * z / ((b + k) * (k + 1.0))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if (np.abs(term) <= rtol * np.maximum(np.abs(total), 1e-300)).all():
+            quiet += 1
+            if quiet == 3:
+                return total
+        else:
+            quiet = 0
+    raise RuntimeError("series did not settle")
+
+
+def lattice_bracket(n: int, x_c: float) -> tuple[float, float]:
+    """The lattice cell [eps_k, eps_k+1], eps_k = 1e-9 + 0.1 k, in which the
+    full-lattice root scan finds level n of the centred well on [-x_c, x_c]
+    (native units): the (n//2 + 1)-th sign change of its branch's wall
+    value, summed by `lattice_series` at every lane up to the min-max
+    ceiling, the flat-box level plus x_c^2/2."""
+    ceiling = (n + 1) ** 2 * math.pi ** 2 / (8.0 * x_c * x_c) + x_c * x_c / 2
+    eps = 1e-9 + 0.1 * np.arange(int(ceiling / 0.1) + 2)
+    shift, b = (0.25, 0.5) if n % 2 == 0 else (0.75, 1.5)
+    vals = lattice_series(shift - eps / 2.0, b, x_c * x_c)
+    k = np.nonzero((vals[:-1] < 0) != (vals[1:] < 0))[0][n // 2]
+    return float(eps[k]), float(eps[k + 1])
+
+
 # ---------------------------------------------------------------------------
 # Offset-well levels by Chebyshev collocation
 # ---------------------------------------------------------------------------
@@ -186,6 +226,14 @@ def apply_bands(bands, psi):
     out[..., :-2] += d2 * psi[..., 2:]
     out[..., 2:] += d2 * psi[..., :-2]
     return out
+
+
+def sampled_moments(rows, x, h: float):
+    """The h * sum matrices of x and x**2 in the sampled `rows` (one mode
+    per row, on the interior points `x`), as (size x N)(N x size) products
+    over the grid: what the closed forms of the package stand in for."""
+    h_rows = h * rows
+    return (h_rows * x) @ rows.T, (h_rows * (x * x)) @ rows.T
 
 
 def exact_row_sum(bands, row: int) -> Fraction:

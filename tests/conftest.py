@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -62,18 +61,19 @@ def exact_fails_at_three(monkeypatch):
 @pytest.fixture
 def root_searches(monkeypatch):
     """Counts of the exact route's root searches from here on: `scans`, the
-    wall value summed over an array of energies, and `brackets`, the calls
-    of `brent_root` that refine one sign change each."""
+    signs of one branch's wall value taken over the lanes of its energy
+    lattice, and `brackets`, the calls of `brent_root` that refine one sign
+    change each."""
     seen = {"scans": 0, "brackets": 0}
-    wall, refine = exact_scho._boundary_values, exact_scho.brent_root
+    signs, refine = exact_scho._negative_lanes, exact_scho.brent_root
 
-    def scan(even, eps, z_edge):
-        seen["scans"] += bool(np.ndim(eps))
-        return wall(even, eps, z_edge)
+    def scan(*args):
+        seen["scans"] += 1
+        return signs(*args)
 
     def bracket(*args):
         seen["brackets"] += 1
         return refine(*args)
-    monkeypatch.setattr(exact_scho, "_boundary_values", scan)
+    monkeypatch.setattr(exact_scho, "_negative_lanes", scan)
     monkeypatch.setattr(exact_scho, "brent_root", bracket)
     return seen

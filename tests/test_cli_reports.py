@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -599,6 +600,11 @@ def test_a_setting_reads_alike_from_config_and_flag(key, monkeypatch):
      "stencil scale 1/(2 m h^2) above 1.34078e+154"),
     (["phase", "--value", "1e-155", "--solver", "variational"],
      "stencil scale"),
+    (["solve", "--mode", "acho-dm", "--value", "1e8", "--n", "2"],
+     "the Airy length (2 m F)^(-1/3) at the wall nearer the well "
+     "(F = k |d_m - wall|) = 0.00170998 spans 1.71 mesh steps"),
+    (["solve", "--mode", "acho-dm", "--value", "1e12", "--n", "2"],
+     "spans 0.0794 mesh steps"),
 ])
 def test_cli_refuses_a_mesh_that_cannot_hold_the_well(argv, rule, capsys):
     assert main(argv) == 2
@@ -641,6 +647,32 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("eta,n,I_x,I_p,S_x,S_p,E_x,E_p\n")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the gate's text and a paired sweep's rows and cross-check line are
+    # the same under one and two OpenBLAS threads (the variational moments
+    # take no BLAS product); only the measured runtimes are left out
+    config = tmp_path / "sweep.cfg"
+    config.write_text("mode = acho-dm\nvalues = 0.12, 5.0\nstates = 0:2\n"
+                      "solver = itp,variational\ngrid_points = 400\n")
+    src = str(Path(confosc.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        runs = [subprocess.run([sys.executable, "-m", "confosc", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=300, check=False)
+                for argv in (["validate", "3"],
+                             ["sweep", "--config", str(config)])]
+        outputs.append([(run.returncode,
+                         re.sub(r"\(\d+\.\d s\)|runtime \d+\.\d s", "",
+                                run.stdout), run.stderr) for run in runs])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[0]] == [0, 0]
+    assert "cross-check itp vs variational" in outputs[0][1][2]
 
 
 def test_cli_table_bad_id_exit_code(capsys):

@@ -10,7 +10,7 @@ from confosc import exact_scho
 from confosc.exact_scho import (RootSearchError, kummer_1f1, scan_lanes,
                                 scho_eigenvalue, scho_states, series_window)
 from confosc.model import (ConfinedPotential, DomainError, box_grid,
-                           simpson as model_simpson)
+                           brent_root, simpson as model_simpson)
 
 
 def pib_energy(n, x_c):
@@ -57,65 +57,59 @@ DIMENSIONLESS_TRUTHS = {
 @pytest.mark.parametrize("b,shift", [(0.5, 0.25), (1.5, 0.75)])
 @pytest.mark.parametrize("z", [0.25, 4.0, 25.0, 50.0])
 def test_scalar_series_is_the_one_lane_array_series_bitwise(b, shift, z):
-    # Brent's method and kummer_1f1 sum in Python floats; a one-lane array
-    # takes the vectorised loop. Both parities' wall values, a in [-25, 1]
+    # Brent's method, kummer_1f1 and the Horner degree read one Python-float
+    # sum over the tabled denominators, and a one-lane scan reads its sign.
+    # Both parities' wall values, a in [-25, 1]
+    assert exact_scho._BRANCHES[int(b)] == (shift, b,
+                                            exact_scho._denominators(b))
+    denoms = exact_scho._denominators(b)
     for a in np.linspace(-25.0, 1.0, 97):
-        scalar = exact_scho._series_1f1(float(a), b, z)
-        lane = exact_scho._series_1f1(np.array([a]), b, z)
-        assert type(scalar) is float
-        assert scalar == lane[0], (a, b, z)
-        # the wall value at one energy, as Brent's method asks for it
-        eps, even = 2.0 * (shift - a), b == 0.5
-        assert (exact_scho._boundary_values(even, eps, z)
-                == exact_scho._boundary_values(even, np.array([eps]), z)[0])
-
-
-def all_lanes_series(a, b, z):
-    """The array branch of `_series_1f1` with the stop test it had before
-    the last-lane check: every lane compared at every term."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(z))
-    a = np.broadcast_to(np.asarray(a, dtype=float), shape)
-    z = np.broadcast_to(np.asarray(z, dtype=float), shape)
-    term, total, comp = np.ones(shape), np.ones(shape), np.zeros(shape)
-    quiet = 0
-    for k in range(exact_scho._MAX_TERMS):
-        term = term * (a + k) * z / ((b + k) * (k + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if (np.abs(term) <= exact_scho._SERIES_RTOL
-                * np.maximum(np.abs(total), 1e-300)).all():
-            quiet += 1
-            if quiet == 3:
-                return total
-        else:
-            quiet = 0
-    raise AssertionError("series did not settle")
+        total, stop = exact_scho._scalar_series(float(a), z, denoms)
+        assert type(total) is float and 3 <= stop <= exact_scho._MAX_TERMS
+        assert total == kummer_1f1(float(a), b, z), (a, b, z)
+        lane = exact_scho._negative_lanes(np.array([a]), z, denoms)
+        assert lane[0] == (total < 0), (a, b, z)
 
 
 @pytest.mark.parametrize("x_c", (0.1778, 2.0, 7.0))
 def test_last_lane_stop_test_keeps_the_all_lanes_sums_bitwise(x_c):
-    # the stop test looks at the last lane first; every sum must keep the
-    # bits of the all-lanes rule, also when that lane settles first
-    # (a scan with its lanes reversed puts the lowest energy last)
-    z_half = box_grid(-x_c, x_c, 601).points[301:] ** 2
-    levels = np.array([[scho_eigenvalue(n, x_c)] for n in (0, 2, 4)])
+    # the scan's product of term ratios runs from the stop index of its
+    # last lane; every lane must read the sign of the all-lanes compensated
+    # sum, also when that lane settles first (a scan with its lanes reversed
+    # puts the lowest energy last)
     eps = 1e-9 + exact_scho._SCAN_STEP * np.arange(scan_lanes(4, x_c))
-    for a, b, z in ((0.25 - levels / 2.0, 0.5, z_half),
-                    (0.75 - levels[:2] / 2.0, 1.5, z_half),
-                    (0.25 - eps / 2.0, 0.5, x_c * x_c),
-                    (0.75 - eps[::-1] / 2.0, 1.5, x_c * x_c)):
-        assert np.array_equal(exact_scho._series_1f1(a, b, z),
-                              all_lanes_series(a, b, z))
+    for shift, b, denoms in exact_scho._BRANCHES:
+        for lanes in (eps, eps[::-1]):
+            a = shift - lanes / 2.0
+            assert np.array_equal(
+                exact_scho._negative_lanes(a, x_c * x_c, denoms),
+                O.lattice_series(a, b, x_c * x_c) < 0)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_windowed_brackets_give_the_full_lattice_energies(n):
+    # from x_c = 0.0112 (n+1), the smallest box the scan admits, to the
+    # series window: the lanes of the min-max windows keep each level's
+    # lattice cell of the full compensated scan, so Brent's method refines
+    # the same bracket to the same float
+    shift, b = (0.25, 0.5) if n % 2 == 0 else (0.75, 1.5)
+    for x_c in np.geomspace(0.0112 * (n + 1), 7.0710678, 12):
+        lo, hi = O.lattice_bracket(n, x_c)
+        z = x_c * x_c
+        truth = brent_root(lambda e: kummer_1f1(shift - e / 2.0, b, z),
+                           lo, hi, 1e-12)
+        assert scho_eigenvalue(n, x_c) == truth, (n, x_c)
+        assert scho_states(n, x_c, box_grid(-x_c, x_c, 60))[n].energy \
+            == truth
 
 
 @pytest.mark.parametrize("z", [-0.25, -4.0, -25.0, -50.0])
 def test_kummer_reflection_is_the_one_lane_array_series_bitwise(z):
     for a in np.linspace(-25.0, 1.0, 97):
         for b in (0.5, 1.5):
-            lane = exact_scho._series_1f1(np.array([b - a]), b, -z)
-            assert kummer_1f1(float(a), b, z) == math.exp(z) * lane[0]
+            lane = exact_scho._scalar_series(b - a, -z,
+                                             exact_scho._denominators(b))[0]
+            assert kummer_1f1(float(a), b, z) == math.exp(z) * lane
 
 
 @given(a=st.floats(0.1, 2.0), b=st.floats(2.5, 5.0), z=st.floats(-3.0, 3.0))
@@ -226,8 +220,8 @@ def test_root_scan_failure_is_reported():
 
 
 def test_scan_without_enough_sign_changes_is_reported(monkeypatch):
-    monkeypatch.setattr(exact_scho, "_boundary_values",
-                        lambda even, eps, z_edge: np.ones(np.shape(eps)))
+    monkeypatch.setattr(exact_scho, "_negative_lanes",
+                        lambda a, z, denoms: np.zeros(len(a), dtype=bool))
     with pytest.raises(RootSearchError, match=r"n=3, x_c=1\.2345"):
         scho_eigenvalue(3, 1.2345)
 
@@ -338,7 +332,7 @@ def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
         assert np.array_equal(psi, (-1) ** n * psi[::-1])
         a = (0.25 if n % 2 == 0 else 0.75) - state.energy / 2.0
         ref = x ** (n % 2) * np.exp(-x * x / 2.0) * np.array(
-            [exact_scho._series_1f1(a, 0.5 + n % 2, xi * xi) for xi in x])
+            [kummer_1f1(a, 0.5 + n % 2, xi * xi) for xi in x])
         ref /= math.sqrt(model_simpson(ref * ref, grid.h))
         ref *= np.sign(ref @ psi)
         scale = np.max(np.abs(psi))
@@ -351,37 +345,45 @@ def test_mirrored_states_match_the_full_grid_formula(x_c, n_interior):
 
 @pytest.mark.parametrize("x_c", (0.1778, 2.0, 5.0, 7.0))
 def test_horner_rows_match_the_multiprecision_series(x_c):
-    # each parity's rows x^p e^{-x^2/2} 1F1(a; b; x^2) on a half grid,
-    # within 5e-14 of the row's max|psi| of the same profile from mpmath
+    # the rows 1F1(a_n; b_n; x^2) of levels 0..4 on a half grid, each
+    # parity's taken to its degree, times x^p e^{-x^2/2}: within 5e-14 of
+    # the row's max|psi| of the same profile from mpmath
     x = box_grid(-x_c, x_c, 201).points[101:]
     z = x * x
-    for parity, b, shift in ((0, 0.5, 0.25), (1, 1.5, 0.75)):
-        levels = range(parity, 5, 2)
-        a = [shift - scho_eigenvalue(n, x_c) / 2.0 for n in levels]
-        factor = x ** parity * np.exp(-z / 2.0)
-        rows = factor * exact_scho._horner_1f1(a, b, z, x_c * x_c)
-        for n, a_n, row in zip(levels, a, rows):
-            ref = factor * np.array([O.mp_1f1(a_n, b, zi) for zi in z])
-            assert (np.max(np.abs(row - ref))
-                    <= 5e-14 * np.max(np.abs(ref))), (n, x_c)
+    levels, degrees = [], {}
+    for n in range(5):
+        shift, b, denoms = exact_scho._BRANCHES[n % 2]
+        eps = scho_eigenvalue(n, x_c)
+        stop = exact_scho._scalar_series(shift - eps / 2.0, x_c * x_c,
+                                         denoms)[1]
+        degrees[n % 2] = max(degrees.get(n % 2, 0), stop)
+        levels.append(eps)
+    rows = exact_scho._horner_rows(
+        [(eps, degrees[n % 2]) for n, eps in enumerate(levels)], z)
+    for n, (eps, row) in enumerate(zip(levels, rows)):
+        shift, b, _ = exact_scho._BRANCHES[n % 2]
+        factor = x ** (n % 2) * np.exp(-z / 2.0)
+        ref = factor * np.array([O.mp_1f1(shift - eps / 2.0, b, zi)
+                                 for zi in z])
+        assert (np.max(np.abs(factor * row - ref))
+                <= 5e-14 * np.max(np.abs(ref))), (n, x_c)
 
 
 @pytest.mark.parametrize("n_interior", (300, 301))
 def test_a_ladder_sums_one_half_grid_series_per_parity(monkeypatch,
                                                         n_interior):
-    # levels 0, 2, 4 in one Horner pass and 1, 3 in another, each over the
-    # half grid
+    # levels 0..4 of both parities in one Horner pass over the half grid
     grid = box_grid(-2.0, 2.0, n_interior)
     shapes = []
-    horner = exact_scho._horner_1f1
+    horner = exact_scho._horner_rows
 
-    def counted(a, b, z, z_edge):
-        shapes.append((len(a), len(z)))
-        return horner(a, b, z, z_edge)
-    monkeypatch.setattr(exact_scho, "_horner_1f1", counted)
+    def counted(levels, z):
+        shapes.append((len(levels), len(z)))
+        return horner(levels, z)
+    monkeypatch.setattr(exact_scho, "_horner_rows", counted)
     scho_states(4, 2.0, grid)
     half = grid.n_points - grid.n_points // 2
-    assert shapes == [(3, half), (2, half)]
+    assert shapes == [(5, half)]
 
 
 # ---------------------------------------------------------------------------

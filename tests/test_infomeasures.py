@@ -26,6 +26,9 @@ def test_profile_guards():
             functional(np.array([0.0, 1.0, 0.0]), 0.0)
         with pytest.raises(DomainError):
             functional(np.array([0.1, -0.1, 0.1]), 0.5)
+        for short in (np.empty(0), np.ones(1), np.ones(2)):
+            with pytest.raises(DomainError, match="at least 3 samples"):
+                functional(short, 0.5)
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])

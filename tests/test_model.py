@@ -88,6 +88,25 @@ def test_a_mesh_must_span_the_oscillator_length_four_times():
             pot.require_resolution(grid)
 
 
+def test_a_mesh_must_span_the_airy_length_of_a_far_well_four_times():
+    # a well centred outside the box presses its states against the nearer
+    # wall, where they decay over the Airy length (2 m F)^(-1/3) of the
+    # wall's slope F = k |d_m - wall|: at d_m = 1e6, 1e8 and 1e12 (k = 2,
+    # m = 1/2, 2000 points) it spans 7.94, 1.71 and 0.0794 steps
+    grid = box_grid(-1.0, 1.0, 2000)
+    acho_unit_box(1.0, 1e6).require_resolution(grid)
+    acho_unit_box(1.0, -1e6).require_resolution(grid)
+    for d_m, steps in ((1e8, "1.71"), (-1e8, "1.71"), (1e12, "0.0794")):
+        with pytest.raises(DomainError, match=r"the Airy length .* spans %s "
+                           "mesh steps of 0.0009995; it must span at least "
+                           "4" % steps):
+            acho_unit_box(1.0, d_m).require_resolution(grid)
+    # inside the box only the oscillator length counts, whatever the slope
+    # at the walls, and a well at a wall has none to speak of
+    ConfinedPotential(k=1e9, d_m=0.5).require_resolution(grid)
+    ConfinedPotential(k=2.0, d_m=1.0).require_resolution(grid)
+
+
 def test_a_mesh_keeps_the_stencil_scale_below_the_root_of_the_largest_float():
     # 1/(2 m h^2) <= 1.34e154 needs h >= 6.1e-78 at mass 1, 8.6e-78 at 1/2
     box = dict(b1=-1e-74, b2=1e-74)

@@ -151,7 +151,9 @@ def test_variational_grid_must_hold_the_basis():
                        "least as many interior grid points, got 9"):
         SweepSpec(mode="acho-dm", values=(5.0,), solvers=("variational",),
                   grid_points=8)
-    SweepSpec(mode="acho-dm", values=(5.0,), solvers=("itp",), grid_points=8)
+    # at d_m = 5 the Airy length at the wall spans 2.25 steps of this mesh,
+    # which the mesh rule refuses whatever the route; d_m = 0.5 it holds
+    SweepSpec(mode="acho-dm", values=(0.5,), solvers=("itp",), grid_points=8)
     SweepSpec(mode="acho-dm", values=(5.0,), solvers=("variational",),
               grid_points=50)
 
